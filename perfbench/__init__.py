@@ -1,0 +1,1 @@
+"""prepdhg benchmark; run it with ``python3 perfbench/run.py``."""
