@@ -125,6 +125,13 @@ class CellResult:
     final_half: float
     history: list
     has_gap: bool = False
+    #: gamma as configured, when it names a rule rather than the value
+    #: (birkhoff's "tight" resolves to a different gamma at each tau)
+    gamma_spec: str = None
+
+    @property
+    def gamma_config(self):
+        return self.gamma if self.gamma_spec is None else self.gamma_spec
 
 
 def _write_csv(path, header, rows):
@@ -206,13 +213,16 @@ def _write_summary(outdir, results):
 
 
 def _write_ratio(outdir, results):
-    """Saved-iteration ratio against the gamma = 1 baseline at best tau."""
-    gammas = sorted({r.gamma for r in results})
+    """Saved-iteration ratio against the gamma = 1 baseline at best tau,
+    one row per configured gamma (numbers ascending, then named rules)."""
+    gammas = sorted({r.gamma_config for r in results},
+                    key=lambda g: (isinstance(g, str), g))
     taus = sorted({r.tau for r in results})
     mean_iters = {}
     for g in gammas:
         for t in taus:
-            sel = [r.iters for r in results if r.gamma == g and r.tau == t]
+            sel = [r.iters for r in results
+                   if r.gamma_config == g and r.tau == t]
             if sel:
                 mean_iters[(g, t)] = float(np.mean(sel))
     best = {}
@@ -251,7 +261,8 @@ def _finish_sweep(args, results, emit):
     if "ratio" in emit:
         rows = _write_ratio(args.out, results)
         for g, t, it, ratio in rows:
-            print(f"gamma={g:g} best_tau={t:.6g} iters={it:.1f} ratio={ratio:.1f}%")
+            g = g if isinstance(g, str) else f"{g:g}"
+            print(f"gamma={g} best_tau={t:.6g} iters={it:.1f} ratio={ratio:.1f}%")
     diverged = [r for r in results if r.status == "diverged"]
     if diverged and not args.allow_diverge:
         print(f"{len(diverged)} run(s) diverged", file=sys.stderr)
@@ -297,14 +308,15 @@ def _birkhoff_cell(params):
     if gamma_spec == "tight":
         gamma = (0.75 if method == "ebalm" else 0.751) / (1.0 + tau / 2.0)
     else:
-        gamma = parse_number(gamma_spec)
+        gamma, gamma_spec = parse_number(gamma_spec), None
     inst = birkhoff_projection(C, tau, gamma, theta=theta, method=method,
                                tol=tol, max_iter=max_iter,
                                record_every=record_every)
     rep = inst.solve()
     last = rep.history[-1]
     return CellResult(seed, gamma, tau_tilde, rep.iters, rep.status,
-                      last.rhat_full, last.rhat_half, rep.history)
+                      last.rhat_full, last.rhat_half, rep.history,
+                      gamma_spec=gamma_spec)
 
 
 def run_birkhoff(args):

@@ -63,6 +63,10 @@ class Metric:
         eye = np.eye(self.dim)
         return np.column_stack([self.apply(eye[:, j]) for j in range(self.dim)])
 
+    def to_sparse(self) -> sp.csr_matrix:
+        """M in CSR form, assembled densely unless a subclass knows better."""
+        return sp.csr_matrix(self.to_dense())
+
 
 class ScalarMetric(Metric):
     """M = s * I with s > 0."""
@@ -198,6 +202,17 @@ class GramShiftMetric(Metric):
             self._chol = sla.cho_factor(A)
         return sla.cho_solve(self._chol, r)
 
+    def to_sparse(self) -> sp.csr_matrix:
+        """M in CSR form, from the operator's own sparse matrix when it has one."""
+        if not hasattr(self.op, "to_sparse"):
+            return super().to_sparse()
+        A = self.op.to_sparse()
+        G = (self._gt * (A @ A.T)).tolil()
+        if self.theta is None:
+            return sp.csr_matrix(G.toarray() + self.P.A)
+        G.setdiag(G.diagonal() + self.theta)
+        return G.tocsr()
+
     def _birkhoff_solve(self, r):
         # M^{-1} = (gamma*tau)^{-1} (K K^T + theta' I)^{-1}, theta' = theta/(gamma*tau)
         n = self.op.n
@@ -223,6 +238,11 @@ class SGSMetric(Metric):
     without forming it: ``apply`` runs two triangular block products around
     one block-diagonal solve, and ``solve`` runs the backward sweep, the
     block-diagonal scaling, and the forward sweep.
+
+    The per-block CSR row slices of U and U^T that the sweeps multiply by
+    are built once at construction, so ``solve`` does no sparse indexing;
+    they cost one more copy of the off-diagonal nonzeros.  The last block's
+    rows of U and the first block's rows of U^T are empty and not kept.
     """
 
     def __init__(self, Q, blocks):
@@ -265,6 +285,8 @@ class SGSMetric(Metric):
                 upper[si, sj] = Qp[si, sj]
         self.U = upper.tocsr()
         self.UT = self.U.T.tocsr()
+        self._U_rows = [self.U[si, :] for si in self._slices[:-1]]
+        self._UT_rows = [self.UT[si, :] for si in self._slices[1:]]
 
     def _dsolve(self, i, r):
         kind, data, chol = self._diag[i]
@@ -288,17 +310,18 @@ class SGSMetric(Metric):
 
     def solve(self, r):
         r = self._check(r)[self.perm]
-        # backward: (D + U) w = r
+        sl = self._slices
+        last = self.nblocks - 1
+        # backward: (D + U) w = r; the last block has no U rows
         w = np.zeros_like(r)
-        for i in range(self.nblocks - 1, -1, -1):
-            si = self._slices[i]
-            rhs = r[si] - self.U[si, :] @ w
-            w[si] = self._dsolve(i, rhs)
-        # forward: (D + U^T) x = D w
+        w[sl[last]] = self._dsolve(last, r[sl[last]])
+        for i in range(last - 1, -1, -1):
+            w[sl[i]] = self._dsolve(i, r[sl[i]] - self._U_rows[i] @ w)
+        # forward: (D + U^T) x = D w; the first block has no U^T rows
         x = np.zeros_like(r)
-        for i in range(self.nblocks):
-            si = self._slices[i]
-            x[si] = w[si] - self._dsolve(i, self.UT[si, :] @ x)
+        x[sl[0]] = w[sl[0]]
+        for i in range(1, self.nblocks):
+            x[sl[i]] = w[sl[i]] - self._dsolve(i, self._UT_rows[i - 1] @ x)
         return x[self.inv_perm]
 
 

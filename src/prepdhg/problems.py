@@ -23,10 +23,8 @@ from .operators import (BirkhoffConstraint, DenseOperator, GridDivergence,
                         spectral_norm_sq)
 from .prox import (GroupL12, IndicatorLinfBall, IndicatorSimplex, Linear,
                    QuadraticShift, QuadraticShiftNonneg, SeparableSum, Zero)
-from .solver import (SaddleProblem, SolverConfig, duality_gap_matrix_game,
-                     solve)
-
-GAMMA_MIN = 0.75
+from .solver import (GAMMA_MIN, SaddleProblem, SolverConfig,
+                     duality_gap_matrix_game, solve)
 
 
 @dataclass
@@ -288,6 +286,10 @@ class TwoEpochGramSolve(Metric):
     ``epochs`` block sweeps on the node coloring, which is the inexact
     variant whose convergence carries no guarantee; configurations built on
     it are flagged and run with the condition check overridden.
+
+    The CSR row slice of Mhat for each block is built once at construction,
+    so a block update multiplies only that block's rows; the slices cost one
+    more copy of the nonzeros of Mhat.
     """
 
     def __init__(self, gamma, tau, K: GridDivergence, theta, blocks,
@@ -305,6 +307,7 @@ class TwoEpochGramSolve(Metric):
                                      "increase theta")
         self.blocks = blocks
         self.epochs = int(epochs)
+        self._sweep = [(blk, self.diag[blk], self.Mhat[blk, :]) for blk in blocks]
 
     def apply(self, z):
         z = self._check(z)
@@ -315,10 +318,8 @@ class TwoEpochGramSolve(Metric):
         r = self._check(r)
         delta = np.zeros_like(r)
         for _ in range(self.epochs):
-            for blk in self.blocks:
-                g = self.Mhat @ delta
-                delta[blk] = (r[blk] - g[blk] + self.diag[blk] * delta[blk]) \
-                    / self.diag[blk]
+            for blk, dg, rows in self._sweep:
+                delta[blk] = (r[blk] - rows @ delta + dg * delta[blk]) / dg
         return delta / self.gamma
 
 

@@ -91,6 +91,14 @@ class Proximable:
     def prox(self, v: np.ndarray, d) -> np.ndarray:
         raise NotImplementedError
 
+    def prox_at(self, d):
+        """``v -> prox(v, d)`` for weights ``d`` fixed for a whole solve.
+
+        An entry that validates its weights overrides this to check ``d``
+        once here rather than on every call.
+        """
+        return lambda v: self.prox(v, d)
+
     def _v(self, v):
         v = np.asarray(v, dtype=float).ravel()
         if v.size != self.dim:
@@ -272,12 +280,16 @@ class GroupL12(Proximable):
         return float(np.sum(np.hypot(a, b)))
 
     def prox(self, v, d):
-        v = self._v(v)
-        d = _as_diag(d, self.dim)
-        da, db = self._pairs(d)
+        return self.prox_at(d)(v)
+
+    def prox_at(self, d):
+        da, db = self._pairs(_as_diag(d, self.dim))
         if not np.allclose(da, db):
             raise ConfigurationError(
                 "group-l12 prox needs equal metric weights within each pair")
+        return lambda v: self._shrink(self._v(v), da)
+
+    def _shrink(self, v, da):
         a, b = self._pairs(v)
         norms = np.hypot(a, b)
         scale = np.zeros_like(norms)

@@ -113,12 +113,15 @@ class BoxQuadBCD:
     Minimizes 1/2 ||y - y0||_M^2 - <r, y> over ||y||_inf <= radius, running a
     fixed number of epochs over a greedy coloring of the sparsity graph of M
     so that each color block updates in one vectorized pass.
+
+    The CSC column slice of M for each color is built once at construction,
+    so ``solve`` does no sparse indexing; the slices cost one more copy of
+    the nonzeros of M.
     """
 
     def __init__(self, M, radius: float, epochs: int = 2):
         M = sp.csr_matrix(M)
         self.M = M
-        self.Mc = M.tocsc()
         self.diag = M.diagonal()
         if np.any(self.diag <= 0):
             raise ConfigurationError("BCD needs positive diagonal entries")
@@ -135,18 +138,22 @@ class BoxQuadBCD:
                 c += 1
             colors[j] = c
         self.groups = [np.nonzero(colors == c)[0] for c in range(colors.max() + 1)]
+        Mc = M.tocsc()
+        self._sweep = [(grp, self.diag[grp], Mc[:, grp]) for grp in self.groups]
 
     def solve(self, y0: np.ndarray, r: np.ndarray) -> np.ndarray:
         delta = np.zeros_like(y0)
         g = np.zeros_like(y0)  # g = M @ delta, maintained incrementally
+        lo, hi = -self.radius, self.radius
         for _ in range(self.epochs):
-            for grp in self.groups:
-                step = delta[grp] + (r[grp] - g[grp]) / self.diag[grp]
-                new = np.clip(y0[grp] + step, -self.radius, self.radius) - y0[grp]
+            for grp, dg, cols in self._sweep:
+                y0g = y0[grp]
+                step = delta[grp] + (r[grp] - g[grp]) / dg
+                new = np.clip(y0g + step, lo, hi) - y0g
                 change = new - delta[grp]
                 if np.any(change):
                     delta[grp] = new
-                    g += self.Mc[:, grp] @ change
+                    g += cols @ change
         return y0 + delta
 
 
@@ -172,6 +179,7 @@ class _Engine:
             if isinstance(f, IndicatorSimplex) and isinstance(self.M1, ScalarMetric):
                 self._xup = self._x_simplex_scalar
             else:
+                self._fprox = f.prox_at(self.d1)
                 self._xup = self._x_prox_diag
         elif isinstance(f, Zero):
             self._xup = self._x_zero
@@ -186,7 +194,7 @@ class _Engine:
                 f"unsupported (f={type(f).__name__}, M1={type(self.M1).__name__}) pair")
 
     def _x_prox_diag(self, x, Kty):
-        return self.p.f.prox(x - Kty * self._inv_d1, self.d1)
+        return self._fprox(x - Kty * self._inv_d1)
 
     def _x_simplex_scalar(self, x, Kty):
         return project_simplex(x - Kty * self._inv_d1)
@@ -254,8 +262,7 @@ class _Engine:
             elif di is not None:
                 self._yblocks.append(("prox", sl, gi, di, mi))
             elif isinstance(gi, IndicatorLinfBall):
-                Ms = _metric_sparse(mi)
-                bcd = BoxQuadBCD(Ms, gi.radius, self.cfg.bcd_epochs)
+                bcd = BoxQuadBCD(mi.to_sparse(), gi.radius, self.cfg.bcd_epochs)
                 self._yblocks.append(("bcd", sl, mi, bcd))
             else:
                 raise ConfigurationError(
@@ -332,8 +339,9 @@ def residual_hat(p: SaddleProblem, M1: Metric, M2: Metric, x_new, x, y_new, y,
 def solve(p: SaddleProblem, cfg: SolverConfig) -> SolveReport:
     """Run the iteration until the residual bound meets tol.
 
-    Divergence (iterate blow-up past ``cfg.blowup``) is reported as a
-    status, not an error, so counter-example runs terminate cleanly.
+    Divergence (iterate blow-up past ``cfg.blowup``, or any non-finite
+    entry) is reported as a status, not an error, so counter-example runs
+    terminate cleanly.
     """
     eng = _Engine(p, cfg)
     report_cond = None
@@ -400,8 +408,9 @@ def solve(p: SaddleProblem, cfg: SolverConfig) -> SolveReport:
             stop_res = rhat_full
 
         done = stop_res <= tol
-        blown = max(x_new.max(), -x_new.min(),
-                    y_new.max(), -y_new.min()) > blowup
+        # written so that a NaN entry, whose comparisons are all false, blows up
+        blown = not (x_new.max() <= blowup and -x_new.min() <= blowup
+                     and y_new.max() <= blowup and -y_new.min() <= blowup)
         if done or blown or k == cfg.max_iter or k % record_every == 0:
             if rhat_half is None:
                 if Kx_prev is not None:
@@ -462,20 +471,6 @@ def sublinear_diagnostic(history) -> SublinearDiagnostic:
     iq = max(iq, 0)
     flagged = bool(scaled[-1] > 1.2 * scaled[iq])
     return SublinearDiagnostic(table=np.column_stack([ks, scaled]), flagged=flagged)
-
-
-def _metric_sparse(M: Metric):
-    """Sparse matrix of a metric, for inner BCD setup."""
-    if isinstance(M, GramShiftMetric):
-        op = M.op
-        if hasattr(op, "to_sparse"):
-            A = op.to_sparse()
-            G = (M._gt * (A @ A.T)).tolil()
-            if M.theta is not None:
-                G.setdiag(G.diagonal() + M.theta)
-                return G.tocsr()
-            return sp.csr_matrix(G.toarray() + M.P.A)
-    return sp.csr_matrix(M.to_dense())
 
 
 def configure_ebalm(f: Proximable, K: LinearOperator, b, tau: float,

@@ -191,3 +191,18 @@ def test_birkhoff_command_tight_gamma(tmp_path):
     rows = (out / "summary.csv").read_text().splitlines()[1:]
     assert len(rows) == 2 * 3
     assert all(r.split(",")[4] == "converged" for r in rows)
+
+
+def test_birkhoff_ratio_one_row_per_configured_gamma(tmp_path):
+    # "tight" resolves to a different gamma at each tau; summary.csv keeps
+    # the resolved values, ratio.csv has one row for the configuration
+    out = tmp_path / "bk"
+    code = main(["birkhoff", "--n", "5", "--tau-exp=0.2:0.1:0.4",
+                 "--max-iter", "300", "--seeds", "1", "--workers", "1",
+                 "--out", str(out)])
+    assert code == 0
+    ratio = (out / "ratio.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[0] for r in ratio] == ["1", "tight"]
+    gammas = {r.split(",")[1] for r in
+              (out / "summary.csv").read_text().splitlines()[1:]}
+    assert len(gammas) == 1 + 3

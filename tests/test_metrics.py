@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from prepdhg.exceptions import ConfigurationError
 from prepdhg.metrics import (BlockDiagMetric, DenseMetric, DiagonalMetric,
                              GramShiftMetric, ScalarMetric, SGSMetric,
                              build_diag_preconditioner, check_condition,
                              dense_sqrt)
-from prepdhg.operators import BirkhoffConstraint, DenseOperator, GridDivergence
+from prepdhg.operators import (BirkhoffConstraint, DenseOperator, GridDivergence,
+                               Transpose)
 
 
 from helpers import random_partition, sgs_dense_oracle
@@ -276,3 +278,23 @@ def test_spd_invariant_solve_apply_identity():
     for M in metrics:
         z = rng.standard_normal(5)
         assert np.allclose(M.solve(M.apply(z)), z, atol=1e-10)
+
+
+class TestGramShiftToSparse:
+    def test_theta_shift_matches_dense(self):
+        M = GramShiftMetric(0.8, 0.3, GridDivergence(4, 5, 2.0), theta=1e-3)
+        S = M.to_sparse()
+        assert sp.issparse(S) and S.format == "csr"
+        assert np.allclose(S.toarray(), M.to_dense(), atol=1e-14)
+
+    def test_dense_shift_matches_dense(self):
+        rng = np.random.default_rng(13)
+        A = rng.standard_normal((12, 12))
+        P = DenseMetric(A @ A.T + 12 * np.eye(12))
+        M = GramShiftMetric(1.0, 0.5, GridDivergence(3, 4, 1.0), P=P)
+        assert np.allclose(M.to_sparse().toarray(), M.to_dense(), atol=1e-12)
+
+    def test_operator_without_sparse_form(self):
+        M = GramShiftMetric(1.0, 0.1, Transpose(GridDivergence(3, 3, 1.0)),
+                            theta=1e-3)
+        assert np.array_equal(M.to_sparse().toarray(), M.to_dense())

@@ -246,6 +246,16 @@ class TestGroupL12:
         with pytest.raises(ConfigurationError):
             g.prox(np.ones(8), d)
 
+    def test_prox_at_checks_once_and_matches_prox(self):
+        g = GroupL12(3, 4)
+        rng = np.random.default_rng(42)
+        d = np.tile(rng.uniform(0.5, 2.0, 12), 2)
+        v = rng.standard_normal(24)
+        assert np.array_equal(g.prox_at(d)(v), g.prox(v, d))
+        d[1] = 5.0
+        with pytest.raises(ConfigurationError):
+            g.prox_at(d)
+
 
 def test_separable_sum_concatenates():
     f1 = L1Norm(2, 1.0)

@@ -3,15 +3,15 @@ import pytest
 
 from prepdhg.counterexamples import ToyDynamics
 from prepdhg.exceptions import ConfigurationError
-from prepdhg.metrics import GramShiftMetric, ScalarMetric
-from prepdhg.operators import BirkhoffConstraint, DenseOperator
-from prepdhg.prox import (IndicatorSimplex, L1Norm, Linear,
+from prepdhg.metrics import DiagonalMetric, GramShiftMetric, ScalarMetric
+from prepdhg.operators import BirkhoffConstraint, DenseOperator, GridDivergence
+from prepdhg.prox import (GroupL12, IndicatorSimplex, L1Norm, Linear,
                           QuadraticShiftNonneg, Zero)
-from prepdhg.solver import (HistoryRow, SaddleProblem, SolverConfig,
+from prepdhg.solver import (HistoryRow, SaddleProblem, SolverConfig, _Engine,
                             configure_ebalm, configure_ebalm_sgs,
                             duality_gap_matrix_game, prepdhg_step,
                             residual_hat, solve, sublinear_diagnostic)
-from prepdhg.problems import matrix_game
+from prepdhg.problems import game_matrix, matrix_game
 
 
 class TestStep:
@@ -320,3 +320,24 @@ def test_blowup_reported_as_diverged():
     rep = solve(p, cfg)
     assert rep.status == "diverged"
     assert rep.iters < 10**6
+
+
+def test_nan_start_reported_as_diverged_at_first_iteration():
+    inst = matrix_game(game_matrix(1, 0, 10, 10, centered=True), 1.0, 1.0,
+                       max_iter=3000)
+    inst.config.x0 = np.full(10, np.nan)
+    rep = inst.solve()
+    assert rep.status == "diverged"
+    assert rep.iters == 1
+    assert rep.history[-1].k == 1
+
+
+def test_group_weights_rejected_at_engine_setup():
+    K = GridDivergence(2, 2, 1.0)
+    d = np.ones(K.cols)
+    d[0] = 2.0
+    p = SaddleProblem(f=GroupL12(2, 2), gstar=Linear(np.zeros(K.rows)), K=K)
+    cfg = SolverConfig(M1=DiagonalMetric(d), M2=ScalarMetric(1.0, K.rows),
+                       override=True)
+    with pytest.raises(ConfigurationError, match="equal metric weights"):
+        _Engine(p, cfg)  # set-up alone, before any step
