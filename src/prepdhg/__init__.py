@@ -7,7 +7,7 @@ from .operators import (BirkhoffConstraint, DenseOperator, GridDivergence,
 from .prox import (GroupL12, IndicatorLinfBall, IndicatorNonneg,
                    IndicatorSimplex, IndicatorSingleton, L1Norm, Linear,
                    Proximable, QuadraticShift, QuadraticShiftNonneg,
-                   SeparableSum, Zero, moreau_conjugate_prox, prox_diag,
+                   SeparableSum, Zero, moreau_conjugate_prox,
                    project_simplex)
 from .metrics import (BlockDiagMetric, ConditionReport, DenseMetric,
                       DiagonalMetric, GramShiftMetric, Metric, SGSMetric,

@@ -270,7 +270,18 @@ def _finish_sweep(args, results, emit):
     return 0
 
 
-# -- game -------------------------------------------------------------------
+# -- sweeps: game | birkhoff | emd | tvls -----------------------------------
+#
+# A cell's parameters are the sweep's shared head, then (seed, gamma, tau,
+# tol, max_iter, record_every).
+
+def _cell_result(inst, seed, gamma, tau, **extra):
+    """Solve one cell's instance; keep its last residuals and its history."""
+    rep = inst.solve()
+    last = rep.history[-1]
+    return CellResult(seed, gamma, tau, rep.iters, rep.status,
+                      last.rhat_full, last.rhat_half, rep.history, **extra)
+
 
 def _game_cell(params):
     (test, m, n, centered, seed, gamma, tau_tilde, tol, max_iter,
@@ -278,28 +289,11 @@ def _game_cell(params):
     K = game_matrix(test, seed, m, n, centered=centered)
     inst = matrix_game(K, tau_tilde, gamma, tol=tol, max_iter=max_iter,
                        record_every=record_every, record_gap=True)
-    rep = inst.solve()
-    last = rep.history[-1]
-    return CellResult(seed, gamma, tau_tilde, rep.iters, rep.status,
-                      last.rhat_full, last.rhat_half, rep.history,
-                      has_gap=True)
+    return _cell_result(inst, seed, gamma, tau_tilde, has_gap=True)
 
-
-def run_game(args):
-    gammas = parse_number_list(args.gamma)
-    taus = parse_log_range(args.tau_exp)
-    seeds = list(range(args.seeds))
-    cells = [(args.test, args.m, args.n, args.centered, s, g, t, args.tol,
-              args.max_iter, args.record_every)
-             for s in seeds for g in gammas for t in taus]
-    results = _run_cells(_game_cell, cells, args.workers)
-    return _finish_sweep(args, results, args.emit.split(","))
-
-
-# -- birkhoff ---------------------------------------------------------------
 
 def _birkhoff_cell(params):
-    (n, seed, method, gamma_spec, tau_tilde, theta, tol, max_iter,
+    (n, method, theta, seed, gamma_spec, tau_tilde, tol, max_iter,
      record_every) = params
     rng = np.random.default_rng(seed)
     C = rng.random((n, n))
@@ -312,29 +306,12 @@ def _birkhoff_cell(params):
     inst = birkhoff_projection(C, tau, gamma, theta=theta, method=method,
                                tol=tol, max_iter=max_iter,
                                record_every=record_every)
-    rep = inst.solve()
-    last = rep.history[-1]
-    return CellResult(seed, gamma, tau_tilde, rep.iters, rep.status,
-                      last.rhat_full, last.rhat_half, rep.history,
-                      gamma_spec=gamma_spec)
+    return _cell_result(inst, seed, gamma, tau_tilde, gamma_spec=gamma_spec)
 
-
-def run_birkhoff(args):
-    gammas = args.gamma.split(",")
-    taus = parse_log_range(args.tau_exp)
-    seeds = list(range(args.seeds))
-    cells = [(args.n, s, args.method, g, t, args.theta, args.tol,
-              args.max_iter, args.record_every)
-             for s in seeds for g in gammas for t in taus]
-    results = _run_cells(_birkhoff_cell, cells, args.workers)
-    return _finish_sweep(args, results, args.emit.split(","))
-
-
-# -- emd --------------------------------------------------------------------
 
 def _emd_cell(params):
-    (M, N, h, seed, rho0_path, rho1_path, method, gamma, tau, theta, tol,
-     max_iter, record_every, bcd_epochs, allow) = params
+    (M, N, h, rho0_path, rho1_path, method, theta, bcd_epochs, allow,
+     seed, gamma, tau, tol, max_iter, record_every) = params
     if rho0_path:
         rho0, rho1 = load_grid(rho0_path), load_grid(rho1_path)
     else:
@@ -342,32 +319,12 @@ def _emd_cell(params):
     inst = emd(rho0, rho1, h, tau, gamma, theta=theta, method=method,
                tol=tol, max_iter=max_iter, record_every=record_every,
                bcd_epochs=bcd_epochs, override=allow)
-    rep = inst.solve()
-    last = rep.history[-1]
-    return CellResult(seed, gamma, tau, rep.iters, rep.status,
-                      last.rhat_full, last.rhat_half, rep.history)
+    return _cell_result(inst, seed, gamma, tau)
 
-
-def run_emd(args):
-    gammas = parse_number_list(args.gamma)
-    taus = (parse_number_list(args.taus) if args.taus
-            else parse_log_range(args.tau_exp))
-    seeds = list(range(args.seeds))
-    M, N = (int(v) for v in args.size.split(","))
-    h = parse_number(args.h) if args.h else (N - 1) / 4.0
-    cells = [(M, N, h, s, args.rho0, args.rho1, args.method, g, t, args.theta,
-              args.tol, args.max_iter, args.record_every, args.bcd_epochs,
-              args.allow_diverge)
-             for s in seeds for g in gammas for t in taus]
-    results = _run_cells(_emd_cell, cells, args.workers)
-    return _finish_sweep(args, results, args.emit.split(","))
-
-
-# -- tvls -------------------------------------------------------------------
 
 def _tvls_cell(params):
-    (M, N, mrows, density, seed, r_path, lam, gamma, tau, theta, tol,
-     max_iter, record_every, bcd_epochs) = params
+    (M, N, mrows, density, r_path, lam, theta, bcd_epochs,
+     seed, gamma, tau, tol, max_iter, record_every) = params
     n = M * N
     if r_path:
         R = load_sparse(r_path)
@@ -379,24 +336,35 @@ def _tvls_cell(params):
     inst = tv_least_squares(R, b, lam, (M, N), tau, gamma, theta=theta,
                             tol=tol, max_iter=max_iter,
                             record_every=record_every, bcd_epochs=bcd_epochs)
-    rep = inst.solve()
-    last = rep.history[-1]
-    return CellResult(seed, gamma, tau, rep.iters, rep.status,
-                      last.rhat_full, last.rhat_half, rep.history)
+    return _cell_result(inst, seed, gamma, tau)
 
 
-def run_tvls(args):
-    gammas = parse_number_list(args.gamma)
-    taus = (parse_number_list(args.taus) if args.taus
-            else parse_log_range(args.tau_exp))
-    seeds = list(range(args.seeds))
+def _sweep_head(args):
+    """The sweep's cell function and the parameters all its cells share."""
+    if args.command == "game":
+        return _game_cell, (args.test, args.m, args.n, args.centered)
+    if args.command == "birkhoff":
+        return _birkhoff_cell, (args.n, args.method, args.theta)
     M, N = (int(v) for v in args.size.split(","))
-    mrows = args.m_rows or (M * N) // 2
-    cells = [(M, N, mrows, args.density, s, args.r, args.lam, g, t,
-              args.theta, args.tol, args.max_iter, args.record_every,
-              args.bcd_epochs)
-             for s in seeds for g in gammas for t in taus]
-    results = _run_cells(_tvls_cell, cells, args.workers)
+    if args.command == "emd":
+        h = parse_number(args.h) if args.h else (N - 1) / 4.0
+        return _emd_cell, (M, N, h, args.rho0, args.rho1, args.method,
+                           args.theta, args.bcd_epochs, args.allow_diverge)
+    return _tvls_cell, (M, N, args.m_rows or (M * N) // 2, args.density,
+                        args.r, args.lam, args.theta, args.bcd_epochs)
+
+
+def run_sweep(args):
+    """Solve every (seed, gamma, tau) cell of one problem; write the outputs."""
+    cell, head = _sweep_head(args)
+    # birkhoff's cells resolve the named "tight" gamma rule themselves
+    gammas = (args.gamma.split(",") if args.command == "birkhoff"
+              else parse_number_list(args.gamma))
+    taus = (parse_number_list(args.taus) if getattr(args, "taus", None)
+            else parse_log_range(args.tau_exp))
+    cells = [head + (s, g, t, args.tol, args.max_iter, args.record_every)
+             for s in range(args.seeds) for g in gammas for t in taus]
+    results = _run_cells(cell, cells, args.workers)
     return _finish_sweep(args, results, args.emit.split(","))
 
 
@@ -481,7 +449,7 @@ def build_parser():
     g.add_argument("--gamma", default="1.0,0.751")
     g.add_argument("--tau-exp", default="-0.7:0.01:-0.3",
                    help="log10 range a:step:b for tau_tilde")
-    g.set_defaults(func=run_game, tol=1e-5)
+    g.set_defaults(func=run_sweep, tol=1e-5)
 
     bk = sub.add_parser("birkhoff", help="doubly-stochastic projection sweep")
     _add_common(bk)
@@ -491,7 +459,7 @@ def build_parser():
                     help="comma list of values or 'tight' (= bound/(1+tau/2))")
     bk.add_argument("--tau-exp", default="0.2:0.01:0.6")
     bk.add_argument("--theta", type=float, default=1e-4)
-    bk.set_defaults(func=run_birkhoff, tol=1e-8)
+    bk.set_defaults(func=run_sweep, tol=1e-8)
 
     em = sub.add_parser("emd", help="minimal-flux transport sweep")
     _add_common(em)
@@ -505,7 +473,7 @@ def build_parser():
     em.add_argument("--tau-exp", default="-2:0.25:-1")
     em.add_argument("--theta", type=float, default=1e-6)
     em.add_argument("--bcd-epochs", type=int, default=2)
-    em.set_defaults(func=run_emd, tol=5e-5, max_iter=200000)
+    em.set_defaults(func=run_sweep, tol=5e-5, max_iter=200000)
 
     tv = sub.add_parser("tvls", help="TV-regularized least squares sweep")
     _add_common(tv)
@@ -519,7 +487,7 @@ def build_parser():
     tv.add_argument("--tau-exp", default="-2.5:0.25:-1.5")
     tv.add_argument("--theta", type=float, default=1e-3)
     tv.add_argument("--bcd-epochs", type=int, default=2)
-    tv.set_defaults(func=run_tvls, tol=5e-6)
+    tv.set_defaults(func=run_sweep, tol=5e-6)
 
     ce = sub.add_parser("counterexample", help="2x2 tightness certificates")
     _add_common(ce)

@@ -15,11 +15,8 @@ small dense instances; it is a test fixture, never a production path.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
-from .exceptions import ConfigurationError
-from .metrics import DiagonalMetric, Metric, ScalarMetric, dense_sqrt
-from .prox import Linear, Proximable, QuadraticShift, Zero
+from .metrics import Metric, dense_sqrt
 from .solver import SaddleProblem, SolverConfig, _Engine
 
 
@@ -30,29 +27,13 @@ class AdmmState:
     lam: np.ndarray
 
 
-def prox_under_metric(g: Proximable, w: np.ndarray, M: Metric) -> np.ndarray:
-    """prox_g^M(w) for the combinations the splitting needs."""
-    if isinstance(M, (ScalarMetric, DiagonalMetric)):
-        return g.prox(w, M.diagonal())
-    if isinstance(g, Zero):
-        return w.copy()
-    if isinstance(g, Linear):
-        return w - M.solve(g.b)
-    if isinstance(g, QuadraticShift):
-        A = M.to_dense()
-        return sla.solve(A + np.eye(M.dim), g.c + A @ w, assume_a="pos")
-    raise ConfigurationError(
-        f"prox of {type(g).__name__} under a non-diagonal metric is unsupported")
-
-
 class AdmmDriver:
-    """Caches M2^{1/2} factors and the x-subproblem updater."""
+    """Caches M2^{1/2} factors and the engine's two proximal updates."""
 
     def __init__(self, p: SaddleProblem, M1: Metric, M2: Metric):
         self.p, self.M1, self.M2 = p, M1, M2
         self.S, self.Sinv = dense_sqrt(M2)
-        cfg = SolverConfig(M1=M1, M2=M2, override=True)
-        self._xeng = _Engine(p, cfg)
+        self.eng = _Engine(p, SolverConfig(M1=M1, M2=M2, override=True))
 
     def initial_state(self, x0=None, lam0=None) -> AdmmState:
         x0 = np.zeros(self.p.K.cols) if x0 is None else np.asarray(x0, float).ravel()
@@ -60,13 +41,14 @@ class AdmmDriver:
         return AdmmState(u=np.zeros(self.p.K.rows), x=x0.copy(), lam=lam0.copy())
 
     def step(self, st: AdmmState) -> AdmmState:
-        K, M2 = self.p.K, self.M2
+        K = self.p.K
         v = self.S @ st.lam + K.apply(st.x)
-        # u-update through the Moreau route: only g* proxes are required
-        pg = prox_under_metric(self.p.gstar, M2.solve(v), M2)
-        u_new = v - M2.apply(pg)
-        y = pg  # equals M2^{-1}(v - u_new), the transform value
-        x_new = self._xeng._xup(st.x, K.apply_adjoint(y))
+        # u-update through the Moreau route: the dual update started from
+        # y = 0 gives y = prox_{g*}^{M2}(M2^{-1} v) and M2 y, so that
+        # u = v - M2 y and y = M2^{-1}(v - u), the transform value
+        y, m2y = self.eng.yup(np.zeros_like(v), v)
+        u_new = v - m2y
+        x_new = self.eng.xup(st.x, K.apply_adjoint(y))
         lam_new = st.lam + self.Sinv @ (K.apply(x_new) - u_new)
         return AdmmState(u=u_new, x=x_new, lam=lam_new)
 
@@ -118,16 +100,15 @@ def equivalence_harness(p: SaddleProblem, M1: Metric, M2: Metric,
     ``transform_perturbation`` corrupts the recovered duals, which must make
     the certificate fail (self-test of the harness).
     """
-    driver = AdmmDriver(p, M1, M2)
-    states = driver.run(iters + 1, x0=x0, lam0=lam0)
+    admm = AdmmDriver(p, M1, M2)
+    states = admm.run(iters + 1, x0=x0, lam0=lam0)
     pairs = recover_pdhg_iterates(states, M2, p.K)
     if transform_perturbation:
         pairs = [(x, y + transform_perturbation) for x, y in pairs]
     x, y = pairs[0]
-    eng = _Engine(p, SolverConfig(M1=M1, M2=M2, override=True))
     max_dev = 0.0
     for k in range(1, len(pairs)):
-        x, y, _, _ = eng.step(x, y)
+        x, y, _, _ = admm.eng.step(x, y)
         xa, ya = pairs[k]
         dev = max(np.max(np.abs(x - xa)), np.max(np.abs(y - ya)))
         max_dev = max(max_dev, float(dev))

@@ -46,6 +46,10 @@ class Metric:
     def solve(self, r: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def diagonal(self):
+        """The diagonal of M when M is diagonal, else None."""
+        return None
+
     def quad(self, z: np.ndarray) -> float:
         """Quadratic form z^T M z."""
         z = np.asarray(z, dtype=float).ravel()
@@ -376,8 +380,9 @@ def _shifted_solver(M1: Metric, sigma):
     if np.any(sigma < 0):
         raise ConfigurationError("sigma must be nonnegative")
     half = 0.5 * sigma
-    if isinstance(M1, (ScalarMetric, DiagonalMetric)):
-        d = M1.diagonal() + half
+    d1 = M1.diagonal()
+    if d1 is not None:
+        d = d1 + half
         if np.any(d <= 0):
             raise ConfigurationError("primal metric not positive definite")
         return (lambda z: d * z), (lambda r: r / d)
@@ -403,6 +408,8 @@ def check_condition(M1: Metric, sigma_f, M2: Metric, K: LinearOperator,
     below 1 (the regime with per-iterate rate guarantees), and
     "pass-strict" in between.
     """
+    if max_iter < 1 or not tol > 0:
+        raise ConfigurationError("condition check needs max_iter >= 1 and tol > 0")
     a_apply, a_solve = _shifted_solver(M1, sigma_f)
 
     def big_c(z):

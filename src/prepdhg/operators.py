@@ -52,6 +52,10 @@ class LinearOperator:
         A = self.to_dense()
         return A @ A.T
 
+    def gram_sparse(self) -> sp.csr_matrix:
+        """K K^T in CSR form, from ``gram_dense`` unless a subclass knows better."""
+        return sp.csr_matrix(self.gram_dense())
+
 
 class DenseOperator(LinearOperator):
     """K given as a dense 2D array."""

@@ -307,6 +307,8 @@ class TwoEpochGramSolve(Metric):
                                      "increase theta")
         self.blocks = blocks
         self.epochs = int(epochs)
+        if self.epochs < 1:
+            raise ConfigurationError("Gauss-Seidel needs at least one epoch")
         self._sweep = [(blk, self.diag[blk], self.Mhat[blk, :]) for blk in blocks]
 
     def apply(self, z):

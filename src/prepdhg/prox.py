@@ -94,8 +94,10 @@ class Proximable:
     def prox_at(self, d):
         """``v -> prox(v, d)`` for weights ``d`` fixed for a whole solve.
 
-        An entry that validates its weights overrides this to check ``d``
-        once here rather than on every call.
+        The solver engine calls this once per solve, at set-up, and then
+        calls the returned function every iteration.  An entry that
+        validates or inspects its weights overrides this to do so once here
+        rather than on every call.
         """
         return lambda v: self.prox(v, d)
 
@@ -104,16 +106,6 @@ class Proximable:
         if v.size != self.dim:
             raise ValueError(f"expected length {self.dim}, got {v.size}")
         return v
-
-
-class Zero(Proximable):
-    """f = 0."""
-
-    def __call__(self, x):
-        return 0.0
-
-    def prox(self, v, d):
-        return self._v(v).copy()
 
 
 class Linear(Proximable):
@@ -129,6 +121,17 @@ class Linear(Proximable):
 
     def prox(self, v, d):
         return self._v(v) - self.b / _as_diag(d, self.dim)
+
+
+class Zero(Linear):
+    """f = 0, the linear function with b = 0."""
+
+    def __init__(self, dim):
+        super().__init__(np.zeros(int(dim)))
+
+    def prox(self, v, d):
+        # the identity, without the per-call weight check of Linear.prox
+        return self._v(v).copy()
 
 
 class QuadraticShift(Proximable):
@@ -181,11 +184,13 @@ class IndicatorSimplex(Proximable):
         return 0.0
 
     def prox(self, v, d):
-        v = self._v(v)
+        return self.prox_at(d)(self._v(v))
+
+    def prox_at(self, d):
         d = _as_diag(d, self.dim)
         if np.allclose(d, d[0]):
-            return project_simplex(v)
-        return project_simplex_weighted(v, d)
+            return project_simplex
+        return lambda v: project_simplex_weighted(v, d)
 
 
 class IndicatorNonneg(Proximable):
@@ -290,14 +295,13 @@ class GroupL12(Proximable):
         return lambda v: self._shrink(self._v(v), da)
 
     def _shrink(self, v, da):
-        a, b = self._pairs(v)
+        # the structural zeros are fixed, so they take no part in a group norm
+        a, b = self._pairs(np.where(self.zero_mask, 0.0, v))
         norms = np.hypot(a, b)
         scale = np.zeros_like(norms)
         pos = norms > 0
         scale[pos] = np.maximum(0.0, 1.0 - 1.0 / (da[pos] * norms[pos]))
-        out = np.concatenate([a * scale, b * scale])
-        out[self.zero_mask] = 0.0
-        return out
+        return np.concatenate([a * scale, b * scale])
 
 
 class SeparableSum(Proximable):
@@ -322,11 +326,6 @@ class SeparableSum(Proximable):
         db = self.blocks(d)
         return np.concatenate([c.prox(vi, di)
                                for c, vi, di in zip(self.children, vb, db)])
-
-
-def prox_diag(f: Proximable, v, d) -> np.ndarray:
-    """prox of f at v under the diagonal metric diag(d)."""
-    return f.prox(v, d)
 
 
 def moreau_conjugate_prox(f: Proximable, x, d) -> np.ndarray:

@@ -22,12 +22,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from .exceptions import ConfigurationError
-from .metrics import (BlockDiagMetric, DiagonalMetric, GramShiftMetric, Metric,
-                      ScalarMetric, SGSMetric, _shifted_solver,
-                      check_condition)
+from .metrics import (GramShiftMetric, Metric, ScalarMetric, SGSMetric,
+                      _shifted_solver, check_condition)
 from .operators import LinearOperator
-from .prox import (IndicatorLinfBall, IndicatorSimplex, Linear, Proximable,
-                   QuadraticShift, SeparableSum, Zero, project_simplex)
+from .prox import (IndicatorLinfBall, Linear, Proximable, QuadraticShift,
+                   SeparableSum, project_simplex)
 
 GAMMA_MIN = 0.75
 
@@ -80,6 +79,11 @@ class SolverConfig:
             raise ConfigurationError("custom residual mode needs a callable")
         if self.record_every < 1:
             raise ConfigurationError("record_every must be positive")
+        # the condition check certifies nothing it has not iterated on
+        if self.check_max_iter < 1:
+            raise ConfigurationError("check_max_iter must be positive")
+        if not self.check_tol > 0:
+            raise ConfigurationError("check_tol must be positive")
 
 
 class HistoryRow(NamedTuple):
@@ -99,12 +103,6 @@ class SolveReport:
     y_final: np.ndarray
     stop_residual: float = np.nan
     condition: object = None
-
-
-def _diag_of(M: Metric):
-    if isinstance(M, (ScalarMetric, DiagonalMetric)):
-        return M.diagonal()
-    return None
 
 
 class BoxQuadBCD:
@@ -127,6 +125,8 @@ class BoxQuadBCD:
             raise ConfigurationError("BCD needs positive diagonal entries")
         self.radius = float(radius)
         self.epochs = int(epochs)
+        if self.epochs < 1:
+            raise ConfigurationError("BCD needs at least one epoch")
         n = M.shape[0]
         colors = -np.ones(n, dtype=int)
         indptr, indices = M.indptr, M.indices
@@ -157,140 +157,88 @@ class BoxQuadBCD:
         return y0 + delta
 
 
+def _x_update(f: Proximable, M1: Metric):
+    """The x subproblem as ``(x, K^T y) -> x+``, picked once per solve."""
+    d = M1.diagonal()
+    if d is not None:
+        fprox, inv_d = f.prox_at(d), 1.0 / d
+        return lambda x, Kty: fprox(x - Kty * inv_d)
+    if isinstance(f, Linear):
+        b = f.b
+        return lambda x, Kty: x - M1.solve(Kty + b)
+    if isinstance(f, QuadraticShift):
+        # (M1 + I) x+ = M1 x - K^T y + c
+        _, qs_solve = _shifted_solver(M1, 2.0 * np.ones(f.dim))
+        c = f.c
+        return lambda x, Kty: qs_solve(M1.apply(x) - Kty + c)
+    raise ConfigurationError(
+        f"unsupported (f={type(f).__name__}, M1={type(M1).__name__}) pair")
+
+
+def _y_update(g: Proximable, M2: Metric, bcd_epochs: int):
+    """The y subproblem as ``(y, Kz) -> (y+, M2 (y+ - y))``, Kz = K(2x+ - x).
+
+    Picked once per solve; a separable g* under a block-diagonal M2 picks
+    one update per block the same way.
+    """
+    if isinstance(g, Linear):
+        b = g.b
+
+        def linear(y, Kz):
+            r = Kz - b
+            return y + M2.solve(r), r
+        return linear
+    d = M2.diagonal()
+    if d is not None:
+        gprox, inv_d = g.prox_at(d), 1.0 / d
+
+        def prox(y, Kz):
+            y_new = gprox(y + Kz * inv_d)
+            return y_new, d * (y_new - y)
+        return prox
+    blocks = getattr(M2, "metrics", None)
+    if isinstance(g, SeparableSum) and blocks is not None:
+        if [c.dim for c in g.children] != [m.dim for m in blocks]:
+            raise ConfigurationError("g* blocks and M2 blocks do not conform")
+        ends = np.cumsum([m.dim for m in blocks])
+        parts = [(slice(e - m.dim, e), _y_update(c, m, bcd_epochs))
+                 for c, m, e in zip(g.children, blocks, ends)]
+
+        def blockwise(y, Kz):
+            y_new = np.empty_like(y)
+            m2dy = np.empty_like(y)
+            for sl, up in parts:
+                y_new[sl], m2dy[sl] = up(y[sl], Kz[sl])
+            return y_new, m2dy
+        return blockwise
+    if isinstance(g, IndicatorLinfBall):
+        bcd = BoxQuadBCD(M2.to_sparse(), g.radius, bcd_epochs)
+
+        def box(y, Kz):
+            y_new = bcd.solve(y, Kz)
+            return y_new, M2.apply(y_new - y)
+        return box
+    raise ConfigurationError(
+        f"unsupported (g*={type(g).__name__}, M2={type(M2).__name__}) pair")
+
+
 class _Engine:
-    """Validated, cached step executor for one (problem, config) pair."""
+    """Validated step executor for one (problem, config) pair.
+
+    ``xup`` and ``yup`` are the two proximal updates, ``m1_apply`` applies
+    M1, and ``b`` is the linear term of g* (None unless g* is linear).
+    """
 
     def __init__(self, p: SaddleProblem, cfg: SolverConfig):
-        self.p, self.cfg = p, cfg
         self.K = p.K
-        self.M1, self.M2 = cfg.M1, cfg.M2
-        if self.M1.dim != p.K.cols or self.M2.dim != p.K.rows:
+        M1, M2 = cfg.M1, cfg.M2
+        if M1.dim != p.K.cols or M2.dim != p.K.rows:
             raise ConfigurationError("metric dimensions do not match K")
-        self.d1 = _diag_of(self.M1)
-        self.d2 = _diag_of(self.M2)
-        self._setup_x_update()
-        self._setup_y_update()
-
-    # -- x subproblem -------------------------------------------------
-    def _setup_x_update(self):
-        f = self.p.f
-        if self.d1 is not None:
-            self._inv_d1 = 1.0 / self.d1
-            if isinstance(f, IndicatorSimplex) and isinstance(self.M1, ScalarMetric):
-                self._xup = self._x_simplex_scalar
-            else:
-                self._fprox = f.prox_at(self.d1)
-                self._xup = self._x_prox_diag
-        elif isinstance(f, Zero):
-            self._xup = self._x_zero
-        elif isinstance(f, Linear):
-            self._xup = self._x_linear
-        elif isinstance(f, QuadraticShift):
-            # (M1 + I) x+ = M1 x - K^T y + c
-            _, self._qs_solve = _shifted_solver(self.M1, 2.0 * np.ones(f.dim))
-            self._xup = self._x_quadratic_shift
-        else:
-            raise ConfigurationError(
-                f"unsupported (f={type(f).__name__}, M1={type(self.M1).__name__}) pair")
-
-    def _x_prox_diag(self, x, Kty):
-        return self._fprox(x - Kty * self._inv_d1)
-
-    def _x_simplex_scalar(self, x, Kty):
-        return project_simplex(x - Kty * self._inv_d1)
-
-    def _x_zero(self, x, Kty):
-        return x - self.M1.solve(Kty)
-
-    def _x_linear(self, x, Kty):
-        return x - self.M1.solve(Kty + self.p.f.b)
-
-    def _x_quadratic_shift(self, x, Kty):
-        return self._qs_solve(self.M1.apply(x) - Kty + self.p.f.c)
-
-    # -- y subproblem -------------------------------------------------
-    def _setup_y_update(self):
-        g = self.p.gstar
-        self.b = None
-        if self.d2 is not None:
-            self._inv_d2 = 1.0 / self.d2
-        if isinstance(g, Linear):
-            self.b = g.b
-            self._yup = self._y_linear
-        elif isinstance(g, Zero):
-            self.b = np.zeros(self.K.rows)
-            self._yup = self._y_linear
-        elif self.d2 is not None:
-            if isinstance(g, IndicatorSimplex) and isinstance(self.M2, ScalarMetric):
-                self._yup = self._y_simplex_scalar
-            else:
-                self._yup = self._y_prox_diag
-        elif isinstance(g, SeparableSum) and isinstance(self.M2, BlockDiagMetric):
-            self._setup_y_blocks()
-            self._yup = self._y_blocks
-        else:
-            raise ConfigurationError(
-                f"unsupported (g*={type(g).__name__}, M2={type(self.M2).__name__}) pair")
-
-    def _y_prox_diag(self, y, Kz):
-        y_new = self.p.gstar.prox(y + Kz * self._inv_d2, self.d2)
-        return y_new, self.d2 * (y_new - y)
-
-    def _y_simplex_scalar(self, y, Kz):
-        y_new = project_simplex(y + Kz * self._inv_d2)
-        return y_new, self.d2 * (y_new - y)
-
-    def _y_linear(self, y, Kz):
-        r = Kz - self.b
-        return y + self.M2.solve(r), r
-
-    def _setup_y_blocks(self):
-        g, M2 = self.p.gstar, self.M2
-        sizes_g = [c.dim for c in g.children]
-        sizes_m = [m.dim for m in M2.metrics]
-        if sizes_g != sizes_m:
-            raise ConfigurationError("g* blocks and M2 blocks do not conform")
-        self._yblocks = []
-        off = 0
-        for gi, mi in zip(g.children, M2.metrics):
-            sl = slice(off, off + gi.dim)
-            off += gi.dim
-            di = _diag_of(mi)
-            if isinstance(gi, (Linear, Zero)):
-                bi = gi.b if isinstance(gi, Linear) else np.zeros(gi.dim)
-                self._yblocks.append(("linear", sl, mi, bi))
-            elif di is not None:
-                self._yblocks.append(("prox", sl, gi, di, mi))
-            elif isinstance(gi, IndicatorLinfBall):
-                bcd = BoxQuadBCD(mi.to_sparse(), gi.radius, self.cfg.bcd_epochs)
-                self._yblocks.append(("bcd", sl, mi, bcd))
-            else:
-                raise ConfigurationError(
-                    f"unsupported y block (g*={type(gi).__name__}, M2={type(mi).__name__})")
-
-    def _y_blocks(self, y, Kz):
-        y_new = np.empty_like(y)
-        m2dy = np.empty_like(y)
-        for blk in self._yblocks:
-            kind, sl = blk[0], blk[1]
-            if kind == "linear":
-                _, _, mi, bi = blk
-                r = Kz[sl] - bi
-                y_new[sl] = y[sl] + mi.solve(r)
-                m2dy[sl] = r
-            elif kind == "prox":
-                _, _, gi, di, mi = blk
-                y_new[sl] = gi.prox(y[sl] + Kz[sl] / di, di)
-                m2dy[sl] = di * (y_new[sl] - y[sl])
-            else:
-                _, _, mi, bcd = blk
-                y_new[sl] = bcd.solve(y[sl], Kz[sl])
-                m2dy[sl] = mi.apply(y_new[sl] - y[sl])
-        return y_new, m2dy
-
-    # -- one step -----------------------------------------------------
-    def m1_apply(self, dx):
-        return self.d1 * dx if self.d1 is not None else self.M1.apply(dx)
+        self.xup = _x_update(p.f, M1)
+        self.yup = _y_update(p.gstar, M2, cfg.bcd_epochs)
+        d1 = M1.diagonal()
+        self.m1_apply = M1.apply if d1 is None else (lambda dx: d1 * dx)
+        self.b = p.gstar.b if isinstance(p.gstar, Linear) else None
 
     def step(self, x, y, Kx=None, Kty=None):
         K = self.K
@@ -298,9 +246,9 @@ class _Engine:
             Kx = K.apply(x)
         if Kty is None:
             Kty = K.apply_adjoint(y)
-        x_new = self._xup(x, Kty)
+        x_new = self.xup(x, Kty)
         Kx_new = K.apply(x_new)
-        y_new, m2dy = self._yup(y, 2.0 * Kx_new - Kx)
+        y_new, m2dy = self.yup(y, 2.0 * Kx_new - Kx)
         return x_new, y_new, Kx_new, m2dy
 
 
@@ -308,8 +256,7 @@ def prepdhg_step(p: SaddleProblem, cfg: SolverConfig, x, y):
     """One iteration of the preconditioned primal-dual update."""
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
-    eng = _Engine(p, cfg)
-    x_new, y_new, _, _ = eng.step(x, y)
+    x_new, y_new, _, _ = _Engine(p, cfg).step(x, y)
     return x_new, y_new
 
 
@@ -378,7 +325,7 @@ def solve(p: SaddleProblem, cfg: SolverConfig) -> SolveReport:
         return msqrt(v @ v)
 
     custom_mode = cfg.residual_mode == "custom"
-    xup, yup, Kapply, Kadj = eng._xup, eng._yup, K.apply, K.apply_adjoint
+    xup, yup, Kapply, Kadj = eng.xup, eng.yup, K.apply, K.apply_adjoint
     m1_apply = eng.m1_apply
     tol, blowup, record_every = cfg.tol, cfg.blowup, cfg.record_every
     t0 = time.perf_counter()
@@ -513,14 +460,7 @@ def configure_ebalm_sgs(f: Proximable, K: LinearOperator, b, tau: float,
     if theta < 0:
         raise ConfigurationError("theta must be nonnegative")
     b = np.asarray(b, dtype=float).ravel()
-    if hasattr(K, "gram_sparse"):
-        G = K.gram_sparse()
-    elif hasattr(K, "to_sparse"):
-        A = K.to_sparse()
-        G = sp.csr_matrix(A @ A.T)
-    else:
-        G = sp.csr_matrix(K.gram_dense())
-    Q = (gamma * tau * G).tolil()
+    Q = (gamma * tau * K.gram_sparse()).tolil()
     Q.setdiag(Q.diagonal() + theta)
     M2 = SGSMetric(Q.tocsr(), partition)
     if M2.U.nnz == 0 or abs(M2.U).max() == 0.0:

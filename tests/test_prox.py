@@ -8,7 +8,7 @@ from prepdhg.prox import (GroupL12, IndicatorLinfBall, IndicatorNonneg,
                           IndicatorSimplex, IndicatorSingleton, L1Norm,
                           Linear, QuadraticShift, QuadraticShiftNonneg,
                           SeparableSum, Zero, moreau_conjugate_prox,
-                          prox_diag, project_simplex)
+                          project_simplex)
 
 
 def simplex_qp_oracle(v):
@@ -68,7 +68,7 @@ class TestProjectSimplex:
 class TestProxExamples:
     def test_soft_threshold(self):
         f = L1Norm(1, 1.0)
-        assert prox_diag(f, [3.0], 1.0) == pytest.approx([2.0])
+        assert f.prox([3.0], 1.0) == pytest.approx([2.0])
 
     def test_simplex_prox(self):
         f = IndicatorSimplex(2)
@@ -245,6 +245,13 @@ class TestGroupL12:
         d[0] = 2.0
         with pytest.raises(ConfigurationError):
             g.prox(np.ones(8), d)
+
+    def test_structural_zeros_take_no_part_in_group_norm(self):
+        # entries fixed at zero do not enlarge their pair's norm
+        g = GroupL12(2, 2)
+        z = g.prox(np.ones(8), 1.0)
+        s = 1.0 - 1.0 / np.sqrt(2.0)
+        assert np.allclose(z, [s, 0.0, 0.0, 0.0, s, 0.0, 0.0, 0.0])
 
     def test_prox_at_checks_once_and_matches_prox(self):
         g = GroupL12(3, 4)
