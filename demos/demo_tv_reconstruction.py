@@ -34,7 +34,7 @@ print()
 inst = pd.tv_least_squares(R, b, lam=1.0, grid=(M, N), tau=0.056, gamma=0.75,
                            theta=1e-3, tol=5e-6, record_every=100)
 rep = inst.solve()
-res = inst.meta["kkt_residual"](rep.x_final, rep.y_final, rep.x_final,
-                                rep.y_final)
-print(f"final objective {inst.objective(rep.x_final):.6f}, "
+x, y, K = rep.x_final, rep.y_final, inst.saddle.K
+res = inst.meta["kkt_residual"](x, y, K.apply(x), K.apply_adjoint(y))
+print(f"final objective {inst.objective(x):.6f}, "
       f"exact KKT residual {res:.2e}")

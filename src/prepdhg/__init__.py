@@ -15,8 +15,8 @@ from .metrics import (BlockDiagMetric, ConditionReport, DenseMetric,
                       check_condition, dense_sqrt)
 from .solver import (SaddleProblem, SolveReport, SolverConfig,
                      configure_ebalm, configure_ebalm_sgs,
-                     duality_gap_matrix_game, prepdhg_step, residual_hat,
-                     solve, sublinear_diagnostic)
+                     duality_gap_matrix_game, prepdhg_step, solve,
+                     sublinear_diagnostic)
 from .ipadmm import (AdmmState, equivalence_harness, ipadmm_step,
                      recover_pdhg_iterates)
 from .counterexamples import (ToyDynamics, classify, eig2,

@@ -83,35 +83,39 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, args):
-    """Load --config file values as subcommand defaults; explicit flags win."""
+#: the on/off flags; a config file turns one on with a true value
+_SWITCHES = ("allow-diverge", "centered")
+
+
+def _apply_config_file(args):
+    """Splice the --config file's entries in after the subcommand.
+
+    Each ``key = value`` entry becomes a ``--key=value`` token (an on/off
+    flag becomes ``--key`` when its value is true and is dropped otherwise).
+    The tokens go before the explicit flags, so argparse checks the file's
+    values like any flag's and the explicit flags win.
+    """
     pre = _Parser(add_help=False)
     pre.add_argument("--config")
     known, _ = pre.parse_known_args(args)
     if not known.config:
         return args
-    command = next((a for a in args if not a.startswith("-")), None)
-    subparsers = next(a for a in parser._actions
-                      if isinstance(a, argparse._SubParsersAction))
-    if command not in subparsers.choices:
-        raise ConfigurationError(f"unknown subcommand {command!r}")
-    sub = subparsers.choices[command]
-    with open(known.config) as fh:
-        values = parse_config_text(fh.read())
-    dests = {a.dest: a for a in sub._actions}
-    defaults = {}
+    try:
+        with open(known.config) as fh:
+            values = parse_config_text(fh.read())
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read config file: {exc}") from None
+    tokens = []
     for key, val in values.items():
-        dest = key.replace("-", "_")
-        if dest not in dests or dest in ("help", "config"):
-            raise ConfigurationError(f"unknown config key {key!r}")
-        action = dests[dest]
-        if action.type is not None:
-            val = action.type(val)
-        elif isinstance(action.const, bool) or isinstance(action.default, bool):
-            val = val.lower() in ("1", "true", "yes", "on")
-        defaults[dest] = val
-    sub.set_defaults(**defaults)
-    return args
+        key = key.replace("_", "-")
+        if key == "config":
+            raise ConfigurationError("a config file cannot name another")
+        if key not in _SWITCHES:
+            tokens.append(f"--{key}={val}")
+        elif val.lower() in ("1", "true", "yes", "on"):
+            tokens.append(f"--{key}")
+    command = next(i for i, a in enumerate(args) if not a.startswith("-"))
+    return args[:command + 1] + tokens + args[command + 1:]
 
 
 @dataclass
@@ -514,8 +518,7 @@ def main(argv=None) -> int:
     args_list = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        _apply_config_file(parser, args_list)
-        args = parser.parse_args(args_list)
+        args = parser.parse_args(_apply_config_file(args_list))
         return args.func(args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -1,10 +1,10 @@
 """Symmetric positive-definite preconditioner metrics.
 
-A ``Metric`` supplies ``apply`` (Mz), ``solve`` (M^{-1}r) and the quadratic
-form; realizations cover scalar and diagonal matrices, dense factorized
-matrices, Gram shifts gamma*tau*K*K^T + P (with a closed-form inverse for
-the doubly-stochastic constraint operator), symmetric Gauss-Seidel implied
-metrics, and block-diagonal combinations.
+A ``Metric`` supplies ``apply`` (Mz) and ``solve`` (M^{-1}r); realizations
+cover scalar and diagonal matrices, dense factorized matrices, Gram shifts
+gamma*tau*K*K^T + P (with a closed-form inverse for the doubly-stochastic
+constraint operator), symmetric Gauss-Seidel implied metrics, and
+block-diagonal combinations.
 
 ``check_condition`` estimates the squared norm that governs convergence of
 the preconditioned primal-dual iteration,
@@ -49,11 +49,6 @@ class Metric:
     def diagonal(self):
         """The diagonal of M when M is diagonal, else None."""
         return None
-
-    def quad(self, z: np.ndarray) -> float:
-        """Quadratic form z^T M z."""
-        z = np.asarray(z, dtype=float).ravel()
-        return float(np.dot(z, self.apply(z)))
 
     def _check(self, z):
         z = np.asarray(z, dtype=float).ravel()
@@ -207,9 +202,7 @@ class GramShiftMetric(Metric):
         return sla.cho_solve(self._chol, r)
 
     def to_sparse(self) -> sp.csr_matrix:
-        """M in CSR form, from the operator's own sparse matrix when it has one."""
-        if not hasattr(self.op, "to_sparse"):
-            return super().to_sparse()
+        """M in CSR form, from the operator's sparse matrix."""
         A = self.op.to_sparse()
         G = (self._gt * (A @ A.T)).tolil()
         if self.theta is None:

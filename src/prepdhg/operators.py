@@ -47,6 +47,10 @@ class LinearOperator:
         cols = np.eye(self.cols)
         return np.column_stack([self.apply(cols[:, j]) for j in range(self.cols)])
 
+    def to_sparse(self) -> sp.csr_matrix:
+        """K in CSR form, from ``to_dense`` unless a subclass knows better."""
+        return sp.csr_matrix(self.to_dense())
+
     def gram_dense(self) -> np.ndarray:
         """Dense K K^T, used when factorizing Gram-shift metrics."""
         A = self.to_dense()
@@ -244,9 +248,8 @@ class Transpose(LinearOperator):
     def apply_adjoint(self, y):
         return self.op.apply(y)
 
-    def gram_dense(self):
-        A = self.to_dense()
-        return A @ A.T
+    def to_sparse(self) -> sp.csr_matrix:
+        return sp.csr_matrix(self.op.to_sparse().T)
 
 
 class SpectralEstimate(NamedTuple):

@@ -86,7 +86,7 @@ def matrix_game(K, tau_tilde: float, gamma: float, tol: float = 1e-5,
                            K=op)
     cfg = SolverConfig(
         M1=ScalarMetric(1.0 / tau, n), M2=ScalarMetric(1.0 / sigma, m),
-        tol=tol, max_iter=max_iter, residual_mode="khat-full",
+        tol=tol, max_iter=max_iter,
         x0=np.full(n, 1.0 / n), y0=np.full(m, 1.0 / m),
         record_every=record_every,
         gap_fn=(lambda x, y: duality_gap_matrix_game(op, x, y))
@@ -220,9 +220,8 @@ def birkhoff_projection(C, tau: float, gamma: float, theta: float = 1e-4,
         raise ConfigurationError(f"unknown method {method!r}")
     saddle = SaddleProblem(f=f, gstar=Linear(b), K=K)
     cfg = SolverConfig(M1=M1, M2=M2, tol=tol, max_iter=max_iter,
-                       residual_mode="khat-linear-g", override=override,
-                       x0=np.full(n * n, 1.0 / n), y0=np.zeros(2 * n),
-                       record_every=record_every)
+                       override=override, x0=np.full(n * n, 1.0 / n),
+                       y0=np.zeros(2 * n), record_every=record_every)
     oracle = None
     if n <= 8:
         def oracle():
@@ -376,8 +375,7 @@ def emd(rho0, rho1, h: float, tau: float, gamma: float, theta: float = 1e-6,
     nb = float(np.linalg.norm(b))
     saddle = SaddleProblem(f=f, gstar=Linear(b), K=K)
     cfg = SolverConfig(M1=ScalarMetric(1.0 / tau, K.cols), M2=M2, tol=tol,
-                       max_iter=max_iter, residual_mode="khat-linear-g",
-                       feas_scale=nb if nb > 0 else 1.0,
+                       max_iter=max_iter, feas_scale=nb if nb > 0 else 1.0,
                        record_every=record_every, override=override,
                        inexact=inexact)
     oracle = None
@@ -476,11 +474,12 @@ def tv_least_squares(R, b, lam: float, grid, tau: float, gamma: float,
                           GramShiftMetric(1.0, tau, D, theta=theta)])
     saddle = SaddleProblem(f=Zero(n), gstar=gstar, K=K)
 
-    def kkt_residual(x_new, y_new, x, y):
-        y1, y2 = y_new[:m1], y_new[m1:]
-        t1 = np.linalg.norm(K.apply_adjoint(y_new))
-        t2 = np.linalg.norm(Rop.apply(x_new) - y1 - b)
-        Dx = D.apply(x_new)
+    def kkt_residual(x, y, Kx, Kty):
+        # Kx stacks Rx over Dx, so the products come from the solver's loop
+        y1, y2 = y[:m1], y[m1:]
+        t1 = np.linalg.norm(Kty)
+        t2 = np.linalg.norm(Kx[:m1] - y1 - b)
+        Dx = Kx[m1:]
         btol = 1e-12 * lam
         hi = y2 >= lam - btol
         lo = y2 <= -lam + btol
@@ -490,9 +489,8 @@ def tv_least_squares(R, b, lam: float, grid, tau: float, gamma: float,
         return max(float(t1), float(t2), float(t3))
 
     cfg = SolverConfig(M1=M1, M2=M2, tol=tol, max_iter=max_iter,
-                       residual_mode="custom", custom_residual=kkt_residual,
-                       record_every=record_every, bcd_epochs=bcd_epochs,
-                       override=override, inexact=True)
+                       custom_residual=kkt_residual, record_every=record_every,
+                       bcd_epochs=bcd_epochs, override=override, inexact=True)
 
     def objective(x):
         return 0.5 * float(np.sum((Rop.apply(x) - b) ** 2)) \

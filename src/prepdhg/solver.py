@@ -6,8 +6,12 @@ extrapolation factor 2:
     x+ = argmin_x f(x) + <Kx, y>  + 1/2 ||x - x_k||_M1^2
     y+ = argmin_y g*(y) - <K(2 x+ - x_k), y> + 1/2 ||y - y_k||_M2^2
 
-Stopping uses computable upper bounds of the KKT residual built from
-consecutive iterates; compact bounds are substituted when g* is linear.
+One stopping rule, worked out once per solve from what it is given: the
+problem's own KKT residual when ``custom_residual`` is set; otherwise, when
+g* = <b, .> is linear, the compact bound max(||M1 dx||, ||Kx+ - b||);
+otherwise the full bound.  Both bounds are computable upper bounds of the
+KKT residual built from consecutive iterates (``_residual_bounds``), and
+every recorded history row carries them.
 Configuration helpers cover the balanced augmented-Lagrangian specializations
 (dual metric gamma*tau*K*K^T + theta*I, optionally realized through one
 symmetric Gauss-Seidel block sweep).
@@ -29,6 +33,9 @@ from .prox import (IndicatorLinfBall, Linear, Proximable, QuadraticShift,
                    SeparableSum, project_simplex)
 
 GAMMA_MIN = 0.75
+
+#: an iterate entry larger than this in magnitude stops a run as diverged
+BLOWUP = 1e12
 
 
 @dataclass
@@ -54,15 +61,15 @@ class SolverConfig:
     M2: Metric
     tol: float = 1e-8
     max_iter: int = 100000
-    residual_mode: str = "khat-full"  # khat-full | khat-linear-g | custom
     x0: Optional[np.ndarray] = None
     y0: Optional[np.ndarray] = None
     record_every: int = 1
     override: bool = False
-    blowup: float = 1e12
     bcd_epochs: int = 2
     feas_scale: float = 1.0
     gap_fn: Optional[Callable] = None
+    #: the problem's own KKT residual, ``(x, y, Kx, K^T y) -> float`` at the
+    #: new iterates; when set, the solve stops on it instead of a bound
     custom_residual: Optional[Callable] = None
     inexact: bool = False
     check_tol: float = 1e-10
@@ -73,10 +80,6 @@ class SolverConfig:
             raise ConfigurationError("tol must be nonnegative")
         if self.max_iter < 1:
             raise ConfigurationError("max_iter must be positive")
-        if self.residual_mode not in ("khat-full", "khat-linear-g", "custom"):
-            raise ConfigurationError(f"unknown residual mode {self.residual_mode!r}")
-        if self.residual_mode == "custom" and self.custom_residual is None:
-            raise ConfigurationError("custom residual mode needs a callable")
         if self.record_every < 1:
             raise ConfigurationError("record_every must be positive")
         # the condition check certifies nothing it has not iterated on
@@ -260,35 +263,54 @@ def prepdhg_step(p: SaddleProblem, cfg: SolverConfig, x, y):
     return x_new, y_new
 
 
-def residual_hat(p: SaddleProblem, M1: Metric, M2: Metric, x_new, x, y_new, y,
-                 x_prev=None, y_prev=None):
-    """Computable KKT residual bounds from consecutive iterates.
+def _nrm(v) -> float:
+    return math.sqrt(v @ v)
 
-    Returns (rhat_full, rhat_half): the bound at (x_new, y_new) and, when a
-    previous pair is supplied, the bound at (x_new, y); the latter is nan
-    otherwise.
+
+def _residual_bounds(b, feas_scale: float):
+    """The two recorded KKT residual bounds, picked once per solve from g*.
+
+    Returns ``bounds(Kx, Kx_new, dKty, m1dx, m2dy, prev, half)`` giving
+    ``(rhat_full, rhat_half)``, upper bounds of the KKT residual at (x+, y+)
+    and at (x+, y), from ``dKty = K^T (y+ - y)``, ``m1dx = M1 (x+ - x)``,
+    ``m2dy = M2 (y+ - y)`` and ``prev = (K x_prev, M2 (y - y_prev))`` of the
+    step before (None on the first step).  For linear g* = <b, .> the dual
+    part of both bounds is ``||K x+ - b|| / feas_scale`` (the compact
+    bound).  Otherwise rhat_half is None unless ``half`` is set, and nan on
+    the first step.
     """
-    K = p.K
-    dx = np.asarray(x_new, dtype=float) - np.asarray(x, dtype=float)
-    dy = np.asarray(y_new, dtype=float) - np.asarray(y, dtype=float)
-    m1dx = M1.apply(dx)
-    full = max(float(np.linalg.norm(K.apply_adjoint(dy) - m1dx)),
-               float(np.linalg.norm(K.apply(dx) - M2.apply(dy))))
-    half = np.nan
-    if x_prev is not None and y_prev is not None:
-        t = (K.apply(np.asarray(x) - np.asarray(x_prev))
-             + K.apply(np.asarray(x) - np.asarray(x_new))
-             - M2.apply(np.asarray(y) - np.asarray(y_prev)))
-        half = max(float(np.linalg.norm(m1dx)), float(np.linalg.norm(t)))
-    return full, half
+    if b is not None:
+        def compact(Kx, Kx_new, dKty, m1dx, m2dy, prev, half):
+            feas = _nrm(Kx_new - b) / feas_scale
+            part_x = _nrm(dKty - m1dx)
+            nm1dx = _nrm(m1dx)
+            return (part_x if part_x > feas else feas,
+                    nm1dx if nm1dx > feas else feas)
+        return compact
+
+    def full(Kx, Kx_new, dKty, m1dx, m2dy, prev, half):
+        part_x = _nrm(dKty - m1dx)
+        part_y = _nrm(Kx_new - Kx - m2dy)
+        if not half:
+            rhat_half = None
+        elif prev is None:
+            rhat_half = np.nan
+        else:
+            Kx_prev, m2dy_prev = prev
+            t = (Kx - Kx_prev) + (Kx - Kx_new) - m2dy_prev
+            rhat_half = max(_nrm(m1dx), _nrm(t))
+        return (part_x if part_x > part_y else part_y), rhat_half
+    return full
 
 
 def solve(p: SaddleProblem, cfg: SolverConfig) -> SolveReport:
-    """Run the iteration until the residual bound meets tol.
+    """Run the iteration until the stopping residual meets tol.
 
-    Divergence (iterate blow-up past ``cfg.blowup``, or any non-finite
-    entry) is reported as a status, not an error, so counter-example runs
-    terminate cleanly.
+    The stopping residual is ``cfg.custom_residual`` when set, else the
+    compact bound when g* is linear, else the full bound.  Divergence (an
+    iterate entry past ``BLOWUP`` in magnitude, or any non-finite entry) is
+    reported as a status, not an error, so counter-example runs terminate
+    cleanly.
     """
     eng = _Engine(p, cfg)
     report_cond = None
@@ -306,69 +328,42 @@ def solve(p: SaddleProblem, cfg: SolverConfig) -> SolveReport:
          else np.asarray(cfg.x0, dtype=float).ravel().copy())
     y = (np.zeros(p.K.rows) if cfg.y0 is None
          else np.asarray(cfg.y0, dtype=float).ravel().copy())
-    K = p.K
-    Kx = K.apply(x)
-    Kty = K.apply_adjoint(y)
-    linear_mode = cfg.residual_mode == "khat-linear-g"
-    if linear_mode and eng.b is None:
-        raise ConfigurationError("khat-linear-g residual mode needs linear g*")
+    Kx = p.K.apply(x)
+    Kty = p.K.apply_adjoint(y)
 
     history = []
     status = "max-iter"
     iters = cfg.max_iter
     stop_res = np.nan
-    Kx_prev = None
-    m2dy_prev = None
-    msqrt = math.sqrt
-
-    def nrm(v):
-        return msqrt(v @ v)
-
-    custom_mode = cfg.residual_mode == "custom"
-    xup, yup, Kapply, Kadj = eng.xup, eng.yup, K.apply, K.apply_adjoint
-    m1_apply = eng.m1_apply
-    tol, blowup, record_every = cfg.tol, cfg.blowup, cfg.record_every
+    prev = None
+    step, Kadj, m1_apply = eng.step, p.K.apply_adjoint, eng.m1_apply
+    bounds = _residual_bounds(eng.b, cfg.feas_scale)
+    custom, compact = cfg.custom_residual, eng.b is not None
+    tol, max_iter, record_every = cfg.tol, cfg.max_iter, cfg.record_every
     t0 = time.perf_counter()
-    for k in range(1, cfg.max_iter + 1):
-        x_new = xup(x, Kty)
-        Kx_new = Kapply(x_new)
-        y_new, m2dy = yup(y, 2.0 * Kx_new - Kx)
+    for k in range(1, max_iter + 1):
+        x_new, y_new, Kx_new, m2dy = step(x, y, Kx, Kty)
         Kty_new = Kadj(y_new)
-
-        m1dx = m1_apply(x_new - x)
-        part_x = nrm(Kty_new - Kty - m1dx)
-        rhat_half = None  # filled on recorded rows in khat-full mode
-        if linear_mode:
-            feas = nrm(Kx_new - eng.b) / cfg.feas_scale
-            rhat_full = part_x if part_x > feas else feas
-            nm1dx = nrm(m1dx)
-            rhat_half = nm1dx if nm1dx > feas else feas
+        dKty, m1dx = Kty_new - Kty, m1_apply(x_new - x)
+        rec = k % record_every == 0 or k == max_iter
+        rhat_full, rhat_half = bounds(Kx, Kx_new, dKty, m1dx, m2dy, prev, rec)
+        if custom is not None:
+            stop_res = float(custom(x_new, y_new, Kx_new, Kty_new))
         else:
-            part_y = nrm(Kx_new - Kx - m2dy)
-            rhat_full = part_x if part_x > part_y else part_y
-
-        if custom_mode:
-            stop_res = float(cfg.custom_residual(x_new, y_new, x, y))
-        elif linear_mode:
-            stop_res = rhat_half
-        else:
-            stop_res = rhat_full
+            stop_res = rhat_half if compact else rhat_full
 
         done = stop_res <= tol
         # written so that a NaN entry, whose comparisons are all false, blows up
-        blown = not (x_new.max() <= blowup and -x_new.min() <= blowup
-                     and y_new.max() <= blowup and -y_new.min() <= blowup)
-        if done or blown or k == cfg.max_iter or k % record_every == 0:
-            if rhat_half is None:
-                if Kx_prev is not None:
-                    t = (Kx - Kx_prev) + (Kx - Kx_new) - m2dy_prev
-                    rhat_half = max(float(nrm(m1dx)), float(nrm(t)))
-                else:
-                    rhat_half = np.nan
+        blown = not (x_new.max() <= BLOWUP and -x_new.min() <= BLOWUP
+                     and y_new.max() <= BLOWUP and -y_new.min() <= BLOWUP)
+        if done or blown or rec:
+            if rhat_half is None:  # a stop between two recorded rows
+                rhat_full, rhat_half = bounds(Kx, Kx_new, dKty, m1dx, m2dy,
+                                              prev, True)
             gap = cfg.gap_fn(x_new, y_new) if cfg.gap_fn is not None else np.nan
             history.append(HistoryRow(k, float(rhat_full), float(rhat_half),
                                       gap, time.perf_counter() - t0))
-        Kx_prev, m2dy_prev = Kx, m2dy
+        prev = (Kx, m2dy)
         x, y, Kx, Kty = x_new, y_new, Kx_new, Kty_new
         if done:
             status, iters = "converged", k
@@ -405,12 +400,8 @@ def sublinear_diagnostic(history) -> SublinearDiagnostic:
     rows = list(history)
     if not rows:
         raise ValueError("history is empty")
-    if isinstance(rows[0], HistoryRow):
-        ks = np.array([r.k for r in rows], dtype=float)
-        rh = np.array([r.rhat_full for r in rows], dtype=float)
-    else:
-        arr = np.asarray(rows, dtype=float)
-        ks, rh = arr[:, 0], arr[:, 1]
+    arr = np.asarray(rows, dtype=float)
+    ks, rh = arr[:, 0], arr[:, 1]
     runmin = np.minimum.accumulate(rh)
     scaled = np.sqrt(ks) * runmin
     quarter = ks[-1] / 4.0
@@ -439,7 +430,7 @@ def configure_ebalm(f: Proximable, K: LinearOperator, b, tau: float,
     M1 = ScalarMetric(1.0 / tau, K.cols)
     M2 = GramShiftMetric(gamma, tau, K, theta=gamma * theta)
     cfg = SolverConfig(M1=M1, M2=M2, tol=tol, max_iter=max_iter,
-                       residual_mode="khat-linear-g", override=override)
+                       override=override)
     return problem, cfg
 
 
@@ -469,5 +460,5 @@ def configure_ebalm_sgs(f: Proximable, K: LinearOperator, b, tau: float,
     problem = SaddleProblem(f=f, gstar=Linear(b), K=K)
     M1 = ScalarMetric(1.0 / tau, K.cols)
     cfg = SolverConfig(M1=M1, M2=M2, tol=tol, max_iter=max_iter,
-                       residual_mode="khat-linear-g", override=override)
+                       override=override)
     return problem, cfg

@@ -1,10 +1,12 @@
+import argparse
 import os
 
 import numpy as np
 import pytest
 
-from prepdhg.cli import (main, parse_config_text, parse_log_range,
-                         parse_number, serialize_config)
+from prepdhg.cli import (_SWITCHES, _apply_config_file, build_parser, main,
+                         parse_config_text, parse_log_range, parse_number,
+                         serialize_config)
 
 
 def read(path):
@@ -110,6 +112,45 @@ class TestConfigFile:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("not-a-flag = 3\n")
         assert main(["game", "--config", str(cfg)]) == 1
+
+    @pytest.mark.parametrize("line", ["tol = abc", "seeds = 2.5"])
+    def test_malformed_value_exits_one(self, tmp_path, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        assert main(["game", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_missing_file_exits_one(self, tmp_path):
+        assert main(["game", "--config", str(tmp_path / "none.cfg")]) == 1
+
+    def test_required_flags_and_snake_case_keys_from_file(self, tmp_path,
+                                                          capsys):
+        (tmp_path / "k.txt").write_text("1 0\n0 1\n")
+        (tmp_path / "m.txt").write_text("1\n")
+        cfg = tmp_path / "check.cfg"
+        cfg.write_text(f"k = {tmp_path / 'k.txt'}\nm1 = {tmp_path / 'm.txt'}\n"
+                       f"m2 = {tmp_path / 'm.txt'}\nrecord_every = 7\n")
+        assert main(["check", "--config", str(cfg)]) == 0
+        assert "verdict = pass" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value, on", [("false", False), ("0", False),
+                                           ("yes", True), ("1", True)])
+    def test_switch_values(self, tmp_path, value, on):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"m = 4\ncentered = {value}\n")
+        args = build_parser().parse_args(
+            _apply_config_file(["game", "--config", str(cfg)]))
+        assert (args.centered, args.m) == (on, 4)
+
+    def test_every_on_off_flag_is_a_switch(self):
+        parser = build_parser()
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        flags = {opt[2:] for p in sub.choices.values() for a in p._actions
+                 if isinstance(a, argparse._StoreTrueAction)
+                 for opt in a.option_strings}
+        assert flags == set(_SWITCHES)
 
     def test_bad_flag_exits_one(self):
         assert main(["game", "--no-such-flag"]) == 1

@@ -152,6 +152,18 @@ def test_grid_divergence_sparse_matches_dense():
     assert np.allclose(div.to_sparse().toarray(), div.to_dense())
 
 
+def test_to_sparse_matches_dense():
+    rng = np.random.default_rng(9)
+    div = GridDivergence(3, 4, 0.7)
+    ops = [DenseOperator(rng.standard_normal((3, 5))), BirkhoffConstraint(3),
+           div, Transpose(div), Transpose(BirkhoffConstraint(2)),
+           VStack([DenseOperator(rng.standard_normal((2, 12))), Transpose(div)])]
+    for op in ops:
+        S = op.to_sparse()
+        assert sp.isspmatrix_csr(S) and S.shape == op.shape
+        assert np.array_equal(S.toarray(), op.to_dense())
+
+
 def test_loaders_roundtrip(tmp_path):
     rng = np.random.default_rng(5)
     A = rng.standard_normal((3, 4))

@@ -314,8 +314,22 @@ class TestTVLS:
         rep = inst.solve()
         assert rep.status == "converged"
         res_fn = inst.meta["kkt_residual"]
-        final = res_fn(rep.x_final, rep.y_final, rep.x_final, rep.y_final)
+        K = inst.saddle.K
+        final = res_fn(rep.x_final, rep.y_final, K.apply(rep.x_final),
+                       K.apply_adjoint(rep.y_final))
         assert final <= 2.0 * rep.stop_residual
+
+    def test_stop_residual_is_kkt_residual_of_final_iterates(self):
+        # the loop hands the residual its own products K x and K^T y
+        rng = np.random.default_rng(15)
+        R = random_sparse_system(32, 64, 0.1, 16)
+        b = R.apply(rng.random(64))
+        inst = tv_least_squares(R, b, 1.0, (8, 8), tau=0.05, gamma=0.75,
+                                tol=1e-5, record_every=100)
+        rep = inst.solve()
+        x, y, K = rep.x_final, rep.y_final, inst.saddle.K
+        res = inst.meta["kkt_residual"](x, y, K.apply(x), K.apply_adjoint(y))
+        assert rep.stop_residual == res
 
     def test_recommended_config_passes_condition_grid(self):
         R = random_sparse_system(16, 36, 0.2, 21)

@@ -9,8 +9,8 @@ from prepdhg.prox import (GroupL12, IndicatorSimplex, L1Norm, Linear,
                           QuadraticShiftNonneg, Zero)
 from prepdhg.solver import (HistoryRow, SaddleProblem, SolverConfig, _Engine,
                             configure_ebalm, configure_ebalm_sgs,
-                            duality_gap_matrix_game, prepdhg_step,
-                            residual_hat, solve, sublinear_diagnostic)
+                            duality_gap_matrix_game, prepdhg_step, solve,
+                            sublinear_diagnostic)
 from prepdhg.problems import game_matrix, matrix_game
 
 
@@ -146,16 +146,33 @@ class TestSolve:
 
 
 class TestResidualHat:
-    def test_zero_at_fixed_point(self):
-        rng = np.random.default_rng(5)
-        K = DenseOperator(rng.standard_normal((3, 4)))
-        p = SaddleProblem(f=Zero(4), gstar=Zero(3), K=K)
-        x = rng.standard_normal(4)
-        y = rng.standard_normal(3)
-        full, half = residual_hat(p, ScalarMetric(1.0, 4), ScalarMetric(1.0, 3),
-                                  x, x, y, y)
-        assert full == 0.0
-        assert np.isnan(half)
+    def test_saddle_point_start_stops_at_first_step(self):
+        # the step does not move, so the full bound is exactly zero; the
+        # half bound needs a previous step and is nan on the first
+        K = DenseOperator(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+        p = SaddleProblem(f=IndicatorSimplex(2), gstar=IndicatorSimplex(2), K=K)
+        cfg = SolverConfig(M1=ScalarMetric(2.0, 2), M2=ScalarMetric(2.0, 2),
+                           tol=0.0, max_iter=3, x0=[0.5, 0.5], y0=[0.5, 0.5])
+        rep = solve(p, cfg)
+        assert (rep.status, rep.iters) == ("converged", 1)
+        assert rep.stop_residual == 0.0
+        assert rep.history[0].rhat_full == 0.0
+        assert np.isnan(rep.history[0].rhat_half)
+
+    def test_linear_gstar_stops_on_compact_bound(self):
+        # g* = 0 is linear: the step from (1, 1) lands on the saddle point
+        # (0, 0), where the full bound is already 0 but the compact bound
+        # max(||M1 dx||, ||Kx+ - b||) = 1; the next step makes it 0
+        dyn = ToyDynamics("bilinear", 1.0, 1.0)
+        p, _ = dyn.saddle_problem()
+        cfg = SolverConfig(M1=ScalarMetric(1.0, 1), M2=ScalarMetric(1.0, 1),
+                           tol=1e-8, x0=[1.0], y0=[1.0])
+        rep = solve(p, cfg)
+        assert (rep.status, rep.iters) == ("converged", 2)
+        first, last = rep.history
+        assert (first.rhat_full, first.rhat_half) == (0.0, 1.0)
+        assert (last.rhat_full, last.rhat_half) == (0.0, 0.0)
+        assert rep.stop_residual == last.rhat_half
 
     def test_dominates_true_kkt_residual_linear_g(self):
         # for linear g*, dist(0, dg*(y) - Kx) = ||b - Kx|| exactly
