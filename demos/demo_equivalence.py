@@ -9,7 +9,7 @@ trajectory of the primal-dual recursion started at the induced point.
 import numpy as np
 
 import prepdhg as pd
-from prepdhg.ipadmm import AdmmDriver, recover_pdhg_iterates
+from prepdhg.ipadmm import AdmmDriver
 from prepdhg.solver import SolverConfig, prepdhg_step
 
 rng = np.random.default_rng(5)
@@ -27,7 +27,7 @@ print(f"certificate over 200 iterations: passed = {res.passed}, "
 
 drv = AdmmDriver(p, M1, M2)
 states = drv.run(4, x0=np.zeros(5))
-pairs = recover_pdhg_iterates(states, M2, K)
+pairs = drv.recover(states)
 x, y = pairs[0]
 print("\nside-by-side first iterates (splitting -> primal-dual):")
 for k in range(1, 4):

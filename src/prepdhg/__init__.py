@@ -17,8 +17,7 @@ from .solver import (SaddleProblem, SolveReport, SolverConfig,
                      configure_ebalm, configure_ebalm_sgs,
                      duality_gap_matrix_game, prepdhg_step, solve,
                      sublinear_diagnostic)
-from .ipadmm import (AdmmState, equivalence_harness, ipadmm_step,
-                     recover_pdhg_iterates)
+from .ipadmm import AdmmDriver, AdmmState, equivalence_harness
 from .counterexamples import (ToyDynamics, classify, eig2,
                               rho2_boundary_scan)
 from .problems import (ProblemInstance, birkhoff_projection, emd,

@@ -59,26 +59,15 @@ class AdmmDriver:
             states.append(self.step(states[-1]))
         return states
 
+    def recover(self, states) -> list:
+        """Map splitting states to the primal-dual pairs they generate.
 
-def ipadmm_step(p: SaddleProblem, M1: Metric, M2: Metric,
-                st: AdmmState) -> AdmmState:
-    """One splitting iteration (u-update, proximal x-update, multiplier)."""
-    return AdmmDriver(p, M1, M2).step(st)
-
-
-def recover_pdhg_iterates(states, M2: Metric, K) -> list:
-    """Map splitting states to the primal-dual pairs they generate.
-
-    y_k needs u_{k+1}, so a list of T+1 states yields T pairs (x_k, y_k),
-    k = 0..T-1.
-    """
-    S, _ = dense_sqrt(M2)
-    out = []
-    for k in range(len(states) - 1):
-        st, nxt = states[k], states[k + 1]
-        y = M2.solve(S @ st.lam + K.apply(st.x) - nxt.u)
-        out.append((st.x.copy(), y))
-    return out
+        y_k needs u_{k+1}, so a list of T+1 states yields T pairs (x_k, y_k),
+        k = 0..T-1.
+        """
+        K = self.p.K
+        return [(st.x.copy(), self.M2.solve(self.S @ st.lam + K.apply(st.x) - nxt.u))
+                for st, nxt in zip(states[:-1], states[1:])]
 
 
 @dataclass
@@ -102,7 +91,7 @@ def equivalence_harness(p: SaddleProblem, M1: Metric, M2: Metric,
     """
     admm = AdmmDriver(p, M1, M2)
     states = admm.run(iters + 1, x0=x0, lam0=lam0)
-    pairs = recover_pdhg_iterates(states, M2, p.K)
+    pairs = admm.recover(states)
     if transform_perturbation:
         pairs = [(x, y + transform_perturbation) for x, y in pairs]
     x, y = pairs[0]

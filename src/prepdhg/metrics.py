@@ -1,10 +1,11 @@
 """Symmetric positive-definite preconditioner metrics.
 
 A ``Metric`` supplies ``apply`` (Mz) and ``solve`` (M^{-1}r); realizations
-cover scalar and diagonal matrices, dense factorized matrices, Gram shifts
-gamma*tau*K*K^T + P (with a closed-form inverse for the doubly-stochastic
-constraint operator), symmetric Gauss-Seidel implied metrics, and
-block-diagonal combinations.
+cover scalar and diagonal matrices, dense matrices, Gram shifts
+gamma*tau*K*K^T + theta*I (with the operator's closed-form inverse when it
+offers one), symmetric Gauss-Seidel implied metrics, and block-diagonal
+combinations.  Every positive-definite matrix a metric has to invert is
+factorized once, when the metric is built, by ``spd_solver``.
 
 ``check_condition`` estimates the squared norm that governs convergence of
 the preconditioned primal-dual iteration,
@@ -21,9 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .exceptions import ConfigurationError
-from .operators import BirkhoffConstraint, LinearOperator
+from .operators import LinearOperator
 
 #: strictness margin subtracted from the 4/3 threshold; the boundary itself
 #: is exactly where non-convergent instances exist, and power iteration only
@@ -33,6 +35,31 @@ CHECKER_SLACK = 1e-9
 CONDITION_THRESHOLD = 4.0 / 3.0
 
 _FACTOR_CAP = 4096
+
+
+def spd_solver(A, name: str = "matrix"):
+    """Factorize a symmetric positive-definite A once; return r -> A^{-1} r.
+
+    A may be dense or sparse.  A diagonal A is inverted entrywise.  Any other
+    A gets one sparse LU in symmetric mode with diagonal pivots only, which
+    is its LDL^T factorization: A is positive definite exactly when no row
+    was interchanged and every pivot is positive.  Raises
+    ``ConfigurationError`` otherwise.
+    """
+    A = sp.csc_matrix(A, dtype=float)
+    d = A.diagonal()
+    if not (A - sp.diags(d)).count_nonzero():
+        if not np.all(d > 0):
+            raise ConfigurationError(f"{name} not positive definite")
+        return lambda r: r / d
+    try:
+        lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+    except RuntimeError:  # an exactly zero pivot
+        raise ConfigurationError(f"{name} not positive definite") from None
+    if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0)):
+        raise ConfigurationError(f"{name} not positive definite")
+    return lu.solve
 
 
 class Metric:
@@ -107,7 +134,7 @@ class DiagonalMetric(Metric):
 
 
 class DenseMetric(Metric):
-    """Dense SPD matrix with a cached Cholesky factorization."""
+    """Dense SPD matrix, factorized once at construction."""
 
     def __init__(self, A):
         A = np.atleast_2d(np.asarray(A, dtype=float))
@@ -117,111 +144,55 @@ class DenseMetric(Metric):
             raise ConfigurationError("dense metric must be symmetric")
         self.A = 0.5 * (A + A.T)
         self.dim = A.shape[0]
-        try:
-            self._chol = sla.cho_factor(self.A)
-        except sla.LinAlgError as exc:
-            raise ConfigurationError(f"dense metric not positive definite: {exc}")
+        self._solve = spd_solver(self.A, "dense metric")
 
     def apply(self, z):
         return self.A @ self._check(z)
 
     def solve(self, r):
-        return sla.cho_solve(self._chol, self._check(r))
+        return self._solve(self._check(r))
 
 
 class GramShiftMetric(Metric):
-    """M = gamma * tau * K K^T + P with P = theta*I or a dense SPD matrix.
+    """M = gamma * tau * K K^T + theta * I.
 
-    For the doubly-stochastic constraint operator with P = theta*I the solve
-    uses the closed-form inverse of (K K^T + theta' I); otherwise the Gram
-    matrix is assembled and factorized once (small operators only).
+    The solve is the operator's closed-form inverse when it offers one
+    (``gram_shift_solver``), else a factorization of M assembled from the
+    operator's sparse form; either is set up at construction.
     """
 
     def __init__(self, gamma: float, tau: float, op: LinearOperator,
-                 theta: float = None, P: DenseMetric = None):
-        if (theta is None) == (P is None):
-            raise ConfigurationError("give exactly one of theta or P")
+                 theta: float):
         if gamma < 0 or tau <= 0:
             raise ConfigurationError("need gamma >= 0 and tau > 0")
-        self.gamma, self.tau, self.op = float(gamma), float(tau), op
-        self.dim = op.rows
-        self.theta = None if theta is None else float(theta)
-        self.P = P
-        if P is not None and P.dim != self.dim:
-            raise ConfigurationError("P dimension mismatch")
-        if self.theta is not None and self.theta < 0:
+        if theta < 0:
             raise ConfigurationError("theta must be nonnegative")
-        self._gt = self.gamma * self.tau
-        self._closed_form = (isinstance(op, BirkhoffConstraint)
-                             and self.theta is not None and self._gt > 0)
-        self._chol = None
-        if self.theta == 0.0:
-            self._probe_definite()
-
-    def _probe_definite(self):
-        # theta = 0 leaves only gamma*tau*K*K^T; demand it is PD
-        if self._gt == 0.0:
-            raise ConfigurationError("gram-shift with gamma*tau = 0 and theta = 0")
-        if isinstance(self.op, BirkhoffConstraint):
-            # K K^T always has the null vector (e; -e)
-            raise ConfigurationError(
-                "gram-shift over the row/column-sum operator needs theta > 0")
-        if self.dim > _FACTOR_CAP:
-            raise ConfigurationError("cannot probe definiteness at this size")
-        w = sla.eigvalsh(self._gt * self.op.gram_dense())
-        if w[0] <= 0:
-            raise ConfigurationError(
-                f"gamma*tau*K*K^T not positive definite (min eig {w[0]:.3e})")
+        self.gamma, self.tau, self.op = float(gamma), float(tau), op
+        self.theta = float(theta)
+        self.dim = op.rows
+        gt = self._gt = self.gamma * self.tau
+        # M^{-1} = (gamma*tau)^{-1} (K K^T + theta' I)^{-1}, theta' = theta/(gamma*tau)
+        inner = op.gram_shift_solver(self.theta / gt) if gt > 0 else None
+        if inner is None:
+            self._solve = spd_solver(self.to_sparse(), "gram-shift metric")
+        else:
+            self._solve = lambda r: inner(r) / gt
 
     def apply(self, z):
         z = self._check(z)
         out = self._gt * self.op.apply(self.op.apply_adjoint(z))
-        if self.theta is not None:
-            out += self.theta * z
-        else:
-            out += self.P.apply(z)
+        out += self.theta * z
         return out
 
     def solve(self, r):
-        r = self._check(r)
-        if self._closed_form:
-            return self._birkhoff_solve(r)
-        if self._gt == 0.0:
-            if self.theta is not None:
-                return r / self.theta
-            return self.P.solve(r)
-        if self._chol is None:
-            if self.dim > _FACTOR_CAP:
-                raise ConfigurationError("gram-shift too large to factorize")
-            A = self._gt * self.op.gram_dense()
-            if self.theta is not None:
-                A[np.diag_indices_from(A)] += self.theta
-            else:
-                A += self.P.A
-            self._chol = sla.cho_factor(A)
-        return sla.cho_solve(self._chol, r)
+        return self._solve(self._check(r))
 
     def to_sparse(self) -> sp.csr_matrix:
         """M in CSR form, from the operator's sparse matrix."""
         A = self.op.to_sparse()
         G = (self._gt * (A @ A.T)).tolil()
-        if self.theta is None:
-            return sp.csr_matrix(G.toarray() + self.P.A)
         G.setdiag(G.diagonal() + self.theta)
         return G.tocsr()
-
-    def _birkhoff_solve(self, r):
-        # M^{-1} = (gamma*tau)^{-1} (K K^T + theta' I)^{-1}, theta' = theta/(gamma*tau)
-        n = self.op.n
-        th = self.theta / self._gt
-        r1, r2 = r[:n], r[n:]
-        s1, s2 = r1.sum(), r2.sum()
-        c = 1.0 / (2.0 * n * th + th * th)
-        f = n / (n + th)
-        out = np.empty_like(r)
-        out[:n] = r1 / (n + th) + c * (f * s1 - s2)
-        out[n:] = r2 / (n + th) + c * (f * s2 - s1)
-        return out / self._gt
 
 
 class SGSMetric(Metric):
@@ -234,7 +205,8 @@ class SGSMetric(Metric):
 
     without forming it: ``apply`` runs two triangular block products around
     one block-diagonal solve, and ``solve`` runs the backward sweep, the
-    block-diagonal scaling, and the forward sweep.
+    block-diagonal scaling, and the forward sweep.  Each diagonal block is
+    factorized once at construction (``spd_solver``).
 
     The per-block CSR row slices of U and U^T that the sweeps multiply by
     are built once at construction, so ``solve`` does no sparse indexing;
@@ -261,22 +233,12 @@ class SGSMetric(Metric):
         Qp = Q[perm][:, perm].tocsr()
         self._slices = [slice(self.offsets[i], self.offsets[i + 1])
                         for i in range(self.nblocks)]
-        self._diag = []
+        diag = [Qp[si, si] for si in self._slices]
+        self._dsolve = [spd_solver(Dii, f"diagonal block {i}")
+                        for i, Dii in enumerate(diag)]
+        self.D = sp.block_diag(diag, format="csr")
         upper = sp.lil_matrix((self.dim, self.dim))
         for i, si in enumerate(self._slices):
-            Dii = Qp[si, si]
-            off = Dii - sp.diags(Dii.diagonal())
-            if off.nnz == 0 or abs(off).max() == 0.0:
-                dv = Dii.diagonal().copy()
-                if np.any(dv <= 0):
-                    raise ConfigurationError(f"diagonal block {i} not positive definite")
-                self._diag.append(("diag", dv, None))
-            else:
-                A = Dii.toarray()
-                try:
-                    self._diag.append(("dense", A, sla.cho_factor(A)))
-                except sla.LinAlgError:
-                    raise ConfigurationError(f"diagonal block {i} not positive definite")
             for j in range(i + 1, self.nblocks):
                 sj = self._slices[j]
                 upper[si, sj] = Qp[si, sj]
@@ -285,24 +247,11 @@ class SGSMetric(Metric):
         self._U_rows = [self.U[si, :] for si in self._slices[:-1]]
         self._UT_rows = [self.UT[si, :] for si in self._slices[1:]]
 
-    def _dsolve(self, i, r):
-        kind, data, chol = self._diag[i]
-        if kind == "diag":
-            return r / data
-        return sla.cho_solve(chol, r)
-
-    def _dapply(self, z):
-        out = np.empty_like(z)
-        for i, si in enumerate(self._slices):
-            kind, data, _ = self._diag[i]
-            out[si] = data * z[si] if kind == "diag" else data @ z[si]
-        return out
-
     def apply(self, z):
         z = self._check(z)[self.perm]
-        t = self._dapply(z) + self.UT @ z
-        u = np.concatenate([self._dsolve(i, t[si]) for i, si in enumerate(self._slices)])
-        out = self._dapply(u) + self.U @ u
+        t = self.D @ z + self.UT @ z
+        u = np.concatenate([ds(t[si]) for ds, si in zip(self._dsolve, self._slices)])
+        out = self.D @ u + self.U @ u
         return out[self.inv_perm]
 
     def solve(self, r):
@@ -311,14 +260,15 @@ class SGSMetric(Metric):
         last = self.nblocks - 1
         # backward: (D + U) w = r; the last block has no U rows
         w = np.zeros_like(r)
-        w[sl[last]] = self._dsolve(last, r[sl[last]])
+        ds = self._dsolve
+        w[sl[last]] = ds[last](r[sl[last]])
         for i in range(last - 1, -1, -1):
-            w[sl[i]] = self._dsolve(i, r[sl[i]] - self._U_rows[i] @ w)
+            w[sl[i]] = ds[i](r[sl[i]] - self._U_rows[i] @ w)
         # forward: (D + U^T) x = D w; the first block has no U^T rows
         x = np.zeros_like(r)
         x[sl[0]] = w[sl[0]]
         for i in range(1, self.nblocks):
-            x[sl[i]] = w[sl[i]] - self._dsolve(i, self._UT_rows[i - 1] @ x)
+            x[sl[i]] = w[sl[i]] - ds[i](self._UT_rows[i - 1] @ x)
         return x[self.inv_perm]
 
 
@@ -379,14 +329,8 @@ def _shifted_solver(M1: Metric, sigma):
         if np.any(d <= 0):
             raise ConfigurationError("primal metric not positive definite")
         return (lambda z: d * z), (lambda r: r / d)
-    if M1.dim > _FACTOR_CAP:
-        raise ConfigurationError("shifted primal metric too large to factorize")
-    A = M1.to_dense() + np.diag(half)
-    try:
-        chol = sla.cho_factor(A)
-    except sla.LinAlgError:
-        raise ConfigurationError("primal metric not positive definite")
-    return (lambda z: A @ z), (lambda r: sla.cho_solve(chol, r))
+    A = M1.to_sparse() + sp.diags(half)
+    return (lambda z: A @ z), spd_solver(A, "primal metric")
 
 
 def check_condition(M1: Metric, sigma_f, M2: Metric, K: LinearOperator,

@@ -13,6 +13,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.io import mmread
 
+from .exceptions import ConfigurationError
+
 
 class LinearOperator:
     """Base class: an immutable m-by-n linear map with an explicit adjoint."""
@@ -51,14 +53,14 @@ class LinearOperator:
         """K in CSR form, from ``to_dense`` unless a subclass knows better."""
         return sp.csr_matrix(self.to_dense())
 
-    def gram_dense(self) -> np.ndarray:
-        """Dense K K^T, used when factorizing Gram-shift metrics."""
-        A = self.to_dense()
-        return A @ A.T
-
     def gram_sparse(self) -> sp.csr_matrix:
-        """K K^T in CSR form, from ``gram_dense`` unless a subclass knows better."""
-        return sp.csr_matrix(self.gram_dense())
+        """K K^T in CSR form, from ``to_dense`` unless a subclass knows better."""
+        A = self.to_dense()
+        return sp.csr_matrix(A @ A.T)
+
+    def gram_shift_solver(self, shift: float):
+        """``r -> (K K^T + shift*I)^{-1} r`` in closed form, or None."""
+        return None
 
 
 class DenseOperator(LinearOperator):
@@ -95,8 +97,14 @@ class SparseOperator(LinearOperator):
     def to_dense(self):
         return self.A.toarray()
 
-    def gram_dense(self):
-        return (self.A @ self._AT).toarray()
+    def to_sparse(self):
+        return self.A
+
+    def gram_sparse(self) -> sp.csr_matrix:
+        # the product drops exact zeros; sorted, it is the CSR of its dense form
+        G = self.A @ self._AT
+        G.sort_indices()
+        return G
 
 
 class GridDivergence(LinearOperator):
@@ -174,10 +182,6 @@ class GridDivergence(LinearOperator):
         vals = np.concatenate(vals)
         return sp.csr_matrix((vals, (rows, cols)), shape=(self.rows, self.cols))
 
-    def gram_dense(self):
-        A = self.to_sparse()
-        return (A @ A.T).toarray()
-
     def gram_sparse(self) -> sp.csr_matrix:
         A = self.to_sparse()
         return sp.csr_matrix(A @ A.T)
@@ -207,6 +211,25 @@ class BirkhoffConstraint(LinearOperator):
         y = self._check_in(y, self.rows, "apply_adjoint")
         y1, y2 = y[: self.n], y[self.n :]
         return (y1[:, None] + y2[None, :]).ravel()
+
+    def gram_shift_solver(self, shift):
+        """Closed-form inverse of K K^T + shift*I; K K^T has the null vector
+        (e; -e), so the shift must be positive."""
+        if not shift > 0:
+            raise ConfigurationError(
+                "gram-shift over the row/column-sum operator needs theta > 0")
+        n = self.n
+        c = 1.0 / (2.0 * n * shift + shift * shift)
+        f = n / (n + shift)
+
+        def solve(r):
+            r1, r2 = r[:n], r[n:]
+            s1, s2 = r1.sum(), r2.sum()
+            out = np.empty_like(r)
+            out[:n] = r1 / (n + shift) + c * (f * s1 - s2)
+            out[n:] = r2 / (n + shift) + c * (f * s2 - s1)
+            return out
+        return solve
 
 
 class VStack(LinearOperator):

@@ -284,7 +284,7 @@ class TwoEpochGramSolve(Metric):
     Applies gamma*(tau*K*K^T + theta*I) exactly, but ``solve`` only runs
     ``epochs`` block sweeps on the node coloring, which is the inexact
     variant whose convergence carries no guarantee; configurations built on
-    it are flagged and run with the condition check overridden.
+    it run with the condition check overridden.
 
     The CSR row slice of Mhat for each block is built once at construction,
     so a block update multiplies only that block's rows; the slices cost one
@@ -336,7 +336,7 @@ def emd(rho0, rho1, h: float, tau: float, gamma: float, theta: float = 1e-6,
     (gamma >= 3/4, and theta > 0 at the boundary: with theta = 0 the sweep
     metric puts the condition value exactly at 1/gamma); "iebalm" runs the
     inexact variant with ``bcd_epochs`` plain sweeps, which has no
-    convergence guarantee and is flagged as such.
+    convergence guarantee, so its condition check is overridden.
     """
     rho0 = np.atleast_2d(np.asarray(rho0, dtype=float))
     rho1 = np.atleast_2d(np.asarray(rho1, dtype=float))
@@ -353,7 +353,6 @@ def emd(rho0, rho1, h: float, tau: float, gamma: float, theta: float = 1e-6,
     f = GroupL12(M, N)
     b = (rho0 - rho1).ravel()
     partition = red_black_partition(M, N)
-    inexact = False
     if method == "sgs":
         if gamma < GAMMA_MIN - 1e-15 and not override:
             raise ConfigurationError(
@@ -368,7 +367,6 @@ def emd(rho0, rho1, h: float, tau: float, gamma: float, theta: float = 1e-6,
     elif method == "iebalm":
         M2 = TwoEpochGramSolve(gamma, tau, K, theta, partition,
                                epochs=bcd_epochs)
-        inexact = True
         override = True  # convergence unknown; condition check not meaningful
     else:
         raise ConfigurationError(f"unknown method {method!r}")
@@ -376,8 +374,7 @@ def emd(rho0, rho1, h: float, tau: float, gamma: float, theta: float = 1e-6,
     saddle = SaddleProblem(f=f, gstar=Linear(b), K=K)
     cfg = SolverConfig(M1=ScalarMetric(1.0 / tau, K.cols), M2=M2, tol=tol,
                        max_iter=max_iter, feas_scale=nb if nb > 0 else 1.0,
-                       record_every=record_every, override=override,
-                       inexact=inexact)
+                       record_every=record_every, override=override)
     oracle = None
     if M <= 4 and N <= 4:
         def oracle():
@@ -490,7 +487,7 @@ def tv_least_squares(R, b, lam: float, grid, tau: float, gamma: float,
 
     cfg = SolverConfig(M1=M1, M2=M2, tol=tol, max_iter=max_iter,
                        custom_residual=kkt_residual, record_every=record_every,
-                       bcd_epochs=bcd_epochs, override=override, inexact=True)
+                       bcd_epochs=bcd_epochs, override=override)
 
     def objective(x):
         return 0.5 * float(np.sum((Rop.apply(x) - b) ** 2)) \

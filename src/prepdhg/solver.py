@@ -37,6 +37,10 @@ GAMMA_MIN = 0.75
 #: an iterate entry larger than this in magnitude stops a run as diverged
 BLOWUP = 1e12
 
+#: tolerance and iteration budget of the condition check ``solve`` runs
+CHECK_TOL = 1e-10
+CHECK_MAX_ITER = 500
+
 
 @dataclass
 class SaddleProblem:
@@ -71,9 +75,6 @@ class SolverConfig:
     #: the problem's own KKT residual, ``(x, y, Kx, K^T y) -> float`` at the
     #: new iterates; when set, the solve stops on it instead of a bound
     custom_residual: Optional[Callable] = None
-    inexact: bool = False
-    check_tol: float = 1e-10
-    check_max_iter: int = 500
 
     def __post_init__(self):
         if self.tol < 0:
@@ -82,11 +83,6 @@ class SolverConfig:
             raise ConfigurationError("max_iter must be positive")
         if self.record_every < 1:
             raise ConfigurationError("record_every must be positive")
-        # the condition check certifies nothing it has not iterated on
-        if self.check_max_iter < 1:
-            raise ConfigurationError("check_max_iter must be positive")
-        if not self.check_tol > 0:
-            raise ConfigurationError("check_tol must be positive")
 
 
 class HistoryRow(NamedTuple):
@@ -316,8 +312,7 @@ def solve(p: SaddleProblem, cfg: SolverConfig) -> SolveReport:
     report_cond = None
     if not cfg.override:
         report_cond = check_condition(cfg.M1, p.f.sigma, cfg.M2, p.K,
-                                      tol=cfg.check_tol,
-                                      max_iter=cfg.check_max_iter)
+                                      tol=CHECK_TOL, max_iter=CHECK_MAX_ITER)
         if not report_cond.passed:
             raise ConfigurationError(
                 f"metric pair fails the convergence condition "
@@ -344,22 +339,24 @@ def solve(p: SaddleProblem, cfg: SolverConfig) -> SolveReport:
     for k in range(1, max_iter + 1):
         x_new, y_new, Kx_new, m2dy = step(x, y, Kx, Kty)
         Kty_new = Kadj(y_new)
-        dKty, m1dx = Kty_new - Kty, m1_apply(x_new - x)
         rec = k % record_every == 0 or k == max_iter
-        rhat_full, rhat_half = bounds(Kx, Kx_new, dKty, m1dx, m2dy, prev, rec)
-        if custom is not None:
-            stop_res = float(custom(x_new, y_new, Kx_new, Kty_new))
-        else:
+        if custom is None:
+            rhat_full, rhat_half = bounds(Kx, Kx_new, Kty_new - Kty,
+                                          m1_apply(x_new - x), m2dy, prev, rec)
             stop_res = rhat_half if compact else rhat_full
+        else:  # the bounds are only recorded: work them out on recorded rows
+            rhat_half = None
+            stop_res = float(custom(x_new, y_new, Kx_new, Kty_new))
 
         done = stop_res <= tol
         # written so that a NaN entry, whose comparisons are all false, blows up
         blown = not (x_new.max() <= BLOWUP and -x_new.min() <= BLOWUP
                      and y_new.max() <= BLOWUP and -y_new.min() <= BLOWUP)
         if done or blown or rec:
-            if rhat_half is None:  # a stop between two recorded rows
-                rhat_full, rhat_half = bounds(Kx, Kx_new, dKty, m1dx, m2dy,
-                                              prev, True)
+            if rhat_half is None:  # a custom residual, or a stop between records
+                rhat_full, rhat_half = bounds(Kx, Kx_new, Kty_new - Kty,
+                                              m1_apply(x_new - x), m2dy, prev,
+                                              True)
             gap = cfg.gap_fn(x_new, y_new) if cfg.gap_fn is not None else np.nan
             history.append(HistoryRow(k, float(rhat_full), float(rhat_half),
                                       gap, time.perf_counter() - t0))

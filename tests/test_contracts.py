@@ -11,6 +11,8 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -19,7 +21,7 @@ from prepdhg.cli import main
 from prepdhg.exceptions import ConfigurationError
 from prepdhg.metrics import (BlockDiagMetric, DenseMetric, DiagonalMetric,
                              GramShiftMetric, ScalarMetric, SGSMetric,
-                             check_condition)
+                             check_condition, spd_solver)
 from prepdhg.operators import (BirkhoffConstraint, DenseOperator,
                                GridDivergence, SparseOperator, Transpose,
                                VStack)
@@ -111,7 +113,8 @@ def _metrics():
         DiagonalMetric(rng.random(4) + 0.5),
         DenseMetric(A @ A.T + 5.0 * np.eye(5)),
         GramShiftMetric(0.8, 0.6, K, theta=0.1),
-        GramShiftMetric(0.8, 0.6, K, P=DenseMetric(np.diag(rng.random(4) + 1.0))),
+        GramShiftMetric(0.8, 0.6, SparseOperator(K.A * (rng.random((4, 7)) < 0.5)),
+                        theta=0.1),
         GramShiftMetric(0.8, 0.6, BirkhoffConstraint(3), theta=0.05),
         SGSMetric(Q.tocsr(), red_black_partition(3, 3)),
         BlockDiagMetric([ScalarMetric(1.5, 2), DiagonalMetric([1.0, 2.0, 3.0]),
@@ -146,8 +149,53 @@ def test_default_gram_sparse_matches_gram_dense():
     for op in (DenseOperator(A), SparseOperator(A), Transpose(DenseOperator(A)),
                VStack([DenseOperator(A), DenseOperator(A[:1])]),
                BirkhoffConstraint(3), GridDivergence(2, 3, 0.5)):
-        assert np.allclose(op.gram_sparse().toarray(), op.gram_dense(),
+        K = op.to_dense()
+        assert np.allclose(op.gram_sparse().toarray(), K @ K.T,
                            rtol=0.0, atol=1e-12)
+
+
+def _symmetric_case(n, seed, kind):
+    """A symmetric matrix whose definiteness survives rounding: eigenvalues
+    of magnitude at least 0.1, or an exactly zero row and column."""
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.5, 4.0, n)
+    if kind.startswith("indefinite"):
+        w[rng.integers(n)] *= -1.0
+    if kind.endswith("diagonal"):
+        return np.diag(w)
+    if kind == "banded":
+        return np.diag(w) + 0.2 * (np.eye(n, k=1) + np.eye(n, k=-1))
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    A = (Q * w) @ Q.T
+    A = 0.5 * (A + A.T)
+    if kind == "singular":
+        j = rng.integers(n)
+        A[j, :] = A[:, j] = 0.0
+    return A
+
+
+@PROPS
+@given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["definite", "indefinite", "singular", "banded",
+                             "diagonal", "indefinite-diagonal"]),
+       as_sparse=st.booleans())
+def test_spd_solver_accepts_exactly_what_cholesky_accepts(n, seed, kind,
+                                                          as_sparse):
+    A = _symmetric_case(n, seed, kind)
+    try:
+        sla.cho_factor(A)
+        definite = True
+    except sla.LinAlgError:
+        definite = False
+    B = sp.csr_matrix(A) if as_sparse else A
+    if not definite:
+        with pytest.raises(ConfigurationError):
+            spd_solver(B)
+        return
+    solve = spd_solver(B)
+    r = np.random.default_rng(seed).standard_normal(n)
+    want = np.linalg.solve(A, r)
+    assert np.linalg.norm(solve(r) - want) <= 1e-10 * np.linalg.norm(want)
 
 
 # -- engine ------------------------------------------------------------------
@@ -257,16 +305,9 @@ def test_engine_is_freed_without_the_cycle_collector():
 
 # -- set-up rejections ---------------------------------------------------------
 
-@pytest.mark.parametrize("bad", [{"check_max_iter": 0}, {"check_tol": 0.0},
-                                 {"check_tol": float("nan")}])
-def test_condition_check_settings_rejected(bad):
+def test_condition_check_without_iterations_rejected():
     # K = [[1]], M1 = 1, M2 = 0.5 has s = 2 > 4/3; a check that runs no
     # iterations would certify it
-    with pytest.raises(ConfigurationError):
-        SolverConfig(M1=ScalarMetric(1.0, 1), M2=ScalarMetric(0.5, 1), **bad)
-
-
-def test_condition_check_without_iterations_rejected():
     K = DenseOperator([[1.0]])
     M1, M2 = ScalarMetric(1.0, 1), ScalarMetric(0.5, 1)
     for kw in ({"max_iter": 0}, {"tol": 0.0}):

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from prepdhg.counterexamples import ToyDynamics
-from prepdhg.ipadmm import (AdmmDriver, AdmmState, equivalence_harness,
-                            ipadmm_step, recover_pdhg_iterates)
+from prepdhg.ipadmm import AdmmDriver, AdmmState, equivalence_harness
 from prepdhg.metrics import (DenseMetric, DiagonalMetric, ScalarMetric,
                              dense_sqrt)
 from prepdhg.operators import BirkhoffConstraint, DenseOperator
@@ -54,7 +53,7 @@ class TestStep:
         # transform the saddle point into splitting coordinates
         lam_star = Sinv @ (M2.apply(y_star))
         st = AdmmState(u=b.copy(), x=x_star.copy(), lam=lam_star.copy())
-        nxt = ipadmm_step(p, M1, M2, st)
+        nxt = AdmmDriver(p, M1, M2).step(st)
         assert np.allclose(nxt.x, st.x, atol=1e-12)
         assert np.allclose(nxt.u, st.u, atol=1e-12)
         assert np.allclose(nxt.lam, st.lam, atol=1e-12)
@@ -77,7 +76,7 @@ class TestTransform:
         p, M1, M2, rng = small_problem(4)
         drv = AdmmDriver(p, M1, M2)
         states = drv.run(3, x0=rng.standard_normal(4))
-        pairs = recover_pdhg_iterates(states, M2, p.K)
+        pairs = drv.recover(states)
         S, _ = dense_sqrt(M2)
         b = p.gstar.b
         for k, (x, y) in enumerate(pairs):
@@ -90,9 +89,10 @@ class TestTransform:
         K = DenseOperator(np.eye(3))
         p = SaddleProblem(f=Zero(3), gstar=Linear(np.zeros(3)), K=K)
         M2 = DenseMetric(2.0 * np.eye(3))
-        states = AdmmDriver(p, DiagonalMetric(np.ones(3)), M2).run(1)
+        drv = AdmmDriver(p, DiagonalMetric(np.ones(3)), M2)
+        states = drv.run(1)
         assert np.allclose(states[1].u, 0.0)
-        pairs = recover_pdhg_iterates(states, M2, K)
+        pairs = drv.recover(states)
         assert np.allclose(pairs[0][1], 0.0)
 
     def test_roundtrip_recovers_admm_state(self):
@@ -101,7 +101,7 @@ class TestTransform:
         drv = AdmmDriver(p, M1, M2)
         states = drv.run(20, x0=rng.standard_normal(5),
                          lam0=rng.standard_normal(6))
-        pairs = recover_pdhg_iterates(states, M2, p.K)
+        pairs = drv.recover(states)
         S, Sinv = dense_sqrt(M2)
         for k in range(1, len(pairs)):
             x_prev, y_prev = pairs[k - 1]

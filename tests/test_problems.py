@@ -250,7 +250,6 @@ class TestEMD:
         r0, r1 = random_balanced_grids(4, 4, 9)
         inst = emd(r0, r1, 0.75, tau=0.5, gamma=1.0, theta=0.0,
                    method="iebalm", tol=1e-6, max_iter=200000)
-        assert inst.config.inexact
         assert inst.config.override
         rep = inst.solve()
         assert rep.status == "converged"
@@ -355,6 +354,18 @@ class TestTVLS:
                 assert rep.status == "converged"
                 its[gamma] = rep.iters
             assert its[0.75] <= its[1.0]
+
+    def test_grid_past_the_dense_factorization_size(self):
+        # the gradient's Gram shift has dimension 2 * 48 * 48 = 4608
+        rng = np.random.default_rng(19)
+        R = random_sparse_system(200, 48 * 48, 0.01, 20)
+        b = R.apply(rng.random(48 * 48))
+        inst = tv_least_squares(R, b, 1.0, (48, 48), tau=0.01, gamma=0.75,
+                                max_iter=3)
+        rep = inst.solve()
+        assert rep.condition.passed
+        assert rep.status == "max-iter" and rep.iters == 3
+        assert np.all(np.isfinite(rep.x_final))
 
 
 def test_load_grid_roundtrip(tmp_path):

@@ -57,7 +57,7 @@ class TestStep:
         # dual step: y+ = y + (1/(gamma*tau)) (K K^T + theta I)^{-1} (Kz - b)
         z = 2.0 * x_new - X.ravel()
         rhs = K.apply(z) - np.ones(2 * n)
-        Md = K.gram_dense() + theta * np.eye(2 * n)
+        Md = K.gram_sparse().toarray() + theta * np.eye(2 * n)
         assert np.allclose(y_new - y,
                            np.linalg.solve(Md, rhs) / (gamma * tau), atol=1e-9)
 
@@ -291,6 +291,19 @@ class TestConfigureEbalm:
         rng = np.random.default_rng(12)
         r = rng.standard_normal(8)
         assert np.allclose(cfg.M2.apply(cfg.M2.solve(r)), r, atol=1e-10)
+
+    def test_large_operator_factorizes_at_setup(self):
+        # with the check overridden, nothing runs M2.solve before the loop;
+        # the 4608-row Gram shift must still be factorized at set-up
+        K = GridDivergence(48, 96, 1.0)
+        rng = np.random.default_rng(13)
+        b = K.apply(rng.standard_normal(K.cols))
+        prob, cfg = configure_ebalm(L1Norm(K.cols, 0.1), K, b, tau=0.5,
+                                    theta=1e-3, gamma=0.6, max_iter=3,
+                                    override=True)
+        rep = solve(prob, cfg)
+        assert rep.status == "max-iter" and rep.iters == 3
+        assert np.all(np.isfinite(rep.y_final))
 
 
 class TestConfigureEbalmSGS:

@@ -25,11 +25,11 @@ def sgs_solve_reference(M, r):
     for i in range(M.nblocks - 1, -1, -1):
         si = M._slices[i]
         rhs = r[si] - M.U[si, :] @ w
-        w[si] = M._dsolve(i, rhs)
+        w[si] = M._dsolve[i](rhs)
     x = np.zeros_like(r)
     for i in range(M.nblocks):
         si = M._slices[i]
-        x[si] = w[si] - M._dsolve(i, M.UT[si, :] @ x)
+        x[si] = w[si] - M._dsolve[i](M.UT[si, :] @ x)
     return x[M.inv_perm]
 
 
@@ -83,10 +83,16 @@ def test_sgs_solve_matches_on_red_black_grid():
     Q = (0.75 * 0.03 * K.gram_sparse()).tolil()
     Q.setdiag(Q.diagonal() + 1e-6)
     M = SGSMetric(Q.tocsr(), red_black_partition(6, 7))
-    assert all(kind == "diag" for kind, _, _ in M._diag)
+    d = M.D.diagonal()
+    assert (M.D - sp.diags(d)).count_nonzero() == 0
     for _ in range(5):
         r = rng.standard_normal(M.dim)
         assert np.array_equal(M.solve(r), sgs_solve_reference(M, r))
+    # a diagonal block is inverted entrywise, as before the blocks were
+    # factorized through spd_solver
+    for ds, si in zip(M._dsolve, M._slices):
+        r = rng.standard_normal(si.stop - si.start)
+        assert np.array_equal(ds(r), r / d[si])
 
 
 def test_sgs_single_block_is_the_diagonal_solve():
