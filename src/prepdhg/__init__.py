@@ -12,7 +12,7 @@ from .prox import (GroupL12, IndicatorLinfBall, IndicatorNonneg,
 from .metrics import (BlockDiagMetric, ConditionReport, DenseMetric,
                       DiagonalMetric, GramShiftMetric, Metric, SGSMetric,
                       ScalarMetric, build_diag_preconditioner,
-                      check_condition, dense_sqrt)
+                      check_condition, dense_sqrt, gram_shift_matrix)
 from .solver import (SaddleProblem, SolveReport, SolverConfig,
                      configure_ebalm, configure_ebalm_sgs,
                      duality_gap_matrix_game, prepdhg_step, solve,

@@ -74,10 +74,6 @@ def parse_config_text(text: str) -> dict:
     return out
 
 
-def serialize_config(values: dict) -> str:
-    return "".join(f"{k} = {values[k]}\n" for k in sorted(values))
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")

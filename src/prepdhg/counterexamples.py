@@ -21,7 +21,7 @@ import numpy as np
 from .metrics import ScalarMetric
 from .operators import DenseOperator
 from .prox import QuadraticShift, Zero
-from .solver import SaddleProblem, SolverConfig
+from .solver import BLOWUP, SaddleProblem, SolverConfig
 
 
 @dataclass
@@ -103,12 +103,11 @@ class ClassifyResult:
     iterations: int
 
 
-def classify(dyn: ToyDynamics, x0, max_iter: int = 100000,
-             blowup: float = 1e12) -> ClassifyResult:
+def classify(dyn: ToyDynamics, x0, max_iter: int = 100000) -> ClassifyResult:
     """Spectral classification of the trajectory, cross-checked by simulation.
 
     Simulation runs in plain floats and exits early on reaching norm 1e-8
-    (convergence) or the blow-up bound; a definitive simulated outcome wins
+    (convergence) or past ``BLOWUP``; a definitive simulated outcome wins
     over the spectral prediction near the unit-radius boundary.
     """
     mu1, mu2 = eig2(dyn.G)
@@ -124,7 +123,7 @@ def classify(dyn: ToyDynamics, x0, max_iter: int = 100000,
         final = math.hypot(a, b)
         if final <= 1e-8:
             return ClassifyResult("converges-to-zero", radius, final, it)
-        if final > blowup:
+        if final > BLOWUP:
             return ClassifyResult("diverges", radius, final, it)
     if radius < 1.0 - 1e-9:
         verdict = "converges-to-zero"

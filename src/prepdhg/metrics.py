@@ -5,7 +5,8 @@ cover scalar and diagonal matrices, dense matrices, Gram shifts
 gamma*tau*K*K^T + theta*I (with the operator's closed-form inverse when it
 offers one), symmetric Gauss-Seidel implied metrics, and block-diagonal
 combinations.  Every positive-definite matrix a metric has to invert is
-factorized once, when the metric is built, by ``spd_solver``.
+factorized once, when the metric is built, by ``spd_solver``; every Gram
+shift matrix is assembled by ``gram_shift_matrix``.
 
 ``check_condition`` estimates the squared norm that governs convergence of
 the preconditioned primal-dual iteration,
@@ -35,6 +36,15 @@ CHECKER_SLACK = 1e-9
 CONDITION_THRESHOLD = 4.0 / 3.0
 
 _FACTOR_CAP = 4096
+SQRT_CAP = 64  # largest metric dimension ``dense_sqrt`` takes a root of
+
+
+def gram_shift_matrix(K: LinearOperator, scale: float, shift: float):
+    """scale * K K^T + shift * I in CSR form, from ``K.to_sparse()``."""
+    A = K.to_sparse()
+    G = (scale * (A @ A.T)).tolil()
+    G.setdiag(G.diagonal() + shift)
+    return G.tocsr()
 
 
 def spd_solver(A, name: str = "matrix"):
@@ -94,25 +104,6 @@ class Metric:
         return sp.csr_matrix(self.to_dense())
 
 
-class ScalarMetric(Metric):
-    """M = s * I with s > 0."""
-
-    def __init__(self, s: float, dim: int):
-        if s <= 0:
-            raise ConfigurationError("scalar metric must be positive")
-        self.s = float(s)
-        self.dim = int(dim)
-
-    def apply(self, z):
-        return self.s * self._check(z)
-
-    def solve(self, r):
-        return self._check(r) / self.s
-
-    def diagonal(self):
-        return np.full(self.dim, self.s)
-
-
 class DiagonalMetric(Metric):
     """M = diag(d) with d > 0 entrywise."""
 
@@ -131,6 +122,16 @@ class DiagonalMetric(Metric):
 
     def diagonal(self):
         return self.d
+
+
+class ScalarMetric(DiagonalMetric):
+    """M = s * I with s > 0."""
+
+    def __init__(self, s: float, dim: int):
+        if s <= 0:
+            raise ConfigurationError("scalar metric must be positive")
+        self.s = float(s)
+        super().__init__(np.full(int(dim), self.s))
 
 
 class DenseMetric(Metric):
@@ -157,8 +158,8 @@ class GramShiftMetric(Metric):
     """M = gamma * tau * K K^T + theta * I.
 
     The solve is the operator's closed-form inverse when it offers one
-    (``gram_shift_solver``), else a factorization of M assembled from the
-    operator's sparse form; either is set up at construction.
+    (``gram_shift_solver``), else a factorization of ``gram_shift_matrix``;
+    either is set up at construction.
     """
 
     def __init__(self, gamma: float, tau: float, op: LinearOperator,
@@ -188,11 +189,8 @@ class GramShiftMetric(Metric):
         return self._solve(self._check(r))
 
     def to_sparse(self) -> sp.csr_matrix:
-        """M in CSR form, from the operator's sparse matrix."""
-        A = self.op.to_sparse()
-        G = (self._gt * (A @ A.T)).tolil()
-        G.setdiag(G.diagonal() + self.theta)
-        return G.tocsr()
+        """M in CSR form, by ``gram_shift_matrix``."""
+        return gram_shift_matrix(self.op, self._gt, self.theta)
 
 
 class SGSMetric(Metric):
@@ -206,7 +204,8 @@ class SGSMetric(Metric):
     without forming it: ``apply`` runs two triangular block products around
     one block-diagonal solve, and ``solve`` runs the backward sweep, the
     block-diagonal scaling, and the forward sweep.  Each diagonal block is
-    factorized once at construction (``spd_solver``).
+    factorized once at construction (``spd_solver``); U keeps the nonzero
+    entries of the permuted Q whose row block precedes their column block.
 
     The per-block CSR row slices of U and U^T that the sweeps multiply by
     are built once at construction, so ``solve`` does no sparse indexing;
@@ -237,12 +236,11 @@ class SGSMetric(Metric):
         self._dsolve = [spd_solver(Dii, f"diagonal block {i}")
                         for i, Dii in enumerate(diag)]
         self.D = sp.block_diag(diag, format="csr")
-        upper = sp.lil_matrix((self.dim, self.dim))
-        for i, si in enumerate(self._slices):
-            for j in range(i + 1, self.nblocks):
-                sj = self._slices[j]
-                upper[si, sj] = Qp[si, sj]
-        self.U = upper.tocsr()
+        block_of = np.repeat(np.arange(self.nblocks), sizes)
+        Qc = Qp.tocoo()
+        up = (block_of[Qc.row] < block_of[Qc.col]) & (Qc.data != 0)
+        self.U = sp.csr_matrix((Qc.data[up], (Qc.row[up], Qc.col[up])),
+                               shape=Qp.shape)
         self.UT = self.U.T.tocsr()
         self._U_rows = [self.U[si, :] for si in self._slices[:-1]]
         self._UT_rows = [self.UT[si, :] for si in self._slices[1:]]
@@ -415,10 +413,10 @@ def build_diag_preconditioner(K: LinearOperator, alpha: float, delta: float,
     return DiagonalMetric(gamma1 * tau), DiagonalMetric(gamma2 * sig)
 
 
-def dense_sqrt(M: Metric, cap: int = 64):
+def dense_sqrt(M: Metric):
     """(M^{1/2}, M^{-1/2}) by symmetric eigendecomposition, small dims only."""
-    if M.dim > cap:
-        raise ConfigurationError(f"matrix square root restricted to dim <= {cap}")
+    if M.dim > SQRT_CAP:
+        raise ConfigurationError(f"matrix square root restricted to dim <= {SQRT_CAP}")
     A = M.to_dense()
     w, V = sla.eigh(0.5 * (A + A.T))
     if w[0] <= 0:

@@ -15,6 +15,8 @@ from scipy.io import mmread
 
 from .exceptions import ConfigurationError
 
+POWER_SEED = 0  # seed of the start vector of ``spectral_norm_sq``
+
 
 class LinearOperator:
     """Base class: an immutable m-by-n linear map with an explicit adjoint."""
@@ -52,11 +54,6 @@ class LinearOperator:
     def to_sparse(self) -> sp.csr_matrix:
         """K in CSR form, from ``to_dense`` unless a subclass knows better."""
         return sp.csr_matrix(self.to_dense())
-
-    def gram_sparse(self) -> sp.csr_matrix:
-        """K K^T in CSR form, from ``to_dense`` unless a subclass knows better."""
-        A = self.to_dense()
-        return sp.csr_matrix(A @ A.T)
 
     def gram_shift_solver(self, shift: float):
         """``r -> (K K^T + shift*I)^{-1} r`` in closed form, or None."""
@@ -99,12 +96,6 @@ class SparseOperator(LinearOperator):
 
     def to_sparse(self):
         return self.A
-
-    def gram_sparse(self) -> sp.csr_matrix:
-        # the product drops exact zeros; sorted, it is the CSR of its dense form
-        G = self.A @ self._AT
-        G.sort_indices()
-        return G
 
 
 class GridDivergence(LinearOperator):
@@ -182,10 +173,6 @@ class GridDivergence(LinearOperator):
         vals = np.concatenate(vals)
         return sp.csr_matrix((vals, (rows, cols)), shape=(self.rows, self.cols))
 
-    def gram_sparse(self) -> sp.csr_matrix:
-        A = self.to_sparse()
-        return sp.csr_matrix(A @ A.T)
-
 
 class BirkhoffConstraint(LinearOperator):
     """Row-sum and column-sum operator for n-by-n matrices, matrix-free.
@@ -257,6 +244,9 @@ class VStack(LinearOperator):
             out += c.apply_adjoint(y[lo:hi])
         return out
 
+    def to_sparse(self) -> sp.csr_matrix:
+        return sp.vstack([c.to_sparse() for c in self.children], format="csr")
+
 
 class Transpose(LinearOperator):
     """Adjoint view of another operator (used for the 2D gradient)."""
@@ -282,7 +272,7 @@ class SpectralEstimate(NamedTuple):
 
 
 def spectral_norm_sq(op: LinearOperator, tol: float = 1e-10,
-                     max_iter: int = 2000, seed: int = 0) -> SpectralEstimate:
+                     max_iter: int = 2000) -> SpectralEstimate:
     """Estimate ||K||^2 by power iteration on K^T K.
 
     Starts from a seeded random vector so repeated runs agree bitwise.  Stops
@@ -292,20 +282,21 @@ def spectral_norm_sq(op: LinearOperator, tol: float = 1e-10,
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(POWER_SEED)
     v = rng.standard_normal(op.cols)
     nv = np.linalg.norm(v)
     if nv == 0 or op.cols == 0:
         return SpectralEstimate(0.0, True, 0)
     v /= nv
-    lam = float(np.dot(op.apply(v), op.apply(v)))
+    u = op.apply(v)
+    lam = float(np.dot(u, u))
     for it in range(1, max_iter + 1):
-        w = op.apply_adjoint(op.apply(v))
+        w = op.apply_adjoint(u)
         nw = np.linalg.norm(w)
         if nw == 0.0:
             return SpectralEstimate(0.0, True, it)
-        v = w / nw
-        lam_new = float(np.dot(op.apply(v), op.apply(v)))
+        u = op.apply(w / nw)
+        lam_new = float(np.dot(u, u))
         if abs(lam_new - lam) <= tol * max(lam_new, 1e-300):
             return SpectralEstimate(lam_new, True, it)
         lam = lam_new

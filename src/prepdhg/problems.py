@@ -17,7 +17,7 @@ import scipy.sparse as sp
 
 from .exceptions import ConfigurationError
 from .metrics import (BlockDiagMetric, GramShiftMetric, Metric, ScalarMetric,
-                      SGSMetric)
+                      SGSMetric, gram_shift_matrix)
 from .operators import (BirkhoffConstraint, DenseOperator, GridDivergence,
                         LinearOperator, SparseOperator, Transpose, VStack,
                         spectral_norm_sq)
@@ -25,6 +25,8 @@ from .prox import (GroupL12, IndicatorLinfBall, IndicatorSimplex, Linear,
                    QuadraticShift, QuadraticShiftNonneg, SeparableSum, Zero)
 from .solver import (GAMMA_MIN, SaddleProblem, SolverConfig,
                      duality_gap_matrix_game, solve)
+
+LP_DIRECTIONS = 2000  # polygon directions per flux norm in emd_lp_objective
 
 
 @dataclass
@@ -282,7 +284,8 @@ class TwoEpochGramSolve(Metric):
     """Dual metric whose solve is a fixed number of Gauss-Seidel epochs.
 
     Applies gamma*(tau*K*K^T + theta*I) exactly, but ``solve`` only runs
-    ``epochs`` block sweeps on the node coloring, which is the inexact
+    ``epochs`` block sweeps over Mhat = ``gram_shift_matrix(K, tau, theta)``
+    on the node coloring, which is the inexact
     variant whose convergence carries no guarantee; configurations built on
     it run with the condition check overridden.
 
@@ -296,10 +299,7 @@ class TwoEpochGramSolve(Metric):
         self.gamma, self.tau, self.theta = float(gamma), float(tau), float(theta)
         self.K = K
         self.dim = K.rows
-        G = K.gram_sparse()
-        Mh = (self.tau * G).tolil()
-        Mh.setdiag(Mh.diagonal() + self.theta)
-        self.Mhat = Mh.tocsr()
+        self.Mhat = gram_shift_matrix(K, self.tau, self.theta)
         self.diag = self.Mhat.diagonal()
         if np.any(self.diag <= 0):
             raise ConfigurationError("Gauss-Seidel needs positive diagonal; "
@@ -361,9 +361,7 @@ def emd(rho0, rho1, h: float, tau: float, gamma: float, theta: float = 1e-6,
             raise ConfigurationError(
                 "theta = 0 at gamma = 3/4 sits on the condition boundary; "
                 "use theta > 0")
-        Q = (gamma * tau * K.gram_sparse()).tolil()
-        Q.setdiag(Q.diagonal() + theta)
-        M2 = SGSMetric(Q.tocsr(), partition)
+        M2 = SGSMetric(gram_shift_matrix(K, gamma * tau, theta), partition)
     elif method == "iebalm":
         M2 = TwoEpochGramSolve(gamma, tau, K, theta, partition,
                                epochs=bcd_epochs)
@@ -387,13 +385,13 @@ def emd(rho0, rho1, h: float, tau: float, gamma: float, theta: float = 1e-6,
               "theta": theta, "method": method, "norm_b": nb})
 
 
-def emd_lp_objective(rho0, rho1, h: float, ndir: int = 2000) -> float:
+def emd_lp_objective(rho0, rho1, h: float) -> float:
     """LP lower-bound oracle for the minimal-flux objective.
 
     The Euclidean norm of each flux pair is replaced by the maximum of
-    ``ndir`` directional projections (an inscribed polygon), giving an LP
-    solvable by HiGHS whose optimum underestimates the true value by at most
-    a factor 1 - cos(pi/ndir) ~ 1.2e-6 at the default.
+    ``LP_DIRECTIONS`` directional projections (an inscribed polygon), giving
+    an LP solvable by HiGHS whose optimum underestimates the true value by at
+    most a factor 1 - cos(pi/LP_DIRECTIONS) ~ 1.2e-6.
     """
     rho0 = np.atleast_2d(np.asarray(rho0, dtype=float))
     rho1 = np.atleast_2d(np.asarray(rho1, dtype=float))
@@ -402,7 +400,7 @@ def emd_lp_objective(rho0, rho1, h: float, ndir: int = 2000) -> float:
     div = GridDivergence(M, N, h)
     A_eq = sp.hstack([div.to_sparse(), sp.csr_matrix((mn, mn))]).tocsr()
     b_eq = (rho0 - rho1).ravel()
-    angles = np.linspace(0.0, 2.0 * np.pi, ndir, endpoint=False)
+    angles = np.linspace(0.0, 2.0 * np.pi, LP_DIRECTIONS, endpoint=False)
     eye = sp.eye(mn, format="csr")
     rows = []
     for ang in angles:

@@ -27,7 +27,7 @@ import scipy.sparse as sp
 
 from .exceptions import ConfigurationError
 from .metrics import (GramShiftMetric, Metric, ScalarMetric, SGSMetric,
-                      _shifted_solver, check_condition)
+                      _shifted_solver, check_condition, gram_shift_matrix)
 from .operators import LinearOperator
 from .prox import (IndicatorLinfBall, Linear, Proximable, QuadraticShift,
                    SeparableSum, project_simplex)
@@ -448,9 +448,7 @@ def configure_ebalm_sgs(f: Proximable, K: LinearOperator, b, tau: float,
     if theta < 0:
         raise ConfigurationError("theta must be nonnegative")
     b = np.asarray(b, dtype=float).ravel()
-    Q = (gamma * tau * K.gram_sparse()).tolil()
-    Q.setdiag(Q.diagonal() + theta)
-    M2 = SGSMetric(Q.tocsr(), partition)
+    M2 = SGSMetric(gram_shift_matrix(K, gamma * tau, theta), partition)
     if M2.U.nnz == 0 or abs(M2.U).max() == 0.0:
         raise ConfigurationError(
             "partition has no off-diagonal coupling; use configure_ebalm")

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from prepdhg.cli import (_SWITCHES, _apply_config_file, build_parser, main,
-                         parse_config_text, parse_log_range, parse_number,
-                         serialize_config)
+                         parse_config_text, parse_log_range, parse_number)
 
 
 def read(path):
@@ -26,7 +25,7 @@ class TestParsing:
 
     def test_config_roundtrip(self):
         cfg = {"gamma": "1.0,0.751", "tol": "1e-5", "seeds": "3"}
-        text = serialize_config(cfg)
+        text = "gamma = 1.0,0.751\nseeds = 3\ntol = 1e-5\n"
         assert parse_config_text(text) == cfg
         # comments and blanks are tolerated
         assert parse_config_text("# note\n\na = 1\n") == {"a": "1"}

@@ -21,7 +21,7 @@ from prepdhg.cli import main
 from prepdhg.exceptions import ConfigurationError
 from prepdhg.metrics import (BlockDiagMetric, DenseMetric, DiagonalMetric,
                              GramShiftMetric, ScalarMetric, SGSMetric,
-                             check_condition, spd_solver)
+                             check_condition, gram_shift_matrix, spd_solver)
 from prepdhg.operators import (BirkhoffConstraint, DenseOperator,
                                GridDivergence, SparseOperator, Transpose,
                                VStack)
@@ -106,8 +106,7 @@ def _metrics():
     A = rng.standard_normal((5, 5))
     K = DenseOperator(rng.standard_normal((4, 7)))
     div = GridDivergence(3, 3, 1.0)
-    Q = (0.75 * 0.5 * div.gram_sparse()).tolil()
-    Q.setdiag(Q.diagonal() + 1e-2)
+    Q = gram_shift_matrix(div, 0.75 * 0.5, 1e-2)
     return [
         ScalarMetric(2.5, 4),
         DiagonalMetric(rng.random(4) + 0.5),
@@ -116,7 +115,7 @@ def _metrics():
         GramShiftMetric(0.8, 0.6, SparseOperator(K.A * (rng.random((4, 7)) < 0.5)),
                         theta=0.1),
         GramShiftMetric(0.8, 0.6, BirkhoffConstraint(3), theta=0.05),
-        SGSMetric(Q.tocsr(), red_black_partition(3, 3)),
+        SGSMetric(Q, red_black_partition(3, 3)),
         BlockDiagMetric([ScalarMetric(1.5, 2), DiagonalMetric([1.0, 2.0, 3.0]),
                          GramShiftMetric(1.0, 0.3, DenseOperator(np.eye(2)),
                                          theta=0.2)]),
@@ -143,15 +142,27 @@ def test_inexact_gauss_seidel_metric_is_not_diagonal():
     assert M.diagonal() is None
 
 
-def test_default_gram_sparse_matches_gram_dense():
+def test_gram_shift_matrix_matches_dense_product():
     rng = np.random.default_rng(71)
     A = rng.standard_normal((3, 5))
+    s, theta = 0.7, 0.3
     for op in (DenseOperator(A), SparseOperator(A), Transpose(DenseOperator(A)),
                VStack([DenseOperator(A), DenseOperator(A[:1])]),
                BirkhoffConstraint(3), GridDivergence(2, 3, 0.5)):
         K = op.to_dense()
-        assert np.allclose(op.gram_sparse().toarray(), K @ K.T,
+        Q = gram_shift_matrix(op, s, theta)
+        assert Q.format == "csr"
+        assert np.allclose(Q.toarray(), s * K @ K.T + theta * np.eye(K.shape[0]),
                            rtol=0.0, atol=1e-12)
+
+
+def test_gram_shift_matrix_same_for_dense_and_sparse_forms():
+    rng = np.random.default_rng(72)
+    A = rng.standard_normal((9, 14)) * (rng.random((9, 14)) < 0.4)
+    Qd = gram_shift_matrix(DenseOperator(A), 0.37, 1e-3)
+    Qs = gram_shift_matrix(SparseOperator(A), 0.37, 1e-3)
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(Qd, part), getattr(Qs, part))
 
 
 def _symmetric_case(n, seed, kind):

@@ -52,7 +52,8 @@ class TestGramShift:
         for n in (2, 3, 4):
             K = BirkhoffConstraint(n)
             M = GramShiftMetric(0.8, 1.3, K, theta=1e-4)
-            Md = 0.8 * 1.3 * K.gram_sparse().toarray() + 1e-4 * np.eye(2 * n)
+            Kd = K.to_dense()
+            Md = 0.8 * 1.3 * Kd @ Kd.T + 1e-4 * np.eye(2 * n)
             r = rng.standard_normal(2 * n)
             want = np.linalg.solve(Md, r)
             assert np.allclose(M.solve(r), want,
@@ -62,7 +63,8 @@ class TestGramShift:
         n, theta = 3, 0.2
         K = BirkhoffConstraint(n)
         M = GramShiftMetric(1.0, 1.0, K, theta=theta)
-        dense = K.gram_sparse().toarray() + theta * np.eye(2 * n)
+        Kd = K.to_dense()
+        dense = Kd @ Kd.T + theta * np.eye(2 * n)
         for j in range(2 * n):
             e = np.zeros(2 * n)
             e[j] = 1.0
@@ -141,6 +143,27 @@ class TestSGS:
             z = rng.standard_normal(n)
             assert np.allclose(M.solve(M.apply(z)), z, atol=1e-10)
             assert np.allclose(M.apply(M.solve(z)), z, atol=1e-10)
+
+    def test_blocks_reassemble_permuted_q(self):
+        rng = np.random.default_rng(15)
+        for nblocks in (1, 2, 4):
+            n = 11
+            S = sp.random(n, n, density=0.3, random_state=rng)
+            S = S @ S.T
+            Q = (S + S.T + n * sp.eye(n)).tocsr()
+            blocks = random_partition(rng, n, nblocks)
+            M = SGSMetric(Q, blocks)
+            Qp = Q.toarray()[np.ix_(M.perm, M.perm)]
+            assert np.array_equal((M.D + M.U + M.U.T).toarray(), Qp)
+            block_of = np.repeat(np.arange(nblocks), [b.size for b in blocks])
+            U = M.U.tocoo()
+            assert np.all(block_of[U.row] < block_of[U.col])
+            # the loop over block pairs that U was built with before
+            ref = np.zeros_like(Qp)
+            for i, si in enumerate(M._slices):
+                for sj in M._slices[i + 1:]:
+                    ref[si, sj] = Qp[si, sj]
+            assert np.array_equal(M.U.toarray(), ref)
 
     def test_rejects_non_spd_diagonal_block(self):
         Q = np.array([[0.0, 1.0], [1.0, 2.0]])

@@ -140,6 +140,41 @@ def test_grid_divergence_norm_bounded_by_8h2(M, N):
         assert est.value <= 8.0 * h * h * (1 + 1e-9)
 
 
+class CountingOperator(DenseOperator):
+    """A dense operator that counts its products with K and K^T."""
+
+    calls = 0
+
+    def apply(self, x):
+        self.calls += 1
+        return super().apply(x)
+
+    def apply_adjoint(self, y):
+        self.calls += 1
+        return super().apply_adjoint(y)
+
+
+def test_spectral_norm_one_product_each_way_per_iteration():
+    rng = np.random.default_rng(5)
+    op = CountingOperator(rng.standard_normal((40, 30)))
+    est = spectral_norm_sq(op, tol=1e-12)
+    assert est.converged and est.iterations > 5
+    assert op.calls <= 2 * est.iterations + 1
+
+
+def test_vstack_sparse_form_stacks_children():
+    rng = np.random.default_rng(6)
+    A = rng.standard_normal((3, 4))
+    op = VStack([GridDivergence(2, 1, 0.5), SparseOperator(A),
+                 BirkhoffConstraint(2)])
+    S = op.to_sparse()
+    assert S.format == "csr"
+    assert np.array_equal(S.toarray(), op.to_dense())
+    # past the size that to_dense materializes
+    big = VStack([GridDivergence(40, 40)] * 2)
+    assert big.to_sparse().shape == (3200, 3200)
+
+
 def test_spectral_norm_nonconvergence_flagged():
     rng = np.random.default_rng(0)
     A = rng.standard_normal((30, 30))

@@ -206,7 +206,8 @@ class TestEMD:
     def test_red_black_partition_decouples_gram_blocks(self):
         from prepdhg.operators import GridDivergence
         for M, N in [(4, 4), (3, 5), (1, 6)]:
-            G = GridDivergence(M, N, 1.0).gram_sparse().toarray()
+            D = GridDivergence(M, N, 1.0).to_dense()
+            G = D @ D.T
             for blk in red_black_partition(M, N):
                 sub = G[np.ix_(blk, blk)]
                 assert np.allclose(sub - np.diag(np.diag(sub)), 0.0)

@@ -4,7 +4,8 @@ import pytest
 from prepdhg.counterexamples import ToyDynamics
 from prepdhg.exceptions import ConfigurationError
 from prepdhg.metrics import DiagonalMetric, GramShiftMetric, ScalarMetric
-from prepdhg.operators import BirkhoffConstraint, DenseOperator, GridDivergence
+from prepdhg.operators import (BirkhoffConstraint, DenseOperator,
+                               GridDivergence, VStack)
 from prepdhg.prox import (GroupL12, IndicatorSimplex, L1Norm, Linear,
                           QuadraticShiftNonneg, Zero)
 from prepdhg.solver import (HistoryRow, SaddleProblem, SolverConfig, _Engine,
@@ -57,7 +58,8 @@ class TestStep:
         # dual step: y+ = y + (1/(gamma*tau)) (K K^T + theta I)^{-1} (Kz - b)
         z = 2.0 * x_new - X.ravel()
         rhs = K.apply(z) - np.ones(2 * n)
-        Md = K.gram_sparse().toarray() + theta * np.eye(2 * n)
+        Kd = K.to_dense()
+        Md = Kd @ Kd.T + theta * np.eye(2 * n)
         assert np.allclose(y_new - y,
                            np.linalg.solve(Md, rhs) / (gamma * tau), atol=1e-9)
 
@@ -301,6 +303,16 @@ class TestConfigureEbalm:
         prob, cfg = configure_ebalm(L1Norm(K.cols, 0.1), K, b, tau=0.5,
                                     theta=1e-3, gamma=0.6, max_iter=3,
                                     override=True)
+        rep = solve(prob, cfg)
+        assert rep.status == "max-iter" and rep.iters == 3
+        assert np.all(np.isfinite(rep.y_final))
+
+    def test_stacked_operator_builds_from_sparse_form(self):
+        # VStack reaches the Gram shift through its children's sparse forms
+        K = VStack([GridDivergence(40, 40)] * 2)
+        b = K.apply(np.random.default_rng(14).standard_normal(K.cols))
+        prob, cfg = configure_ebalm(Zero(K.cols), K, b, tau=0.5, theta=1e-3,
+                                    gamma=1.0, max_iter=3, override=True)
         rep = solve(prob, cfg)
         assert rep.status == "max-iter" and rep.iters == 3
         assert np.all(np.isfinite(rep.y_final))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from prepdhg.metrics import SGSMetric
+from prepdhg.metrics import SGSMetric, gram_shift_matrix
 from prepdhg.operators import GridDivergence
 from prepdhg.problems import TwoEpochGramSolve, red_black_partition
 from prepdhg.solver import BoxQuadBCD
@@ -80,9 +80,8 @@ def test_sgs_solve_matches_on_red_black_grid():
     # independent-set blocks: every diagonal block is diagonal
     rng = np.random.default_rng(11)
     K = GridDivergence(6, 7, 1.5)
-    Q = (0.75 * 0.03 * K.gram_sparse()).tolil()
-    Q.setdiag(Q.diagonal() + 1e-6)
-    M = SGSMetric(Q.tocsr(), red_black_partition(6, 7))
+    M = SGSMetric(gram_shift_matrix(K, 0.75 * 0.03, 1e-6),
+                  red_black_partition(6, 7))
     d = M.D.diagonal()
     assert (M.D - sp.diags(d)).count_nonzero() == 0
     for _ in range(5):
