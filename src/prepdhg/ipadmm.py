@@ -44,11 +44,11 @@ class AdmmDriver:
         K = self.p.K
         v = self.S @ st.lam + K.apply(st.x)
         # u-update through the Moreau route: the dual update started from
-        # y = 0 gives y = prox_{g*}^{M2}(M2^{-1} v) and M2 y, so that
-        # u = v - M2 y and y = M2^{-1}(v - u), the transform value
-        y, m2y = self.eng.yup(np.zeros_like(v), v)
+        # y = 0 with q = -v gives y = prox_{g*}^{M2}(M2^{-1} v) and M2 y, so
+        # that u = v - M2 y and y = M2^{-1}(v - u), the transform value
+        y, m2y = self.eng.yup(np.zeros_like(v), -v)
         u_new = v - m2y
-        x_new = self.eng.xup(st.x, K.apply_adjoint(y))
+        x_new, _ = self.eng.xup(st.x, K.apply_adjoint(y))
         lam_new = st.lam + self.Sinv @ (K.apply(x_new) - u_new)
         return AdmmState(u=u_new, x=x_new, lam=lam_new)
 
@@ -97,7 +97,7 @@ def equivalence_harness(p: SaddleProblem, M1: Metric, M2: Metric,
     x, y = pairs[0]
     max_dev = 0.0
     for k in range(1, len(pairs)):
-        x, y, _, _ = admm.eng.step(x, y)
+        x, y = admm.eng.step(x, y)[:2]
         xa, ya = pairs[k]
         dev = max(np.max(np.abs(x - xa)), np.max(np.abs(y - ya)))
         max_dev = max(max_dev, float(dev))

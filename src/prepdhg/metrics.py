@@ -394,8 +394,8 @@ def build_diag_preconditioner(K: LinearOperator, alpha: float, delta: float,
 
     M1 = gamma1 * diag(tau_j) with tau_j = delta + sum_i |K_ij|^(2-alpha) and
     M2 = gamma2 * diag(sigma_i) with sigma_i = delta + sum_j |K_ij|^alpha,
-    summing over the nonzero entries only.  The resulting condition estimate
-    satisfies s_hat <= 1/(gamma1*gamma2).
+    summing over the nonzero entries of ``K.to_sparse()`` only.  The
+    resulting condition estimate satisfies s_hat <= 1/(gamma1*gamma2).
     """
     if not 0.0 <= alpha <= 2.0:
         raise ConfigurationError("alpha must lie in [0, 2]")
@@ -403,10 +403,13 @@ def build_diag_preconditioner(K: LinearOperator, alpha: float, delta: float,
         raise ConfigurationError("delta must be nonnegative")
     if gamma1 <= 0 or gamma2 <= 0:
         raise ConfigurationError("gamma factors must be positive")
-    A = np.abs(K.to_dense())
-    nz = A > 0
-    tau = delta + np.where(nz, A ** (2.0 - alpha), 0.0).sum(axis=0)
-    sig = delta + np.where(nz, A ** alpha, 0.0).sum(axis=1)
+    A = abs(sp.csr_matrix(K.to_sparse(), dtype=float))
+    A.eliminate_zeros()  # a power 0 must not count a stored zero
+    P = A.copy()
+    P.data = A.data ** (2.0 - alpha)
+    tau = delta + P.sum(axis=0).A1
+    P.data = A.data ** alpha
+    sig = delta + P.sum(axis=1).A1
     if np.any(tau <= 0) or np.any(sig <= 0):
         raise ConfigurationError(
             "zero row or column encountered; use delta > 0")

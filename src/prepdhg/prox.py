@@ -122,6 +122,10 @@ class Linear(Proximable):
     def prox(self, v, d):
         return self._v(v) - self.b / _as_diag(d, self.dim)
 
+    def prox_at(self, d):
+        shift = self.b / _as_diag(d, self.dim)
+        return lambda v: self._v(v) - shift
+
 
 class Zero(Linear):
     """f = 0, the linear function with b = 0."""
@@ -129,9 +133,9 @@ class Zero(Linear):
     def __init__(self, dim):
         super().__init__(np.zeros(int(dim)))
 
-    def prox(self, v, d):
-        # the identity, without the per-call weight check of Linear.prox
-        return self._v(v).copy()
+    def prox_at(self, d):
+        # the identity: a copy, with no arithmetic on the weights
+        return lambda v: self._v(v).copy()
 
 
 class QuadraticShift(Proximable):

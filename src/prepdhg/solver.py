@@ -1,10 +1,19 @@
 """Preconditioned primal-dual hybrid gradient iteration.
 
-One step alternates two metric proximal subproblems with primal
-extrapolation factor 2:
+One step solves two metric proximal subproblems with primal extrapolation
+factor 2, both of the form argmin_z h(z) + <q, z> + 1/2 ||z - w||_M^2:
 
     x+ = argmin_x f(x) + <Kx, y>  + 1/2 ||x - x_k||_M1^2
     y+ = argmin_y g*(y) - <K(2 x+ - x_k), y> + 1/2 ||y - y_k||_M2^2
+
+``_prox_step`` builds the update of either once per solve, returning z and
+M (z - w), from the first case that fits (the last column names it):
+
+    M diagonal                     h.prox_at(diag M)                  prox
+    h = <b, .>                     z = w - M^{-1} (q + b)             linear
+    h = 1/2 ||. - c||^2            one solve with M + I               shifted
+    h separable, M block-diagonal  one update per block               blockwise
+    h = indicator of a box         coordinate descent (BoxQuadBCD)    box
 
 One stopping rule, worked out once per solve from what it is given: the
 problem's own KKT residual when ``custom_residual`` is set; otherwise, when
@@ -156,76 +165,62 @@ class BoxQuadBCD:
         return y0 + delta
 
 
-def _x_update(f: Proximable, M1: Metric):
-    """The x subproblem as ``(x, K^T y) -> x+``, picked once per solve."""
-    d = M1.diagonal()
+def _prox_step(h: Proximable, M: Metric, bcd_epochs: int):
+    """The module docstring's subproblem as ``(w, q) -> (z, M (z - w))``."""
+    d = M.diagonal()
     if d is not None:
-        fprox, inv_d = f.prox_at(d), 1.0 / d
-        return lambda x, Kty: fprox(x - Kty * inv_d)
-    if isinstance(f, Linear):
-        b = f.b
-        return lambda x, Kty: x - M1.solve(Kty + b)
-    if isinstance(f, QuadraticShift):
-        # (M1 + I) x+ = M1 x - K^T y + c
-        _, qs_solve = _shifted_solver(M1, 2.0 * np.ones(f.dim))
-        c = f.c
-        return lambda x, Kty: qs_solve(M1.apply(x) - Kty + c)
-    raise ConfigurationError(
-        f"unsupported (f={type(f).__name__}, M1={type(M1).__name__}) pair")
+        hprox, inv_d = h.prox_at(d), 1.0 / d
 
-
-def _y_update(g: Proximable, M2: Metric, bcd_epochs: int):
-    """The y subproblem as ``(y, Kz) -> (y+, M2 (y+ - y))``, Kz = K(2x+ - x).
-
-    Picked once per solve; a separable g* under a block-diagonal M2 picks
-    one update per block the same way.
-    """
-    if isinstance(g, Linear):
-        b = g.b
-
-        def linear(y, Kz):
-            r = Kz - b
-            return y + M2.solve(r), r
-        return linear
-    d = M2.diagonal()
-    if d is not None:
-        gprox, inv_d = g.prox_at(d), 1.0 / d
-
-        def prox(y, Kz):
-            y_new = gprox(y + Kz * inv_d)
-            return y_new, d * (y_new - y)
+        def prox(w, q):
+            z = hprox(w - q * inv_d)
+            return z, d * (z - w)
         return prox
-    blocks = getattr(M2, "metrics", None)
-    if isinstance(g, SeparableSum) and blocks is not None:
-        if [c.dim for c in g.children] != [m.dim for m in blocks]:
-            raise ConfigurationError("g* blocks and M2 blocks do not conform")
+    if isinstance(h, Linear):
+        b = h.b
+
+        def linear(w, q):
+            s = q + b  # M (z - w) = -s
+            return w - M.solve(s), -s
+        return linear
+    if isinstance(h, QuadraticShift):
+        # (M + I) z = M w - q + c
+        _, shifted_solve = _shifted_solver(M, 2.0 * np.ones(h.dim))
+        c = h.c
+
+        def shifted(w, q):
+            z = shifted_solve(M.apply(w) - q + c)
+            return z, M.apply(z - w)
+        return shifted
+    blocks = getattr(M, "metrics", None)
+    if isinstance(h, SeparableSum) and blocks is not None:
+        if [c.dim for c in h.children] != [m.dim for m in blocks]:
+            raise ConfigurationError("blocks of h and M do not conform")
         ends = np.cumsum([m.dim for m in blocks])
-        parts = [(slice(e - m.dim, e), _y_update(c, m, bcd_epochs))
-                 for c, m, e in zip(g.children, blocks, ends)]
+        parts = [(slice(e - m.dim, e), _prox_step(c, m, bcd_epochs))
+                 for c, m, e in zip(h.children, blocks, ends)]
 
-        def blockwise(y, Kz):
-            y_new = np.empty_like(y)
-            m2dy = np.empty_like(y)
-            for sl, up in parts:
-                y_new[sl], m2dy[sl] = up(y[sl], Kz[sl])
-            return y_new, m2dy
+        def blockwise(w, q):
+            z, mdz = np.empty_like(w), np.empty_like(w)
+            for sl, step in parts:
+                z[sl], mdz[sl] = step(w[sl], q[sl])
+            return z, mdz
         return blockwise
-    if isinstance(g, IndicatorLinfBall):
-        bcd = BoxQuadBCD(M2.to_sparse(), g.radius, bcd_epochs)
+    if isinstance(h, IndicatorLinfBall):
+        bcd = BoxQuadBCD(M.to_sparse(), h.radius, bcd_epochs)
 
-        def box(y, Kz):
-            y_new = bcd.solve(y, Kz)
-            return y_new, M2.apply(y_new - y)
+        def box(w, q):
+            z = bcd.solve(w, -q)
+            return z, M.apply(z - w)
         return box
     raise ConfigurationError(
-        f"unsupported (g*={type(g).__name__}, M2={type(M2).__name__}) pair")
+        f"unsupported (h={type(h).__name__}, M={type(M).__name__}) pair")
 
 
 class _Engine:
     """Validated step executor for one (problem, config) pair.
 
-    ``xup`` and ``yup`` are the two proximal updates, ``m1_apply`` applies
-    M1, and ``b`` is the linear term of g* (None unless g* is linear).
+    ``xup`` and ``yup`` are the two ``_prox_step`` updates, and ``b`` is the
+    linear term of g* (None unless g* is linear).
     """
 
     def __init__(self, p: SaddleProblem, cfg: SolverConfig):
@@ -233,30 +228,28 @@ class _Engine:
         M1, M2 = cfg.M1, cfg.M2
         if M1.dim != p.K.cols or M2.dim != p.K.rows:
             raise ConfigurationError("metric dimensions do not match K")
-        self.xup = _x_update(p.f, M1)
-        self.yup = _y_update(p.gstar, M2, cfg.bcd_epochs)
-        d1 = M1.diagonal()
-        self.m1_apply = M1.apply if d1 is None else (lambda dx: d1 * dx)
+        self.xup = _prox_step(p.f, M1, cfg.bcd_epochs)
+        self.yup = _prox_step(p.gstar, M2, cfg.bcd_epochs)
         self.b = p.gstar.b if isinstance(p.gstar, Linear) else None
 
     def step(self, x, y, Kx=None, Kty=None):
+        """``(x+, y+, K x+, M1 (x+ - x), M2 (y+ - y))``."""
         K = self.K
         if Kx is None:
             Kx = K.apply(x)
         if Kty is None:
             Kty = K.apply_adjoint(y)
-        x_new = self.xup(x, Kty)
+        x_new, m1dx = self.xup(x, Kty)
         Kx_new = K.apply(x_new)
-        y_new, m2dy = self.yup(y, 2.0 * Kx_new - Kx)
-        return x_new, y_new, Kx_new, m2dy
+        y_new, m2dy = self.yup(y, Kx - 2.0 * Kx_new)
+        return x_new, y_new, Kx_new, m1dx, m2dy
 
 
 def prepdhg_step(p: SaddleProblem, cfg: SolverConfig, x, y):
     """One iteration of the preconditioned primal-dual update."""
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
-    x_new, y_new, _, _ = _Engine(p, cfg).step(x, y)
-    return x_new, y_new
+    return _Engine(p, cfg).step(x, y)[:2]
 
 
 def _nrm(v) -> float:
@@ -331,18 +324,18 @@ def solve(p: SaddleProblem, cfg: SolverConfig) -> SolveReport:
     iters = cfg.max_iter
     stop_res = np.nan
     prev = None
-    step, Kadj, m1_apply = eng.step, p.K.apply_adjoint, eng.m1_apply
+    step, Kadj = eng.step, p.K.apply_adjoint
     bounds = _residual_bounds(eng.b, cfg.feas_scale)
     custom, compact = cfg.custom_residual, eng.b is not None
     tol, max_iter, record_every = cfg.tol, cfg.max_iter, cfg.record_every
     t0 = time.perf_counter()
     for k in range(1, max_iter + 1):
-        x_new, y_new, Kx_new, m2dy = step(x, y, Kx, Kty)
+        x_new, y_new, Kx_new, m1dx, m2dy = step(x, y, Kx, Kty)
         Kty_new = Kadj(y_new)
         rec = k % record_every == 0 or k == max_iter
         if custom is None:
-            rhat_full, rhat_half = bounds(Kx, Kx_new, Kty_new - Kty,
-                                          m1_apply(x_new - x), m2dy, prev, rec)
+            rhat_full, rhat_half = bounds(Kx, Kx_new, Kty_new - Kty, m1dx,
+                                          m2dy, prev, rec)
             stop_res = rhat_half if compact else rhat_full
         else:  # the bounds are only recorded: work them out on recorded rows
             rhat_half = None
@@ -355,8 +348,7 @@ def solve(p: SaddleProblem, cfg: SolverConfig) -> SolveReport:
         if done or blown or rec:
             if rhat_half is None:  # a custom residual, or a stop between records
                 rhat_full, rhat_half = bounds(Kx, Kx_new, Kty_new - Kty,
-                                              m1_apply(x_new - x), m2dy, prev,
-                                              True)
+                                              m1dx, m2dy, prev, True)
             gap = cfg.gap_fn(x_new, y_new) if cfg.gap_fn is not None else np.nan
             history.append(HistoryRow(k, float(rhat_full), float(rhat_half),
                                       gap, time.perf_counter() - t0))

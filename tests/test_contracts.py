@@ -1,9 +1,10 @@
 """Contracts the solver engine builds its updates from.
 
-``Proximable.prox_at`` and ``Metric.diagonal`` are what ``_Engine`` asks of
-f, g* and the metrics when it picks its proximal updates; the property
-tests draw the inputs with hypothesis, the engine tests check the picked
-updates against hand computations.
+``Proximable.prox_at`` and ``Metric.diagonal`` are what ``_prox_step`` asks
+of f, g* and the metrics when it picks the proximal update of either
+subproblem; the property tests draw the inputs with hypothesis, the engine
+tests check the picked updates against the earlier per-side builders and
+against hand computations.
 """
 
 import gc
@@ -21,7 +22,8 @@ from prepdhg.cli import main
 from prepdhg.exceptions import ConfigurationError
 from prepdhg.metrics import (BlockDiagMetric, DenseMetric, DiagonalMetric,
                              GramShiftMetric, ScalarMetric, SGSMetric,
-                             check_condition, gram_shift_matrix, spd_solver)
+                             _shifted_solver, check_condition,
+                             gram_shift_matrix, spd_solver)
 from prepdhg.operators import (BirkhoffConstraint, DenseOperator,
                                GridDivergence, SparseOperator, Transpose,
                                VStack)
@@ -33,7 +35,8 @@ from prepdhg.prox import (GroupL12, IndicatorLinfBall, IndicatorNonneg,
                           QuadraticShift, QuadraticShiftNonneg, SeparableSum,
                           Zero, moreau_conjugate_prox, project_simplex,
                           project_simplex_weighted)
-from prepdhg.solver import BoxQuadBCD, SaddleProblem, SolverConfig, _Engine
+from prepdhg.solver import (BoxQuadBCD, SaddleProblem, SolverConfig, _Engine,
+                            _prox_step)
 
 # fixed example sequences and no example database: the suite stays
 # deterministic and writes nothing next to the checkout
@@ -209,6 +212,267 @@ def test_spd_solver_accepts_exactly_what_cholesky_accepts(n, seed, kind,
     assert np.linalg.norm(solve(r) - want) <= 1e-10 * np.linalg.norm(want)
 
 
+# -- one proximal step for both subproblems -----------------------------------
+#
+# The two reference builders below are the earlier per-side ladders: the x
+# update checked the diagonal metric first, the y update checked a linear g*
+# first, and the loop applied M1 to x+ - x itself.  ``_prox_step`` must give
+# the same bits on every pair either side supported, with q = K^T y on the x
+# side and q = -Kz, Kz = K(2x+ - x), on the y side.
+
+def x_update_reference(f, M1):
+    """``(x, K^T y) -> (x+, M1 (x+ - x))``."""
+    d = M1.diagonal()
+    m1_apply = M1.apply if d is None else (lambda dx: d * dx)
+    if d is not None:
+        fprox, inv_d = f.prox_at(d), 1.0 / d
+
+        def up(x, Kty):
+            return fprox(x - Kty * inv_d)
+    elif isinstance(f, Linear):
+        def up(x, Kty):
+            return x - M1.solve(Kty + f.b)
+    elif isinstance(f, QuadraticShift):
+        _, qs_solve = _shifted_solver(M1, 2.0 * np.ones(f.dim))
+
+        def up(x, Kty):
+            return qs_solve(M1.apply(x) - Kty + f.c)
+    else:
+        raise ConfigurationError("unsupported")
+
+    def step(x, Kty):
+        x_new = up(x, Kty)
+        return x_new, m1_apply(x_new - x)
+    return step
+
+
+def y_update_reference(g, M2, bcd_epochs):
+    """``(y, Kz) -> (y+, M2 (y+ - y))``."""
+    if isinstance(g, Linear):
+        def linear(y, Kz):
+            r = Kz - g.b
+            return y + M2.solve(r), r
+        return linear
+    d = M2.diagonal()
+    if d is not None:
+        gprox, inv_d = g.prox_at(d), 1.0 / d
+
+        def prox(y, Kz):
+            y_new = gprox(y + Kz * inv_d)
+            return y_new, d * (y_new - y)
+        return prox
+    blocks = getattr(M2, "metrics", None)
+    if isinstance(g, SeparableSum) and blocks is not None:
+        if [c.dim for c in g.children] != [m.dim for m in blocks]:
+            raise ConfigurationError("do not conform")
+        ends = np.cumsum([m.dim for m in blocks])
+        parts = [(slice(e - m.dim, e), y_update_reference(c, m, bcd_epochs))
+                 for c, m, e in zip(g.children, blocks, ends)]
+
+        def blockwise(y, Kz):
+            y_new, m2dy = np.empty_like(y), np.empty_like(y)
+            for sl, up in parts:
+                y_new[sl], m2dy[sl] = up(y[sl], Kz[sl])
+            return y_new, m2dy
+        return blockwise
+    if isinstance(g, IndicatorLinfBall):
+        bcd = BoxQuadBCD(M2.to_sparse(), g.radius, bcd_epochs)
+
+        def box(y, Kz):
+            y_new = bcd.solve(y, Kz)
+            return y_new, M2.apply(y_new - y)
+        return box
+    raise ConfigurationError("unsupported")
+
+
+def _functions_for(M, rng):
+    """Catalog entries of dimension ``M.dim``; under a block metric, also
+    separable sums that conform to its blocks."""
+    n = M.dim
+    fs = [Zero(n), Linear(rng.standard_normal(n)),
+          QuadraticShift(rng.standard_normal(n)),
+          QuadraticShiftNonneg(rng.standard_normal(n)), IndicatorSimplex(n),
+          IndicatorNonneg(n), IndicatorLinfBall(n, 0.3),
+          IndicatorSingleton(rng.standard_normal(n)), L1Norm(n, 1.3),
+          SeparableSum([L1Norm(1, 0.5), IndicatorNonneg(n - 1)])]
+    if n % 2 == 0:
+        fs.append(GroupL12(2, n // 4) if n % 4 == 0 else GroupL12(1, n // 2))
+    blocks = getattr(M, "metrics", None)
+    if blocks is not None:
+        dims = [m.dim for m in blocks]
+        fs.append(SeparableSum([QuadraticShift(rng.standard_normal(dims[0])),
+                                L1Norm(dims[1], 0.7),
+                                IndicatorLinfBall(dims[2], 0.3)]))
+        fs.append(SeparableSum([IndicatorNonneg(dims[0]),
+                                IndicatorSimplex(dims[1]),
+                                Linear(rng.standard_normal(dims[2]))]))
+    return fs
+
+
+def _pairs():
+    rng = np.random.default_rng(83)
+    return [(f, M) for M in METRICS for f in _functions_for(M, rng)]
+
+
+PAIRS = _pairs()
+
+
+def _built(builder, *args):
+    try:
+        return builder(*args)
+    except ConfigurationError:
+        return None
+
+
+def _pair_id(pair):
+    f, M = pair
+    return f"{type(f).__name__}-{type(M).__name__}{M.dim}"
+
+
+@pytest.mark.parametrize("pair", PAIRS, ids=_pair_id)
+def test_prox_step_reproduces_the_earlier_x_update(pair):
+    f, M1 = pair
+    ref = _built(x_update_reference, f, M1)
+    if ref is None:
+        return  # a pair the x side did not support
+    step = _prox_step(f, M1, 2)
+    rng = np.random.default_rng(89)
+    for _ in range(3):
+        x, Kty = rng.standard_normal((2, M1.dim))
+        x_ref, m1dx_ref = ref(x, Kty)
+        x_new, m1dx = step(x, Kty)
+        assert np.array_equal(x_new, x_ref)
+        if M1.diagonal() is not None:
+            assert np.array_equal(m1dx, m1dx_ref)
+        else:  # a linear f gives M1 (x+ - x) = -(K^T y + b) without M1.apply
+            assert np.allclose(m1dx, m1dx_ref, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("pair", PAIRS, ids=_pair_id)
+def test_prox_step_reproduces_the_earlier_y_update(pair):
+    g, M2 = pair
+    ref = _built(y_update_reference, g, M2, 2)
+    if ref is None:
+        return  # a pair the y side did not support
+    step = _prox_step(g, M2, 2)
+    # a linear g* under a diagonal M2 now takes the diagonal prox, which
+    # rounds (y + Kz/d) - b/d instead of y + (Kz - b)/d
+    rounded = isinstance(g, Linear) and M2.diagonal() is not None
+    rng = np.random.default_rng(97)
+    for _ in range(3):
+        y, Kz = rng.standard_normal((2, M2.dim))
+        y_ref, m2dy_ref = ref(y, Kz)
+        y_new, m2dy = step(y, -Kz)
+        if rounded:
+            scale = np.abs(y_ref).max()
+            assert np.abs(y_new - y_ref).max() <= 1e-14 * scale
+            assert np.abs(m2dy - m2dy_ref).max() <= 1e-14 * scale \
+                * np.abs(M2.diagonal()).max()
+        else:
+            assert np.array_equal(y_new, y_ref)
+            assert np.array_equal(m2dy, m2dy_ref)
+
+
+def _gram_shift(rng, m, n, theta=0.5):
+    return GramShiftMetric(1.0, 0.7, DenseOperator(rng.standard_normal((m, n))),
+                           theta=theta)
+
+
+def test_prox_step_shifted_quadratic_under_dense_metric():
+    # a quadratic g* under a dense M2 was unsupported on the y side; the
+    # optimality condition is (z - c) + q + M (z - w) = 0
+    rng = np.random.default_rng(101)
+    A = rng.standard_normal((5, 5))
+    M = DenseMetric(A @ A.T + 5.0 * np.eye(5))
+    h = QuadraticShift(rng.standard_normal(5))
+    assert _built(y_update_reference, h, M, 2) is None
+    w, q = rng.standard_normal((2, 5))
+    z, mdz = _prox_step(h, M, 2)(w, q)
+    assert np.allclose(mdz, M.A @ (z - w), rtol=0.0, atol=1e-12)
+    assert np.allclose((z - h.c) + q + mdz, 0.0, rtol=0.0, atol=1e-12)
+
+
+def test_prox_step_box_under_gram_shift_metric():
+    # a box f under a Gram-shift M1 was unsupported on the x side; with
+    # enough coordinate-descent epochs the box KKT conditions hold
+    rng = np.random.default_rng(103)
+    M = _gram_shift(rng, 6, 4)
+    h = IndicatorLinfBall(6, 1.0)
+    assert _built(x_update_reference, h, M) is None
+    w, q = rng.standard_normal((2, 6))
+    z, mdz = _prox_step(h, M, 500)(w, q)
+    assert np.allclose(mdz, M.apply(z - w), rtol=0.0, atol=1e-14)
+    grad = q + mdz  # of <q, z> + 1/2 ||z - w||_M^2
+    # z = w + (clip(.) - w) may round past the radius by an ulp
+    r, eps = h.radius, 1e-14
+    assert np.all(np.abs(z) <= r + eps)
+    upper, lower = z >= r - eps, z <= -r + eps
+    free = ~(upper | lower)
+    assert np.any(upper | lower) and np.any(free)  # the box is active
+    assert np.allclose(grad[free], 0.0, rtol=0.0, atol=1e-10)
+    assert np.all(grad[upper] <= 1e-10) and np.all(grad[lower] >= -1e-10)
+
+
+def test_prox_step_separable_sum_under_block_metric():
+    # a separable f under a block-diagonal M1 was unsupported on the x side
+    rng = np.random.default_rng(107)
+    A = rng.standard_normal((3, 3))
+    dense = DenseMetric(A @ A.T + 3.0 * np.eye(3))
+    scalar = ScalarMetric(2.0, 4)
+    gram = _gram_shift(rng, 2, 3)
+    M = BlockDiagMetric([scalar, dense, gram])
+    l1 = L1Norm(4, 0.4)
+    lin = Linear(rng.standard_normal(3))
+    quad = QuadraticShift(rng.standard_normal(2))
+    h = SeparableSum([l1, lin, quad])
+    assert _built(x_update_reference, h, M) is None
+    w, q = 2.0 * rng.standard_normal((2, 9))
+    # the l1 block: two entries thresholded to zero, two kept
+    w[:4], q[:4] = [1.0, 0.05, -1.0, 0.0], [0.2, 0.1, -0.1, 0.0]
+    z, mdz = _prox_step(h, M, 2)(w, q)
+    assert np.allclose(mdz, M.apply(z - w), rtol=0.0, atol=1e-12)
+    # l1 block: 0 in 0.4 * sign(z) + q + s (z - w)
+    g = -(q[:4] + mdz[:4])
+    on = z[:4] != 0.0
+    assert np.any(on) and np.any(~on)
+    assert np.allclose(g[on], l1.weight * np.sign(z[:4][on]), rtol=0.0,
+                       atol=1e-12)
+    assert np.all(np.abs(g[~on]) <= l1.weight + 1e-12)
+    # linear block: b + q + M (z - w) = 0
+    assert np.allclose(lin.b + q[4:7] + mdz[4:7], 0.0, rtol=0.0, atol=1e-12)
+    # quadratic block: (z - c) + q + M (z - w) = 0
+    assert np.allclose(z[7:] - quad.c + q[7:] + mdz[7:], 0.0, rtol=0.0,
+                       atol=1e-12)
+
+
+def test_unsupported_pair_names_both_types():
+    M = _gram_shift(np.random.default_rng(109), 4, 3)
+    with pytest.raises(ConfigurationError,
+                       match=r"L1Norm.*GramShiftMetric"):
+        _prox_step(L1Norm(4), M, 2)
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_step_returns_the_primal_metric_times_the_move(dense):
+    # the loop reads M1 (x+ - x) from the step instead of applying M1
+    rng = np.random.default_rng(113)
+    K = DenseOperator(rng.standard_normal((4, 5)))
+    if dense:  # a linear f hands back -(K^T y + b), not M1.apply
+        A = rng.standard_normal((5, 5))
+        M1, f = DenseMetric(A @ A.T + 5.0 * np.eye(5)), \
+            Linear(rng.standard_normal(5))
+    else:
+        M1, f = DiagonalMetric(rng.random(5) + 0.5), L1Norm(5, 0.3)
+    p = SaddleProblem(f=f, gstar=Linear(rng.standard_normal(4)), K=K)
+    cfg = SolverConfig(M1=M1, M2=ScalarMetric(3.0, 4), override=True)
+    x, y = rng.standard_normal(5), rng.standard_normal(4)
+    x_new, _, _, m1dx, _ = _Engine(p, cfg).step(x, y)
+    if dense:
+        assert np.allclose(m1dx, M1.apply(x_new - x), rtol=1e-12, atol=1e-12)
+    else:
+        assert np.array_equal(m1dx, M1.apply(x_new - x))
+
+
 # -- engine ------------------------------------------------------------------
 
 def _block_problem(seed=73):
@@ -234,7 +498,7 @@ def test_block_step_equals_hand_computation():
     p, cfg, rng = _block_problem()
     K = p.K.A
     x, y = rng.standard_normal(K.shape[1]), rng.standard_normal(K.shape[0])
-    x_new, y_new, Kx_new, m2dy = _Engine(p, cfg).step(x, y)
+    x_new, y_new, Kx_new, m1dx, m2dy = _Engine(p, cfg).step(x, y)
 
     d1 = cfg.M1.d
     v = x - K.T @ y / d1

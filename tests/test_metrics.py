@@ -9,7 +9,7 @@ from prepdhg.metrics import (BlockDiagMetric, DenseMetric, DiagonalMetric,
                              build_diag_preconditioner, check_condition,
                              dense_sqrt)
 from prepdhg.operators import (BirkhoffConstraint, DenseOperator, GridDivergence,
-                               Transpose)
+                               SparseOperator, Transpose, VStack)
 
 
 from helpers import random_partition, sgs_dense_oracle
@@ -274,6 +274,41 @@ class TestDiagPreconditioner:
         K = DenseOperator(np.ones((2, 2)))
         with pytest.raises(ConfigurationError):
             build_diag_preconditioner(K, 2.5, 0.0, 1.0, 1.0)
+
+    def test_weights_match_the_dense_formula(self):
+        rng = np.random.default_rng(14)
+        A = rng.standard_normal((5, 7)) * (rng.random((5, 7)) < 0.5)
+        A[:, 0] = 0.0  # a zero column, which delta > 0 admits
+        # a stored zero must not count when the power is 0
+        S = sp.csr_matrix(A)
+        S.data[0] = 0.0
+        ops = [DenseOperator(A), SparseOperator(S), Transpose(DenseOperator(A)),
+               VStack([DenseOperator(A), SparseOperator(A[:2])]),
+               GridDivergence(3, 4, 0.7), BirkhoffConstraint(3),
+               DenseOperator(rng.standard_normal((6, 5)))]
+        for op in ops:
+            D = np.abs(op.to_dense())
+            nz = D > 0
+            for alpha in (0.0, 0.5, 1.0, 1.7, 2.0):
+                M1, M2 = build_diag_preconditioner(op, alpha, 0.1, 0.9, 1.1)
+                tau = 0.1 + np.where(nz, D ** (2.0 - alpha), 0.0).sum(axis=0)
+                sig = 0.1 + np.where(nz, D ** alpha, 0.0).sum(axis=1)
+                assert np.allclose(M1.d, 0.9 * tau, rtol=1e-14, atol=0.0)
+                assert np.allclose(M2.d, 1.1 * sig, rtol=1e-14, atol=0.0)
+
+    def test_large_matrix_free_operator_is_not_materialized(self):
+        # 3,200 x 6,400 entries would exceed the dense cap of to_dense; the
+        # divergence has structurally zero flux columns, which delta = 0
+        # rejects by the documented rule and delta > 0 admits
+        K = VStack([GridDivergence(40, 40)] * 2)
+        with pytest.raises(ConfigurationError, match="zero row or column"):
+            build_diag_preconditioner(K, 1.0, 0.0, 1.0, 1.0)
+        M1, M2 = build_diag_preconditioner(K, 1.0, 1e-3, 1.0, 1.0)
+        assert (M1.dim, M2.dim) == (K.cols, K.rows)
+        free = ~GridDivergence(40, 40).boundary_mask()
+        # each free flux entry sits in two stencils of each copy, weight 1
+        assert np.allclose(M1.d[free], 1e-3 + 4.0, rtol=1e-15, atol=0.0)
+        assert np.all(M1.d[~free] == 1e-3)
 
 
 def test_dense_sqrt():
