@@ -423,16 +423,24 @@ def run_check(args):
     return 0
 
 
-def _add_common(p):
+#: the flags every sweep takes
+_SWEEP_FLAGS = {
+    "--tol": dict(type=float, default=1e-6),
+    "--max-iter": dict(type=int, default=1000000),
+    "--seeds": dict(type=int, default=1),
+    "--out": dict(default="out"),
+    "--emit": dict(default="csv,ratio"),
+    "--workers": dict(type=int, default=os.cpu_count() or 1),
+    "--record-every": dict(type=int, default=100),
+    "--allow-diverge": dict(action="store_true"),
+}
+
+
+def _add_common(p, flags=tuple(_SWEEP_FLAGS)):
+    """``--config`` and those of the sweep flags the subcommand reads."""
     p.add_argument("--config", help="flat key = value file; flags override")
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--max-iter", type=int, default=1000000)
-    p.add_argument("--seeds", type=int, default=1)
-    p.add_argument("--out", default="out")
-    p.add_argument("--emit", default="csv,ratio")
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
-    p.add_argument("--record-every", type=int, default=100)
-    p.add_argument("--allow-diverge", action="store_true")
+    for flag in flags:
+        p.add_argument(flag, **_SWEEP_FLAGS[flag])
 
 
 def build_parser():
@@ -490,7 +498,7 @@ def build_parser():
     tv.set_defaults(func=run_sweep, tol=5e-6)
 
     ce = sub.add_parser("counterexample", help="2x2 tightness certificates")
-    _add_common(ce)
+    _add_common(ce, ("--out", "--max-iter"))
     ce.add_argument("--kind", choices=["bilinear", "quadratic"],
                     default="bilinear")
     ce.add_argument("--taus", default="4/3",
@@ -501,7 +509,7 @@ def build_parser():
     ce.set_defaults(func=run_counterexample, max_iter=100000)
 
     ck = sub.add_parser("check", help="convergence-condition check")
-    _add_common(ck)
+    _add_common(ck, ())
     ck.add_argument("--m1", required=True, help="scalar/diagonal file")
     ck.add_argument("--m2", required=True, help="scalar/diagonal file")
     ck.add_argument("--k", required=True, help="operator file (.mtx or text)")

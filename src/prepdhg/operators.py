@@ -2,9 +2,10 @@
 
 Every operator represents a matrix K acting between flat numpy vectors and
 exposes ``apply`` (Kx) and ``apply_adjoint`` (K^T y).  Dense and sparse
-wrappers are provided next to the matrix-free realizations used by the
-benchmark problems: the 2D grid divergence, the doubly-stochastic
-(row-sum/column-sum) constraint operator, and vertical stacking.
+wrappers are provided.  The 2D grid divergence, vertical stacking and the
+transpose are sparse operators: each assembles its CSR matrix once and
+applies it.  The doubly-stochastic (row-sum/column-sum) constraint operator
+stays matrix-free, with a closed-form Gram-shift inverse.
 """
 
 from typing import NamedTuple, Sequence
@@ -78,7 +79,7 @@ class DenseOperator(LinearOperator):
 
 
 class SparseOperator(LinearOperator):
-    """K given as a scipy CSR matrix."""
+    """K given as a scipy CSR matrix; ``to_sparse`` returns it, not a copy."""
 
     def __init__(self, A):
         self.A = sp.csr_matrix(A)
@@ -98,7 +99,7 @@ class SparseOperator(LinearOperator):
         return self.A
 
 
-class GridDivergence(LinearOperator):
+class GridDivergence(SparseOperator):
     """Discrete divergence of a two-component flux on an M-by-N grid.
 
     The flux vector stacks the row-major flattenings of the components m1
@@ -106,51 +107,16 @@ class GridDivergence(LinearOperator):
 
         div(m)[i, j] = h * (m1[i,j] - m1[i-1,j] + m2[i,j] - m2[i,j-1])
 
-    with zero outside the grid and the structural zeros m1[M-1, :] = 0 and
-    m2[:, N-1] = 0 enforced on input; the adjoint (the negative discrete
-    gradient) produces zeros in those slots.
+    with zero outside the grid.  The structural zeros m1[M-1, :] and
+    m2[:, N-1] are empty columns of the assembled matrix, so they are ignored
+    on input and the adjoint (the negative discrete gradient) produces zeros
+    in those slots.
     """
 
     def __init__(self, M: int, N: int, h: float = 1.0):
         if M < 1 or N < 1:
             raise ValueError("grid dimensions must be positive")
         self.M, self.N, self.h = int(M), int(N), float(h)
-        self.rows = self.M * self.N
-        self.cols = 2 * self.M * self.N
-
-    def boundary_mask(self) -> np.ndarray:
-        """Boolean mask of the structurally-zero flux entries."""
-        M, N = self.M, self.N
-        m1 = np.zeros((M, N), dtype=bool)
-        m2 = np.zeros((M, N), dtype=bool)
-        m1[M - 1, :] = True
-        m2[:, N - 1] = True
-        return np.concatenate([m1.ravel(), m2.ravel()])
-
-    def apply(self, x):
-        x = self._check_in(x, self.cols, "apply")
-        M, N = self.M, self.N
-        m1 = x[: M * N].reshape(M, N).copy()
-        m2 = x[M * N :].reshape(M, N).copy()
-        m1[M - 1, :] = 0.0
-        m2[:, N - 1] = 0.0
-        d = m1 + m2
-        d[1:, :] -= m1[:-1, :]
-        d[:, 1:] -= m2[:, :-1]
-        return self.h * d.ravel()
-
-    def apply_adjoint(self, y):
-        y = self._check_in(y, self.rows, "apply_adjoint")
-        M, N = self.M, self.N
-        Y = y.reshape(M, N)
-        a1 = np.zeros((M, N))
-        a2 = np.zeros((M, N))
-        a1[: M - 1, :] = Y[: M - 1, :] - Y[1:, :]
-        a2[:, : N - 1] = Y[:, : N - 1] - Y[:, 1:]
-        return self.h * np.concatenate([a1.ravel(), a2.ravel()])
-
-    def to_sparse(self) -> sp.csr_matrix:
-        """Assemble the divergence matrix in CSR form."""
         M, N, h = self.M, self.N, self.h
         idx = np.arange(M * N).reshape(M, N)
         rows, cols, vals = [], [], []
@@ -168,10 +134,18 @@ class GridDivergence(LinearOperator):
         free2 = idx[:, : N - 1]
         add(free2, M * N + free2, h)
         add(idx[:, 1:], M * N + free2, -h)
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        vals = np.concatenate(vals)
-        return sp.csr_matrix((vals, (rows, cols)), shape=(self.rows, self.cols))
+        super().__init__(sp.csr_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(M * N, 2 * M * N)))
+
+    def boundary_mask(self) -> np.ndarray:
+        """Boolean mask of the structurally-zero flux entries."""
+        M, N = self.M, self.N
+        m1 = np.zeros((M, N), dtype=bool)
+        m2 = np.zeros((M, N), dtype=bool)
+        m1[M - 1, :] = True
+        m2[:, N - 1] = True
+        return np.concatenate([m1.ravel(), m2.ravel()])
 
 
 class BirkhoffConstraint(LinearOperator):
@@ -219,8 +193,8 @@ class BirkhoffConstraint(LinearOperator):
         return solve
 
 
-class VStack(LinearOperator):
-    """Vertical stack [K1; K2; ...]: apply concatenates, adjoint sums."""
+class VStack(SparseOperator):
+    """Vertical stack [K1; K2; ...] of the children's sparse forms."""
 
     def __init__(self, children: Sequence[LinearOperator]):
         if not children:
@@ -229,40 +203,16 @@ class VStack(LinearOperator):
         if any(c.cols != cols for c in children):
             raise ValueError("children must share the domain dimension")
         self.children = list(children)
-        self.cols = cols
-        self.rows = sum(c.rows for c in children)
-        self._offsets = np.cumsum([0] + [c.rows for c in children])
-
-    def apply(self, x):
-        x = self._check_in(x, self.cols, "apply")
-        return np.concatenate([c.apply(x) for c in self.children])
-
-    def apply_adjoint(self, y):
-        y = self._check_in(y, self.rows, "apply_adjoint")
-        out = np.zeros(self.cols)
-        for c, lo, hi in zip(self.children, self._offsets[:-1], self._offsets[1:]):
-            out += c.apply_adjoint(y[lo:hi])
-        return out
-
-    def to_sparse(self) -> sp.csr_matrix:
-        return sp.vstack([c.to_sparse() for c in self.children], format="csr")
+        super().__init__(sp.vstack([c.to_sparse() for c in self.children],
+                                   format="csr"))
 
 
-class Transpose(LinearOperator):
-    """Adjoint view of another operator (used for the 2D gradient)."""
+class Transpose(SparseOperator):
+    """Adjoint of another operator in sparse form (used for the 2D gradient)."""
 
     def __init__(self, op: LinearOperator):
         self.op = op
-        self.rows, self.cols = op.cols, op.rows
-
-    def apply(self, x):
-        return self.op.apply_adjoint(x)
-
-    def apply_adjoint(self, y):
-        return self.op.apply(y)
-
-    def to_sparse(self) -> sp.csr_matrix:
-        return sp.csr_matrix(self.op.to_sparse().T)
+        super().__init__(op.to_sparse().T)
 
 
 class SpectralEstimate(NamedTuple):

@@ -283,11 +283,11 @@ def red_black_partition(M: int, N: int):
 class TwoEpochGramSolve(Metric):
     """Dual metric whose solve is a fixed number of Gauss-Seidel epochs.
 
-    Applies gamma*(tau*K*K^T + theta*I) exactly, but ``solve`` only runs
-    ``epochs`` block sweeps over Mhat = ``gram_shift_matrix(K, tau, theta)``
-    on the node coloring, which is the inexact
-    variant whose convergence carries no guarantee; configurations built on
-    it run with the condition check overridden.
+    Applies gamma*Mhat exactly, with Mhat = ``gram_shift_matrix(K, tau,
+    theta)``, but ``solve`` only runs ``epochs`` block sweeps over Mhat on the
+    node coloring, which is the inexact variant whose convergence carries no
+    guarantee; configurations built on it run with the condition check
+    overridden.
 
     The CSR row slice of Mhat for each block is built once at construction,
     so a block update multiplies only that block's rows; the slices cost one
@@ -297,7 +297,6 @@ class TwoEpochGramSolve(Metric):
     def __init__(self, gamma, tau, K: GridDivergence, theta, blocks,
                  epochs: int = 2):
         self.gamma, self.tau, self.theta = float(gamma), float(tau), float(theta)
-        self.K = K
         self.dim = K.rows
         self.Mhat = gram_shift_matrix(K, self.tau, self.theta)
         self.diag = self.Mhat.diagonal()
@@ -311,9 +310,7 @@ class TwoEpochGramSolve(Metric):
         self._sweep = [(blk, self.diag[blk], self.Mhat[blk, :]) for blk in blocks]
 
     def apply(self, z):
-        z = self._check(z)
-        return self.gamma * (self.tau * self.K.apply(self.K.apply_adjoint(z))
-                             + self.theta * z)
+        return self.gamma * (self.Mhat @ self._check(z))
 
     def solve(self, r):
         r = self._check(r)

@@ -192,7 +192,7 @@ class IndicatorSimplex(Proximable):
 
     def prox_at(self, d):
         d = _as_diag(d, self.dim)
-        if np.allclose(d, d[0]):
+        if np.all(d == d[0]):
             return project_simplex
         return lambda v: project_simplex_weighted(v, d)
 

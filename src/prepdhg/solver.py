@@ -162,7 +162,8 @@ class BoxQuadBCD:
                 if np.any(change):
                     delta[grp] = new
                     g += cols @ change
-        return y0 + delta
+        # y0 + delta can round an ulp past the box the sweep clipped it to
+        return np.clip(y0 + delta, lo, hi)
 
 
 def _prox_step(h: Proximable, M: Metric, bcd_epochs: int):

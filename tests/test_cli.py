@@ -127,11 +127,15 @@ class TestConfigFile:
                                                           capsys):
         (tmp_path / "k.txt").write_text("1 0\n0 1\n")
         (tmp_path / "m.txt").write_text("1\n")
+        (tmp_path / "s.txt").write_text("2\n2\n")
         cfg = tmp_path / "check.cfg"
         cfg.write_text(f"k = {tmp_path / 'k.txt'}\nm1 = {tmp_path / 'm.txt'}\n"
-                       f"m2 = {tmp_path / 'm.txt'}\nrecord_every = 7\n")
+                       f"m2 = {tmp_path / 'm.txt'}\n"
+                       f"sigma_f = {tmp_path / 's.txt'}\n")
         assert main(["check", "--config", str(cfg)]) == 0
-        assert "verdict = pass" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        # sigma_f = 2 halves s = ||K||^2 / (1 + 2/2)
+        assert "s_hat = 0.5\n" in out and "verdict = pass" in out
 
     @pytest.mark.parametrize("value, on", [("false", False), ("0", False),
                                            ("yes", True), ("1", True)])
@@ -154,6 +158,20 @@ class TestConfigFile:
     def test_bad_flag_exits_one(self):
         assert main(["game", "--no-such-flag"]) == 1
         assert main([]) == 1
+
+    def test_non_sweeps_take_only_the_flags_they_read(self):
+        parser = build_parser()
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        flags = {name: {o for a in p._actions for o in a.option_strings
+                        if o.startswith("--")} - {"--help"}
+                 for name, p in sub.choices.items()}
+        assert flags["check"] == {"--config", "--m1", "--m2", "--k",
+                                  "--sigma-f"}
+        assert flags["counterexample"] == {"--config", "--out", "--max-iter",
+                                           "--kind", "--taus", "--tau",
+                                           "--rho3"}
+        assert main(["counterexample", "--seeds", "2"]) == 1
 
 
 class TestCounterexampleCommand:

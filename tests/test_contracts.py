@@ -145,6 +145,17 @@ def test_inexact_gauss_seidel_metric_is_not_diagonal():
     assert M.diagonal() is None
 
 
+def test_inexact_gauss_seidel_metric_applies_its_gram_shift():
+    rng = np.random.default_rng(72)
+    K = GridDivergence(4, 5, 0.6)
+    gamma, tau, theta = 0.8, 0.3, 1e-3
+    M = TwoEpochGramSolve(gamma, tau, K, theta, red_black_partition(4, 5))
+    z = rng.standard_normal(K.rows)
+    want = gamma * (tau * K.apply(K.apply_adjoint(z)) + theta * z)
+    assert np.allclose(M.apply(z), want, rtol=1e-14, atol=0.0)
+    assert np.array_equal(M.apply(z), gamma * (M.Mhat @ z))
+
+
 def test_gram_shift_matrix_matches_dense_product():
     rng = np.random.default_rng(71)
     A = rng.standard_normal((3, 5))
@@ -403,14 +414,25 @@ def test_prox_step_box_under_gram_shift_metric():
     z, mdz = _prox_step(h, M, 500)(w, q)
     assert np.allclose(mdz, M.apply(z - w), rtol=0.0, atol=1e-14)
     grad = q + mdz  # of <q, z> + 1/2 ||z - w||_M^2
-    # z = w + (clip(.) - w) may round past the radius by an ulp
     r, eps = h.radius, 1e-14
-    assert np.all(np.abs(z) <= r + eps)
+    assert np.all(np.abs(z) <= r)
     upper, lower = z >= r - eps, z <= -r + eps
     free = ~(upper | lower)
     assert np.any(upper | lower) and np.any(free)  # the box is active
     assert np.allclose(grad[free], 0.0, rtol=0.0, atol=1e-10)
     assert np.all(grad[upper] <= 1e-10) and np.all(grad[lower] >= -1e-10)
+
+
+def test_prox_step_box_update_never_leaves_the_box():
+    # here y0 + delta rounds 5.6e-17 past the radius, where the box
+    # indicator would score the iterate as infinite
+    rng = np.random.default_rng(103)
+    M = _gram_shift(rng, 6, 4)
+    h = IndicatorLinfBall(6, 0.3)
+    w, q = rng.standard_normal((2, 6))
+    z, _ = _prox_step(h, M, 500)(w, q)
+    assert np.max(np.abs(z)) <= h.radius
+    assert h(z) == 0.0
 
 
 def test_prox_step_separable_sum_under_block_metric():

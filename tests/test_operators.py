@@ -2,10 +2,52 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from prepdhg.metrics import build_diag_preconditioner, gram_shift_matrix
 from prepdhg.operators import (BirkhoffConstraint, DenseOperator,
                                GridDivergence, SparseOperator, Transpose,
                                VStack, load_dense, load_sparse,
                                spectral_norm_sq)
+
+
+# The earlier matrix-free forms of the grid operators, kept as references
+# for the CSR products that replaced them.
+
+def divergence_stencil(op, x):
+    M, N = op.M, op.N
+    m1 = x[: M * N].reshape(M, N).copy()
+    m2 = x[M * N :].reshape(M, N).copy()
+    m1[M - 1, :] = 0.0
+    m2[:, N - 1] = 0.0
+    d = m1 + m2
+    d[1:, :] -= m1[:-1, :]
+    d[:, 1:] -= m2[:, :-1]
+    return op.h * d.ravel()
+
+
+def divergence_stencil_adjoint(op, y):
+    M, N = op.M, op.N
+    Y = y.reshape(M, N)
+    a1 = np.zeros((M, N))
+    a2 = np.zeros((M, N))
+    a1[: M - 1, :] = Y[: M - 1, :] - Y[1:, :]
+    a2[:, : N - 1] = Y[:, : N - 1] - Y[:, 1:]
+    return op.h * np.concatenate([a1.ravel(), a2.ravel()])
+
+
+def vstack_loop(children, x):
+    return np.concatenate([c.apply(x) for c in children])
+
+
+def vstack_loop_adjoint(children, y):
+    offsets = np.cumsum([0] + [c.rows for c in children])
+    out = np.zeros(children[0].cols)
+    for c, lo, hi in zip(children, offsets[:-1], offsets[1:]):
+        out += c.apply_adjoint(y[lo:hi])
+    return out
+
+
+def assert_close(got, want):
+    assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
 
 def all_test_operators():
@@ -212,3 +254,48 @@ def test_loaders_roundtrip(tmp_path):
     mmwrite(p_mtx, S)
     K2 = load_sparse(p_mtx)
     assert np.allclose(K2.to_dense(), S.toarray())
+
+
+@pytest.mark.parametrize("M,N,h", [(1, 1, 1.0), (1, 5, 1.3), (4, 1, 0.5),
+                                   (3, 4, 0.7), (16, 16, 3.75)])
+def test_grid_divergence_matches_the_stencil(M, N, h):
+    rng = np.random.default_rng(M * 100 + N)
+    div = GridDivergence(M, N, h)
+    for _ in range(5):
+        x = rng.standard_normal(div.cols)  # structural-zero slots nonzero too
+        y = rng.standard_normal(div.rows)
+        assert_close(div.apply(x), divergence_stencil(div, x))
+        assert_close(div.apply_adjoint(y), divergence_stencil_adjoint(div, y))
+        grad = Transpose(div)
+        assert_close(grad.apply(y), divergence_stencil_adjoint(div, y))
+        assert_close(grad.apply_adjoint(x), divergence_stencil(div, x))
+
+
+def test_vstack_matches_the_children_loop():
+    rng = np.random.default_rng(12)
+    div = GridDivergence(5, 6, 0.9)
+    R = SparseOperator(sp.random(40, 30, density=0.1, random_state=rng))
+    mixed = [DenseOperator(rng.standard_normal((7, 60))), div,
+             SparseOperator(sp.random(9, 60, density=0.2, random_state=rng))]
+    for children in ([R, Transpose(div)], mixed):
+        op = VStack(children)
+        for _ in range(5):
+            x = rng.standard_normal(op.cols)
+            y = rng.standard_normal(op.rows)
+            assert_close(op.apply(x), vstack_loop(children, x))
+            assert_close(op.apply_adjoint(y), vstack_loop_adjoint(children, y))
+
+
+def test_stored_sparse_form_survives_its_callers():
+    R = SparseOperator(sp.random(20, 16, density=0.2,
+                                 random_state=np.random.default_rng(4)))
+    div = GridDivergence(4, 4, 0.5)
+    for op in (div, Transpose(div), VStack([R, Transpose(div)])):
+        S = op.to_sparse()
+        before = (S.indptr.copy(), S.indices.copy(), S.data.copy())
+        gram_shift_matrix(op, 0.7, 1e-3)
+        build_diag_preconditioner(op, 1.0, 1e-3, 1.0, 1.0)
+        build_diag_preconditioner(op, 0.0, 1e-3, 1.0, 1.0)
+        assert op.to_sparse() is S
+        assert all(np.array_equal(a, b) for a, b in
+                   zip((S.indptr, S.indices, S.data), before))

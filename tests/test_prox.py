@@ -8,7 +8,7 @@ from prepdhg.prox import (GroupL12, IndicatorLinfBall, IndicatorNonneg,
                           IndicatorSimplex, IndicatorSingleton, L1Norm,
                           Linear, QuadraticShift, QuadraticShiftNonneg,
                           SeparableSum, Zero, moreau_conjugate_prox,
-                          project_simplex)
+                          project_simplex, project_simplex_weighted)
 
 
 def simplex_qp_oracle(v):
@@ -86,6 +86,15 @@ class TestProxExamples:
             for _ in range(20):
                 w = project_simplex(z + 0.1 * rng.standard_normal(3))
                 assert 0.5 * np.dot(d, (w - v) ** 2) >= base - 1e-10
+
+    def test_simplex_prox_nearly_uniform_weights_are_weighted(self):
+        f = IndicatorSimplex(20)
+        rng = np.random.default_rng(8)
+        v = rng.standard_normal(20)
+        d = 1.0 + 1e-6 * rng.random(20)
+        assert np.array_equal(f.prox_at(d)(v), project_simplex_weighted(v, d))
+        assert not np.array_equal(f.prox_at(d)(v), project_simplex(v))
+        assert f.prox_at(np.full(20, 2.5)) is project_simplex
 
     def test_quadratic_shift_nonneg_closed_form(self):
         # prox under scalar 1/tau equals max(0, v + tau*c)/(1 + tau)
