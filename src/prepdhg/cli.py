@@ -94,8 +94,9 @@ def _apply_config_file(args):
     pre = _Parser(add_help=False)
     pre.add_argument("--config")
     known, _ = pre.parse_known_args(args)
-    if not known.config:
-        return args
+    command = next((i for i, a in enumerate(args) if not a.startswith("-")), None)
+    if not known.config or command is None:
+        return args  # argparse reports a missing subcommand
     try:
         with open(known.config) as fh:
             values = parse_config_text(fh.read())
@@ -110,7 +111,6 @@ def _apply_config_file(args):
             tokens.append(f"--{key}={val}")
         elif val.lower() in ("1", "true", "yes", "on"):
             tokens.append(f"--{key}")
-    command = next(i for i, a in enumerate(args) if not a.startswith("-"))
     return args[:command + 1] + tokens + args[command + 1:]
 
 
@@ -300,7 +300,7 @@ def _birkhoff_cell(params):
     C = 0.5 * (C + C.T)
     tau = tau_tilde / np.sqrt(2.0 * n)
     if gamma_spec == "tight":
-        gamma = (0.75 if method == "ebalm" else 0.751) / (1.0 + tau / 2.0)
+        gamma = 0.751 / (1.0 + tau / 2.0)
     else:
         gamma, gamma_spec = parse_number(gamma_spec), None
     inst = birkhoff_projection(C, tau, gamma, theta=theta, method=method,
@@ -464,7 +464,7 @@ def build_parser():
     bk.add_argument("--n", type=int, default=50)
     bk.add_argument("--method", choices=["ebalm", "pdhg"], default="ebalm")
     bk.add_argument("--gamma", default="1.0,tight",
-                    help="comma list of values or 'tight' (= bound/(1+tau/2))")
+                    help="comma list of values or 'tight' (= 0.751/(1+tau/2))")
     bk.add_argument("--tau-exp", default="0.2:0.01:0.6")
     bk.add_argument("--theta", type=float, default=1e-4)
     bk.set_defaults(func=run_sweep, tol=1e-8)

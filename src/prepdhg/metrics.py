@@ -123,6 +123,9 @@ class DiagonalMetric(Metric):
     def diagonal(self):
         return self.d
 
+    def to_sparse(self) -> sp.csr_matrix:
+        return sp.diags(self.d, format="csr")
+
 
 class ScalarMetric(DiagonalMetric):
     """M = s * I with s > 0."""
@@ -320,14 +323,7 @@ def _shifted_solver(M1: Metric, sigma):
         raise ValueError("sigma length mismatch")
     if np.any(sigma < 0):
         raise ConfigurationError("sigma must be nonnegative")
-    half = 0.5 * sigma
-    d1 = M1.diagonal()
-    if d1 is not None:
-        d = d1 + half
-        if np.any(d <= 0):
-            raise ConfigurationError("primal metric not positive definite")
-        return (lambda z: d * z), (lambda r: r / d)
-    A = M1.to_sparse() + sp.diags(half)
+    A = M1.to_sparse() + sp.diags(0.5 * sigma)
     return (lambda z: A @ z), spd_solver(A, "primal metric")
 
 

@@ -6,6 +6,11 @@ metric D = diag(d):
 
     prox_f^D(v) = argmin_z  f(z) + 1/2 ||z - v||_D^2.
 
+An entry implements one method, ``prox_at(d)``: it checks the weights once
+and returns the map ``v -> prox_f^D(v)``, which checks nothing and expects a
+float vector of length ``dim``.  The solver engine binds that map once per
+solve.  ``prox(v, d)`` derives from it and also checks ``v``.
+
 ``sigma`` is the strong-convexity diagonal of the entry (all zeros unless
 the function has a quadratic part).
 """
@@ -77,7 +82,7 @@ def project_simplex_weighted(v: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 class Proximable:
-    """Base class; subclasses set ``dim`` and ``sigma`` and implement prox."""
+    """Base class; subclasses set ``dim`` and ``sigma`` and implement prox_at."""
 
     dim: int
 
@@ -89,17 +94,14 @@ class Proximable:
         raise NotImplementedError
 
     def prox(self, v: np.ndarray, d) -> np.ndarray:
-        raise NotImplementedError
+        return self.prox_at(d)(self._v(v))
 
     def prox_at(self, d):
         """``v -> prox(v, d)`` for weights ``d`` fixed for a whole solve.
 
-        The solver engine calls this once per solve, at set-up, and then
-        calls the returned function every iteration.  An entry that
-        validates or inspects its weights overrides this to do so once here
-        rather than on every call.
+        Raises on bad weights here, once; the returned map does no checks.
         """
-        return lambda v: self.prox(v, d)
+        raise NotImplementedError
 
     def _v(self, v):
         v = np.asarray(v, dtype=float).ravel()
@@ -119,12 +121,9 @@ class Linear(Proximable):
     def __call__(self, x):
         return float(np.dot(self.b, self._v(x)))
 
-    def prox(self, v, d):
-        return self._v(v) - self.b / _as_diag(d, self.dim)
-
     def prox_at(self, d):
         shift = self.b / _as_diag(d, self.dim)
-        return lambda v: self._v(v) - shift
+        return lambda v: v - shift
 
 
 class Zero(Linear):
@@ -134,8 +133,9 @@ class Zero(Linear):
         super().__init__(np.zeros(int(dim)))
 
     def prox_at(self, d):
-        # the identity: a copy, with no arithmetic on the weights
-        return lambda v: self._v(v).copy()
+        # the identity: a copy, with no arithmetic on the (checked) weights
+        _as_diag(d, self.dim)
+        return np.copy
 
 
 class QuadraticShift(Proximable):
@@ -150,9 +150,10 @@ class QuadraticShift(Proximable):
     def __call__(self, x):
         return 0.5 * float(np.sum((self._v(x) - self.c) ** 2))
 
-    def prox(self, v, d):
+    def prox_at(self, d):
         d = _as_diag(d, self.dim)
-        return (d * self._v(v) + self.c) / (d + 1.0)
+        c, d1 = self.c, d + 1.0
+        return lambda v: (d * v + c) / d1
 
 
 class QuadraticShiftNonneg(Proximable):
@@ -170,9 +171,10 @@ class QuadraticShiftNonneg(Proximable):
             return np.inf
         return 0.5 * float(np.sum((x - self.c) ** 2))
 
-    def prox(self, v, d):
+    def prox_at(self, d):
         d = _as_diag(d, self.dim)
-        return np.maximum(0.0, (d * self._v(v) + self.c) / (d + 1.0))
+        c, d1 = self.c, d + 1.0
+        return lambda v: np.maximum(0.0, (d * v + c) / d1)
 
 
 class IndicatorSimplex(Proximable):
@@ -186,9 +188,6 @@ class IndicatorSimplex(Proximable):
         if np.any(x < -1e-12) or abs(x.sum() - 1.0) > 1e-9:
             return np.inf
         return 0.0
-
-    def prox(self, v, d):
-        return self.prox_at(d)(self._v(v))
 
     def prox_at(self, d):
         d = _as_diag(d, self.dim)
@@ -206,8 +205,8 @@ class IndicatorNonneg(Proximable):
     def __call__(self, x):
         return 0.0 if np.all(self._v(x) >= 0) else np.inf
 
-    def prox(self, v, d):
-        return np.maximum(self._v(v), 0.0)
+    def prox_at(self, d):
+        return lambda v: np.maximum(v, 0.0)
 
 
 class IndicatorLinfBall(Proximable):
@@ -222,8 +221,8 @@ class IndicatorLinfBall(Proximable):
     def __call__(self, x):
         return 0.0 if np.max(np.abs(self._v(x))) <= self.radius else np.inf
 
-    def prox(self, v, d):
-        return np.clip(self._v(v), -self.radius, self.radius)
+    def prox_at(self, d):
+        return lambda v: np.clip(v, -self.radius, self.radius)
 
 
 class IndicatorSingleton(Proximable):
@@ -237,9 +236,8 @@ class IndicatorSingleton(Proximable):
     def __call__(self, x):
         return 0.0 if np.array_equal(self._v(x), self.b) else np.inf
 
-    def prox(self, v, d):
-        self._v(v)
-        return self.b.copy()
+    def prox_at(self, d):
+        return lambda v: self.b.copy()
 
 
 class L1Norm(Proximable):
@@ -254,10 +252,9 @@ class L1Norm(Proximable):
     def __call__(self, x):
         return self.weight * float(np.sum(np.abs(self._v(x))))
 
-    def prox(self, v, d):
-        v = self._v(v)
+    def prox_at(self, d):
         t = self.weight / _as_diag(d, self.dim)
-        return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+        return lambda v: np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
 
 class GroupL12(Proximable):
@@ -288,15 +285,12 @@ class GroupL12(Proximable):
         a, b = self._pairs(x)
         return float(np.sum(np.hypot(a, b)))
 
-    def prox(self, v, d):
-        return self.prox_at(d)(v)
-
     def prox_at(self, d):
         da, db = self._pairs(_as_diag(d, self.dim))
-        if not np.allclose(da, db):
+        if not np.array_equal(da, db):
             raise ConfigurationError(
                 "group-l12 prox needs equal metric weights within each pair")
-        return lambda v: self._shrink(self._v(v), da)
+        return lambda v: self._shrink(v, da)
 
     def _shrink(self, v, da):
         # the structural zeros are fixed, so they take no part in a group norm
@@ -314,22 +308,21 @@ class SeparableSum(Proximable):
     def __init__(self, children):
         self.children = list(children)
         super().__init__(sum(c.dim for c in self.children))
-        self._offsets = np.cumsum([0] + [c.dim for c in self.children])
+        ends = np.cumsum([c.dim for c in self.children])
+        self._slices = [slice(e - c.dim, e) for c, e in zip(self.children, ends)]
         self.sigma = np.concatenate([c.sigma for c in self.children])
 
     def blocks(self, x):
         x = self._v(x)
-        return [x[lo:hi] for lo, hi in zip(self._offsets[:-1], self._offsets[1:])]
+        return [x[sl] for sl in self._slices]
 
     def __call__(self, x):
         return float(sum(c(xb) for c, xb in zip(self.children, self.blocks(x))))
 
-    def prox(self, v, d):
+    def prox_at(self, d):
         d = _as_diag(d, self.dim)
-        vb = self.blocks(v)
-        db = self.blocks(d)
-        return np.concatenate([c.prox(vi, di)
-                               for c, vi, di in zip(self.children, vb, db)])
+        maps = [(c.prox_at(d[sl]), sl) for c, sl in zip(self.children, self._slices)]
+        return lambda v: np.concatenate([p(v[sl]) for p, sl in maps])
 
 
 def moreau_conjugate_prox(f: Proximable, x, d) -> np.ndarray:

@@ -159,6 +159,12 @@ class TestConfigFile:
         assert main(["game", "--no-such-flag"]) == 1
         assert main([]) == 1
 
+    def test_config_without_subcommand_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seeds = 1\n")
+        assert main([f"--config={cfg}"]) == 1
+        assert "required: command" in capsys.readouterr().err
+
     def test_non_sweeps_take_only_the_flags_they_read(self):
         parser = build_parser()
         sub = next(a for a in parser._actions
@@ -246,6 +252,18 @@ def test_birkhoff_command_tight_gamma(tmp_path):
                  "--tol", "1e-8", "--seeds", "1", "--workers", "1",
                  "--record-every", "50", "--out", str(out)])
     assert code == 0
+    rows = (out / "summary.csv").read_text().splitlines()[1:]
+    assert len(rows) == 2 * 3
+    assert all(r.split(",")[4] == "converged" for r in rows)
+
+
+def test_birkhoff_tight_gamma_converges(tmp_path):
+    # "tight" is 0.751/(1 + tau/2) for either method; on the bound
+    # 0.75/(1 + tau/2) itself these ebalm cells need ~500k iterations
+    out = tmp_path / "bk"
+    assert main(["birkhoff", "--n", "5", "--tau-exp=0.2:0.1:0.4",
+                 "--max-iter", "20000", "--seeds", "1", "--workers", "1",
+                 "--record-every", "1000", "--out", str(out)]) == 0
     rows = (out / "summary.csv").read_text().splitlines()[1:]
     assert len(rows) == 2 * 3
     assert all(r.split(",")[4] == "converged" for r in rows)

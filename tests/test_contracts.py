@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from prepdhg import prox as prox_module
 from prepdhg.cli import main
 from prepdhg.exceptions import ConfigurationError
 from prepdhg.metrics import (BlockDiagMetric, DenseMetric, DiagonalMetric,
@@ -32,9 +33,9 @@ from prepdhg.problems import (TwoEpochGramSolve, emd, random_balanced_grids,
                               tv_least_squares)
 from prepdhg.prox import (GroupL12, IndicatorLinfBall, IndicatorNonneg,
                           IndicatorSimplex, IndicatorSingleton, L1Norm, Linear,
-                          QuadraticShift, QuadraticShiftNonneg, SeparableSum,
-                          Zero, moreau_conjugate_prox, project_simplex,
-                          project_simplex_weighted)
+                          Proximable, QuadraticShift, QuadraticShiftNonneg,
+                          SeparableSum, Zero, moreau_conjugate_prox,
+                          project_simplex, project_simplex_weighted)
 from prepdhg.solver import (BoxQuadBCD, SaddleProblem, SolverConfig, _Engine,
                             _prox_step)
 
@@ -80,12 +81,63 @@ def _weights_for(f, d, uniform):
     return d
 
 
+def _group_shrink(g, v, d):
+    mn = g.M * g.N
+    v = np.where(g.zero_mask, 0.0, v)
+    a, b = v[:mn], v[mn:]
+    norms = np.hypot(a, b)
+    scale = np.zeros_like(norms)
+    pos = norms > 0
+    scale[pos] = np.maximum(0.0, 1.0 - 1.0 / (d[:mn][pos] * norms[pos]))
+    return np.concatenate([a * scale, b * scale])
+
+
+#: each entry's weighted prox (v, d) -> prox_f^D(v) written out on its own,
+#: as the entries computed it before ``prox`` derived from ``prox_at``
+_REFERENCE_PROX = {
+    Zero: lambda f, v, d: v - f.b / d,
+    Linear: lambda f, v, d: v - f.b / d,
+    QuadraticShift: lambda f, v, d: (d * v + f.c) / (d + 1.0),
+    QuadraticShiftNonneg:
+        lambda f, v, d: np.maximum(0.0, (d * v + f.c) / (d + 1.0)),
+    IndicatorSimplex: lambda f, v, d: (project_simplex(v) if np.all(d == d[0])
+                                       else project_simplex_weighted(v, d)),
+    IndicatorNonneg: lambda f, v, d: np.maximum(v, 0.0),
+    IndicatorLinfBall: lambda f, v, d: np.clip(v, -f.radius, f.radius),
+    IndicatorSingleton: lambda f, v, d: f.b.copy(),
+    L1Norm: lambda f, v, d:
+        np.sign(v) * np.maximum(np.abs(v) - f.weight / d, 0.0),
+    GroupL12: _group_shrink,
+    SeparableSum: lambda f, v, d: np.concatenate(
+        [_REFERENCE_PROX[type(c)](c, vi, di)
+         for c, vi, di in zip(f.children, f.blocks(v), f.blocks(d))]),
+}
+
+
 @pytest.mark.parametrize("f", CATALOG, ids=lambda f: type(f).__name__)
 @PROPS
 @given(v=vectors, d=weights, uniform=st.booleans())
-def test_prox_at_equals_prox(f, v, d, uniform):
+def test_prox_matches_the_reference_formulas(f, v, d, uniform):
     d = _weights_for(f, d, uniform)
-    assert np.array_equal(f.prox_at(d)(v), f.prox(v, d))
+    expect = _REFERENCE_PROX[type(f)](f, v, d)
+    assert np.array_equal(f.prox(v, d), expect)
+    assert np.array_equal(f.prox_at(d)(v), expect)
+
+
+def test_entries_implement_only_prox_at():
+    entries = [c for c in vars(prox_module).values() if isinstance(c, type)
+               and issubclass(c, Proximable) and c is not Proximable]
+    assert set(entries) == set(_REFERENCE_PROX)
+    assert [c.__name__ for c in entries if "prox" in vars(c)] == []
+    assert all("prox_at" in vars(c) for c in entries)
+
+
+@pytest.mark.parametrize("bad", [np.zeros(N), -np.ones(N), np.ones(N - 1)])
+def test_zero_prox_checks_its_weights(bad):
+    with pytest.raises(ValueError):
+        Zero(N).prox(np.ones(N), bad)
+    with pytest.raises(ValueError):
+        Zero(N).prox_at(bad)
 
 
 @pytest.mark.parametrize("f", CATALOG, ids=lambda f: type(f).__name__)

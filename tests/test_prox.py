@@ -255,6 +255,17 @@ class TestGroupL12:
         with pytest.raises(ConfigurationError):
             g.prox(np.ones(8), d)
 
+    def test_rejects_nearly_equal_pair_weights(self):
+        # shrinking by the first weight alone would miss the exact prox,
+        # (2.16795006, -1.44530204) here, by 2.2e-6
+        g = GroupL12(2, 2)
+        v = np.zeros(8)
+        v[0], v[4] = 3.0, -2.0
+        d = np.ones(8)
+        d[4] = 1.0 + 5e-6
+        with pytest.raises(ConfigurationError):
+            g.prox(v, d)
+
     def test_structural_zeros_take_no_part_in_group_norm(self):
         # entries fixed at zero do not enlarge their pair's norm
         g = GroupL12(2, 2)
