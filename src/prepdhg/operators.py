@@ -36,11 +36,8 @@ class LinearOperator:
         raise NotImplementedError
 
     def _check_in(self, x, n, name):
-        if type(x) is np.ndarray and x.ndim == 1 and x.dtype == np.float64:
-            if x.size != n:
-                raise ValueError(f"{name}: expected length {n}, got {x.size}")
-            return x
-        x = np.asarray(x, dtype=float).ravel()
+        if type(x) is not np.ndarray or x.ndim != 1 or x.dtype != np.float64:
+            x = np.asarray(x, dtype=float).ravel()
         if x.size != n:
             raise ValueError(f"{name}: expected length {n}, got {x.size}")
         return x

@@ -460,7 +460,8 @@ def tv_least_squares(R, b, lam: float, grid, tau: float, gamma: float,
         raise ConfigurationError("R must be nonzero")
     sigma = 1.0 / (tau * normR_sq)
     m1 = Rop.rows
-    gstar = SeparableSum([QuadraticShift(-b), IndicatorLinfBall(2 * n, lam)])
+    gstar = SeparableSum([QuadraticShift(-b),
+                          IndicatorLinfBall(2 * n, lam, bcd_epochs)])
     M1 = ScalarMetric(2.0 * gamma / tau, n)
     M2 = BlockDiagMetric([ScalarMetric(1.0 / sigma, m1),
                           GramShiftMetric(1.0, tau, D, theta=theta)])
@@ -482,7 +483,7 @@ def tv_least_squares(R, b, lam: float, grid, tau: float, gamma: float,
 
     cfg = SolverConfig(M1=M1, M2=M2, tol=tol, max_iter=max_iter,
                        custom_residual=kkt_residual, record_every=record_every,
-                       bcd_epochs=bcd_epochs, override=override)
+                       override=override)
 
     def objective(x):
         return 0.5 * float(np.sum((Rop.apply(x) - b) ** 2)) \

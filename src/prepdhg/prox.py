@@ -8,8 +8,19 @@ metric D = diag(d):
 
 An entry implements one method, ``prox_at(d)``: it checks the weights once
 and returns the map ``v -> prox_f^D(v)``, which checks nothing and expects a
-float vector of length ``dim``.  The solver engine binds that map once per
-solve.  ``prox(v, d)`` derives from it and also checks ``v``.
+float vector of length ``dim``.  ``prox(v, d)`` derives from it and also
+checks ``v``.
+
+``step(M)`` builds the solver's subproblem argmin_z h(z) + <q, z> +
+1/2 ||z - w||_M^2 once per solve, as ``(w, q) -> (z, M (z - w))``, from the
+first case that fits; four entries implement ``metric_step(M)`` for the
+non-diagonal metrics they have a step for (the last column names the step):
+
+    M diagonal                     h.prox_at(diag M)                  prox
+    h = <b, .>                     z = w - M^{-1} (q + b)             linear
+    h = 1/2 ||. - c||^2            one solve with M + I               shifted
+    h separable, M block-diagonal  one update per block               blockwise
+    h = indicator of a box         coordinate descent (BoxQuadBCD)    box
 
 ``sigma`` is the strong-convexity diagonal of the entry (all zeros unless
 the function has a quadratic part).
@@ -18,6 +29,7 @@ the function has a quadratic part).
 import numpy as np
 
 from .exceptions import ConfigurationError
+from .metrics import BlockDiagMetric, BoxQuadBCD, _shifted_solver
 
 
 def _as_diag(d, dim):
@@ -26,7 +38,7 @@ def _as_diag(d, dim):
         d = np.full(dim, float(d))
     if d.size != dim:
         raise ValueError(f"metric diagonal has length {d.size}, expected {dim}")
-    if np.any(d <= 0):
+    if not np.all(d > 0):
         raise ValueError("metric diagonal must be strictly positive")
     return d
 
@@ -67,17 +79,10 @@ def project_simplex_weighted(v: np.ndarray, d: np.ndarray) -> np.ndarray:
     vs = v[order]
     ws = 1.0 / d[order]
     bps = bp[order]
-    S = np.cumsum(vs)
-    T = np.cumsum(ws)
-    lam = None
-    for k in range(v.size):
-        cand = (S[k] - 1.0) / T[k]
-        lo = bps[k + 1] if k + 1 < v.size else -np.inf
-        if lo < cand <= bps[k] + 1e-15:
-            lam = cand
-            break
-    if lam is None:
-        lam = (S[-1] - 1.0) / T[-1]
+    cand = (np.cumsum(vs) - 1.0) / np.cumsum(ws)
+    # the first k with bps[k+1] < cand[k] <= bps[k], else the last
+    ok = (np.append(bps[1:], -np.inf) < cand) & (cand <= bps + 1e-15)
+    lam = cand[ok.argmax() if ok.any() else -1]
     return np.maximum(v - lam / d, 0.0)
 
 
@@ -103,6 +108,23 @@ class Proximable:
         """
         raise NotImplementedError
 
+    def step(self, M):
+        """The module docstring's subproblem, ``(w, q) -> (z, M (z - w))``."""
+        d = M.diagonal()
+        if d is None:
+            return self.metric_step(M)
+        hprox, inv_d = self.prox_at(d), 1.0 / d
+
+        def prox(w, q):
+            z = hprox(w - q * inv_d)
+            return z, d * (z - w)
+        return prox
+
+    def metric_step(self, M):
+        """``step`` under a non-diagonal M; raises for an unsupported M."""
+        raise ConfigurationError(f"unsupported (h={type(self).__name__}, "
+                                 f"M={type(M).__name__}) pair")
+
     def _v(self, v):
         v = np.asarray(v, dtype=float).ravel()
         if v.size != self.dim:
@@ -124,6 +146,14 @@ class Linear(Proximable):
     def prox_at(self, d):
         shift = self.b / _as_diag(d, self.dim)
         return lambda v: v - shift
+
+    def metric_step(self, M):
+        b = self.b
+
+        def linear(w, q):
+            s = q + b  # M (z - w) = -s
+            return w - M.solve(s), -s
+        return linear
 
 
 class Zero(Linear):
@@ -155,6 +185,16 @@ class QuadraticShift(Proximable):
         c, d1 = self.c, d + 1.0
         return lambda v: (d * v + c) / d1
 
+    def metric_step(self, M):
+        # (M + I) z = M w - q + c
+        _, shifted_solve = _shifted_solver(M, 2.0 * np.ones(self.dim))
+        c = self.c
+
+        def shifted(w, q):
+            z = shifted_solve(M.apply(w) - q + c)
+            return z, M.apply(z - w)
+        return shifted
+
 
 class QuadraticShiftNonneg(Proximable):
     """f(x) = 1/2 ||x - c||^2 + indicator(x >= 0)."""
@@ -180,9 +220,6 @@ class QuadraticShiftNonneg(Proximable):
 class IndicatorSimplex(Proximable):
     """Indicator of the probability simplex."""
 
-    def __init__(self, dim):
-        super().__init__(dim)
-
     def __call__(self, x):
         x = self._v(x)
         if np.any(x < -1e-12) or abs(x.sum() - 1.0) > 1e-9:
@@ -199,9 +236,6 @@ class IndicatorSimplex(Proximable):
 class IndicatorNonneg(Proximable):
     """Indicator of the nonnegative orthant."""
 
-    def __init__(self, dim):
-        super().__init__(dim)
-
     def __call__(self, x):
         return 0.0 if np.all(self._v(x) >= 0) else np.inf
 
@@ -212,17 +246,26 @@ class IndicatorNonneg(Proximable):
 class IndicatorLinfBall(Proximable):
     """Indicator of the box {||x||_inf <= radius}."""
 
-    def __init__(self, dim, radius):
+    def __init__(self, dim, radius, epochs=2):
         super().__init__(dim)
         if radius <= 0:
             raise ValueError("radius must be positive")
         self.radius = float(radius)
+        self.epochs = epochs  # of metric_step's coordinate descent
 
     def __call__(self, x):
         return 0.0 if np.max(np.abs(self._v(x))) <= self.radius else np.inf
 
     def prox_at(self, d):
         return lambda v: np.clip(v, -self.radius, self.radius)
+
+    def metric_step(self, M):
+        bcd = BoxQuadBCD(M.to_sparse(), self.radius, self.epochs)
+
+        def box(w, q):
+            z = bcd.solve(w, -q)
+            return z, M.apply(z - w)
+        return box
 
 
 class IndicatorSingleton(Proximable):
@@ -323,6 +366,21 @@ class SeparableSum(Proximable):
         d = _as_diag(d, self.dim)
         maps = [(c.prox_at(d[sl]), sl) for c, sl in zip(self.children, self._slices)]
         return lambda v: np.concatenate([p(v[sl]) for p, sl in maps])
+
+    def metric_step(self, M):
+        if not isinstance(M, BlockDiagMetric):
+            return super().metric_step(M)
+        if [c.dim for c in self.children] != [m.dim for m in M.metrics]:
+            raise ConfigurationError("blocks of h and M do not conform")
+        parts = [(sl, c.step(m))
+                 for c, m, sl in zip(self.children, M.metrics, self._slices)]
+
+        def blockwise(w, q):
+            z, mdz = np.empty_like(w), np.empty_like(w)
+            for sl, step in parts:
+                z[sl], mdz[sl] = step(w[sl], q[sl])
+            return z, mdz
+        return blockwise
 
 
 def moreau_conjugate_prox(f: Proximable, x, d) -> np.ndarray:

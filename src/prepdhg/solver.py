@@ -6,14 +6,8 @@ factor 2, both of the form argmin_z h(z) + <q, z> + 1/2 ||z - w||_M^2:
     x+ = argmin_x f(x) + <Kx, y>  + 1/2 ||x - x_k||_M1^2
     y+ = argmin_y g*(y) - <K(2 x+ - x_k), y> + 1/2 ||y - y_k||_M2^2
 
-``_prox_step`` builds the update of either once per solve, returning z and
-M (z - w), from the first case that fits (the last column names it):
-
-    M diagonal                     h.prox_at(diag M)                  prox
-    h = <b, .>                     z = w - M^{-1} (q + b)             linear
-    h = 1/2 ||. - c||^2            one solve with M + I               shifted
-    h separable, M block-diagonal  one update per block               blockwise
-    h = indicator of a box         coordinate descent (BoxQuadBCD)    box
+Each side's update is ``h.step(M)`` of its catalog entry, built once per
+solve; it returns z and M (z - w) (see ``prepdhg.prox``).
 
 One stopping rule, worked out once per solve from what it is given: the
 problem's own KKT residual when ``custom_residual`` is set; otherwise, when
@@ -32,14 +26,14 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .exceptions import ConfigurationError
 from .metrics import (GramShiftMetric, Metric, ScalarMetric, SGSMetric,
-                      _shifted_solver, check_condition, gram_shift_matrix)
+                      check_condition, gram_shift_matrix)
+# solver uses no BoxQuadBCD itself; perfbench/trace.py finds it here to wrap
+from .metrics import BoxQuadBCD  # noqa: F401
 from .operators import LinearOperator
-from .prox import (IndicatorLinfBall, Linear, Proximable, QuadraticShift,
-                   SeparableSum, project_simplex)
+from .prox import Linear, Proximable, project_simplex
 
 GAMMA_MIN = 0.75
 
@@ -78,7 +72,6 @@ class SolverConfig:
     y0: Optional[np.ndarray] = None
     record_every: int = 1
     override: bool = False
-    bcd_epochs: int = 2
     feas_scale: float = 1.0
     gap_fn: Optional[Callable] = None
     #: the problem's own KKT residual, ``(x, y, Kx, K^T y) -> float`` at the
@@ -92,6 +85,8 @@ class SolverConfig:
             raise ConfigurationError("max_iter must be positive")
         if self.record_every < 1:
             raise ConfigurationError("record_every must be positive")
+        if not 0 < self.feas_scale < math.inf:
+            raise ConfigurationError("feas_scale must be positive and finite")
 
 
 class HistoryRow(NamedTuple):
@@ -113,115 +108,11 @@ class SolveReport:
     condition: object = None
 
 
-class BoxQuadBCD:
-    """Cyclic exact coordinate descent for a box-constrained quadratic.
-
-    Minimizes 1/2 ||y - y0||_M^2 - <r, y> over ||y||_inf <= radius, running a
-    fixed number of epochs over a greedy coloring of the sparsity graph of M
-    so that each color block updates in one vectorized pass.
-
-    The CSC column slice of M for each color is built once at construction,
-    so ``solve`` does no sparse indexing; the slices cost one more copy of
-    the nonzeros of M.
-    """
-
-    def __init__(self, M, radius: float, epochs: int = 2):
-        M = sp.csr_matrix(M)
-        self.M = M
-        self.diag = M.diagonal()
-        if np.any(self.diag <= 0):
-            raise ConfigurationError("BCD needs positive diagonal entries")
-        self.radius = float(radius)
-        self.epochs = int(epochs)
-        if self.epochs < 1:
-            raise ConfigurationError("BCD needs at least one epoch")
-        n = M.shape[0]
-        colors = -np.ones(n, dtype=int)
-        indptr, indices = M.indptr, M.indices
-        for j in range(n):
-            used = {colors[i] for i in indices[indptr[j]:indptr[j + 1]]
-                    if i != j and colors[i] >= 0}
-            c = 0
-            while c in used:
-                c += 1
-            colors[j] = c
-        self.groups = [np.nonzero(colors == c)[0] for c in range(colors.max() + 1)]
-        Mc = M.tocsc()
-        self._sweep = [(grp, self.diag[grp], Mc[:, grp]) for grp in self.groups]
-
-    def solve(self, y0: np.ndarray, r: np.ndarray) -> np.ndarray:
-        delta = np.zeros_like(y0)
-        g = np.zeros_like(y0)  # g = M @ delta, maintained incrementally
-        lo, hi = -self.radius, self.radius
-        for _ in range(self.epochs):
-            for grp, dg, cols in self._sweep:
-                y0g = y0[grp]
-                step = delta[grp] + (r[grp] - g[grp]) / dg
-                new = np.clip(y0g + step, lo, hi) - y0g
-                change = new - delta[grp]
-                if np.any(change):
-                    delta[grp] = new
-                    g += cols @ change
-        # y0 + delta can round an ulp past the box the sweep clipped it to
-        return np.clip(y0 + delta, lo, hi)
-
-
-def _prox_step(h: Proximable, M: Metric, bcd_epochs: int):
-    """The module docstring's subproblem as ``(w, q) -> (z, M (z - w))``."""
-    d = M.diagonal()
-    if d is not None:
-        hprox, inv_d = h.prox_at(d), 1.0 / d
-
-        def prox(w, q):
-            z = hprox(w - q * inv_d)
-            return z, d * (z - w)
-        return prox
-    if isinstance(h, Linear):
-        b = h.b
-
-        def linear(w, q):
-            s = q + b  # M (z - w) = -s
-            return w - M.solve(s), -s
-        return linear
-    if isinstance(h, QuadraticShift):
-        # (M + I) z = M w - q + c
-        _, shifted_solve = _shifted_solver(M, 2.0 * np.ones(h.dim))
-        c = h.c
-
-        def shifted(w, q):
-            z = shifted_solve(M.apply(w) - q + c)
-            return z, M.apply(z - w)
-        return shifted
-    blocks = getattr(M, "metrics", None)
-    if isinstance(h, SeparableSum) and blocks is not None:
-        if [c.dim for c in h.children] != [m.dim for m in blocks]:
-            raise ConfigurationError("blocks of h and M do not conform")
-        ends = np.cumsum([m.dim for m in blocks])
-        parts = [(slice(e - m.dim, e), _prox_step(c, m, bcd_epochs))
-                 for c, m, e in zip(h.children, blocks, ends)]
-
-        def blockwise(w, q):
-            z, mdz = np.empty_like(w), np.empty_like(w)
-            for sl, step in parts:
-                z[sl], mdz[sl] = step(w[sl], q[sl])
-            return z, mdz
-        return blockwise
-    if isinstance(h, IndicatorLinfBall):
-        bcd = BoxQuadBCD(M.to_sparse(), h.radius, bcd_epochs)
-
-        def box(w, q):
-            z = bcd.solve(w, -q)
-            return z, M.apply(z - w)
-        return box
-    raise ConfigurationError(
-        f"unsupported (h={type(h).__name__}, M={type(M).__name__}) pair")
-
-
 class _Engine:
     """Validated step executor for one (problem, config) pair.
 
-    ``xup`` and ``yup`` are the two ``_prox_step`` updates, and ``b`` is the
-    linear term of g* (None unless g* is linear).
+    ``xup`` and ``yup`` are the two ``Proximable.step`` updates, and ``b`` is
+    the linear term of g* (None unless g* is linear).
     """
 
     def __init__(self, p: SaddleProblem, cfg: SolverConfig):
@@ -229,8 +120,8 @@ class _Engine:
         M1, M2 = cfg.M1, cfg.M2
         if M1.dim != p.K.cols or M2.dim != p.K.rows:
             raise ConfigurationError("metric dimensions do not match K")
-        self.xup = _prox_step(p.f, M1, cfg.bcd_epochs)
-        self.yup = _prox_step(p.gstar, M2, cfg.bcd_epochs)
+        self.xup = p.f.step(M1)
+        self.yup = p.gstar.step(M2)
         self.b = p.gstar.b if isinstance(p.gstar, Linear) else None
 
     def step(self, x, y, Kx=None, Kty=None):

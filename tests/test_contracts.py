@@ -1,10 +1,10 @@
 """Contracts the solver engine builds its updates from.
 
-``Proximable.prox_at`` and ``Metric.diagonal`` are what ``_prox_step`` asks
-of f, g* and the metrics when it picks the proximal update of either
-subproblem; the property tests draw the inputs with hypothesis, the engine
-tests check the picked updates against the earlier per-side builders and
-against hand computations.
+``Proximable.step`` builds the proximal update of either subproblem from
+``Metric.diagonal`` and ``Proximable.prox_at``, or from the entry's own
+``metric_step``; the property tests draw the inputs with hypothesis, the
+engine tests check the picked updates against the earlier per-side builders
+and against hand computations.
 """
 
 import gc
@@ -21,9 +21,9 @@ from hypothesis.extra.numpy import arrays
 from prepdhg import prox as prox_module
 from prepdhg.cli import main
 from prepdhg.exceptions import ConfigurationError
-from prepdhg.metrics import (BlockDiagMetric, DenseMetric, DiagonalMetric,
-                             GramShiftMetric, ScalarMetric, SGSMetric,
-                             _shifted_solver, check_condition,
+from prepdhg.metrics import (BlockDiagMetric, BoxQuadBCD, DenseMetric,
+                             DiagonalMetric, GramShiftMetric, ScalarMetric,
+                             SGSMetric, _shifted_solver, check_condition,
                              gram_shift_matrix, spd_solver)
 from prepdhg.operators import (BirkhoffConstraint, DenseOperator,
                                GridDivergence, SparseOperator, Transpose,
@@ -36,8 +36,7 @@ from prepdhg.prox import (GroupL12, IndicatorLinfBall, IndicatorNonneg,
                           Proximable, QuadraticShift, QuadraticShiftNonneg,
                           SeparableSum, Zero, moreau_conjugate_prox,
                           project_simplex, project_simplex_weighted)
-from prepdhg.solver import (BoxQuadBCD, SaddleProblem, SolverConfig, _Engine,
-                            _prox_step)
+from prepdhg.solver import SaddleProblem, SolverConfig, _Engine
 
 # fixed example sequences and no example database: the suite stays
 # deterministic and writes nothing next to the checkout
@@ -132,7 +131,8 @@ def test_entries_implement_only_prox_at():
     assert all("prox_at" in vars(c) for c in entries)
 
 
-@pytest.mark.parametrize("bad", [np.zeros(N), -np.ones(N), np.ones(N - 1)])
+@pytest.mark.parametrize("bad", [np.zeros(N), -np.ones(N), np.ones(N - 1),
+                                 np.full(N, np.nan)])
 def test_zero_prox_checks_its_weights(bad):
     with pytest.raises(ValueError):
         Zero(N).prox(np.ones(N), bad)
@@ -279,9 +279,9 @@ def test_spd_solver_accepts_exactly_what_cholesky_accepts(n, seed, kind,
 #
 # The two reference builders below are the earlier per-side ladders: the x
 # update checked the diagonal metric first, the y update checked a linear g*
-# first, and the loop applied M1 to x+ - x itself.  ``_prox_step`` must give
-# the same bits on every pair either side supported, with q = K^T y on the x
-# side and q = -Kz, Kz = K(2x+ - x), on the y side.
+# first, and the loop applied M1 to x+ - x itself.  ``Proximable.step`` must
+# give the same bits on every pair either side supported, with q = K^T y on
+# the x side and q = -Kz, Kz = K(2x+ - x), on the y side.
 
 def x_update_reference(f, M1):
     """``(x, K^T y) -> (x+, M1 (x+ - x))``."""
@@ -398,7 +398,7 @@ def test_prox_step_reproduces_the_earlier_x_update(pair):
     ref = _built(x_update_reference, f, M1)
     if ref is None:
         return  # a pair the x side did not support
-    step = _prox_step(f, M1, 2)
+    step = f.step(M1)
     rng = np.random.default_rng(89)
     for _ in range(3):
         x, Kty = rng.standard_normal((2, M1.dim))
@@ -417,7 +417,7 @@ def test_prox_step_reproduces_the_earlier_y_update(pair):
     ref = _built(y_update_reference, g, M2, 2)
     if ref is None:
         return  # a pair the y side did not support
-    step = _prox_step(g, M2, 2)
+    step = g.step(M2)
     # a linear g* under a diagonal M2 now takes the diagonal prox, which
     # rounds (y + Kz/d) - b/d instead of y + (Kz - b)/d
     rounded = isinstance(g, Linear) and M2.diagonal() is not None
@@ -450,7 +450,7 @@ def test_prox_step_shifted_quadratic_under_dense_metric():
     h = QuadraticShift(rng.standard_normal(5))
     assert _built(y_update_reference, h, M, 2) is None
     w, q = rng.standard_normal((2, 5))
-    z, mdz = _prox_step(h, M, 2)(w, q)
+    z, mdz = h.step(M)(w, q)
     assert np.allclose(mdz, M.A @ (z - w), rtol=0.0, atol=1e-12)
     assert np.allclose((z - h.c) + q + mdz, 0.0, rtol=0.0, atol=1e-12)
 
@@ -460,10 +460,10 @@ def test_prox_step_box_under_gram_shift_metric():
     # enough coordinate-descent epochs the box KKT conditions hold
     rng = np.random.default_rng(103)
     M = _gram_shift(rng, 6, 4)
-    h = IndicatorLinfBall(6, 1.0)
+    h = IndicatorLinfBall(6, 1.0, epochs=500)
     assert _built(x_update_reference, h, M) is None
     w, q = rng.standard_normal((2, 6))
-    z, mdz = _prox_step(h, M, 500)(w, q)
+    z, mdz = h.step(M)(w, q)
     assert np.allclose(mdz, M.apply(z - w), rtol=0.0, atol=1e-14)
     grad = q + mdz  # of <q, z> + 1/2 ||z - w||_M^2
     r, eps = h.radius, 1e-14
@@ -480,9 +480,9 @@ def test_prox_step_box_update_never_leaves_the_box():
     # indicator would score the iterate as infinite
     rng = np.random.default_rng(103)
     M = _gram_shift(rng, 6, 4)
-    h = IndicatorLinfBall(6, 0.3)
+    h = IndicatorLinfBall(6, 0.3, epochs=500)
     w, q = rng.standard_normal((2, 6))
-    z, _ = _prox_step(h, M, 500)(w, q)
+    z, _ = h.step(M)(w, q)
     assert np.max(np.abs(z)) <= h.radius
     assert h(z) == 0.0
 
@@ -503,7 +503,7 @@ def test_prox_step_separable_sum_under_block_metric():
     w, q = 2.0 * rng.standard_normal((2, 9))
     # the l1 block: two entries thresholded to zero, two kept
     w[:4], q[:4] = [1.0, 0.05, -1.0, 0.0], [0.2, 0.1, -0.1, 0.0]
-    z, mdz = _prox_step(h, M, 2)(w, q)
+    z, mdz = h.step(M)(w, q)
     assert np.allclose(mdz, M.apply(z - w), rtol=0.0, atol=1e-12)
     # l1 block: 0 in 0.4 * sign(z) + q + s (z - w)
     g = -(q[:4] + mdz[:4])
@@ -523,7 +523,25 @@ def test_unsupported_pair_names_both_types():
     M = _gram_shift(np.random.default_rng(109), 4, 3)
     with pytest.raises(ConfigurationError,
                        match=r"L1Norm.*GramShiftMetric"):
-        _prox_step(L1Norm(4), M, 2)
+        L1Norm(4).step(M)
+
+
+def test_steps_are_named_by_their_case():
+    rng = np.random.default_rng(127)
+    A = rng.standard_normal((4, 4))
+    dense = DenseMetric(A @ A.T + 4.0 * np.eye(4))
+    gram = _gram_shift(rng, 4, 3)
+    block = BlockDiagMetric([ScalarMetric(2.0, 2), gram])
+    cases = [(L1Norm(4), DiagonalMetric(rng.random(4) + 1.0), "prox"),
+             (IndicatorLinfBall(4, 0.3), ScalarMetric(2.0, 4), "prox"),
+             (Linear(rng.standard_normal(4)), dense, "linear"),
+             (Zero(4), gram, "linear"),
+             (QuadraticShift(rng.standard_normal(4)), dense, "shifted"),
+             (SeparableSum([L1Norm(2), IndicatorLinfBall(4, 0.3)]), block,
+              "blockwise"),
+             (IndicatorLinfBall(4, 0.3), gram, "box")]
+    for h, M, name in cases:
+        assert h.step(M).__name__ == name
 
 
 @pytest.mark.parametrize("dense", [False, True])
@@ -591,8 +609,8 @@ def test_block_step_equals_hand_computation():
     want = (quad.c + Kz[3:5] + s * y[3:5]) / (1.0 + s)
     assert np.allclose(y_new[3:5], want, rtol=0.0, atol=1e-12)
     assert np.allclose(m2dy[3:5], s * (want - y[3:5]), rtol=0.0, atol=1e-12)
-    # box block under the Gram shift: the configured coordinate-descent epochs
-    bcd = BoxQuadBCD(gram.to_sparse(), box.radius, cfg.bcd_epochs)
+    # box block under the Gram shift: the box's own coordinate-descent epochs
+    bcd = BoxQuadBCD(gram.to_sparse(), box.radius, box.epochs)
     want = bcd.solve(y[5:], Kz[5:])
     assert np.array_equal(y_new[5:], want)
     assert np.any(np.abs(want) == box.radius)  # the box is active

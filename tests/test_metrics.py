@@ -7,7 +7,7 @@ from prepdhg.exceptions import ConfigurationError
 from prepdhg.metrics import (BlockDiagMetric, DenseMetric, DiagonalMetric,
                              GramShiftMetric, ScalarMetric, SGSMetric,
                              build_diag_preconditioner, check_condition,
-                             dense_sqrt)
+                             dense_sqrt, gram_shift_matrix)
 from prepdhg.operators import (BirkhoffConstraint, DenseOperator, GridDivergence,
                                SparseOperator, Transpose, VStack)
 
@@ -44,6 +44,14 @@ class TestBasicMetrics:
             ScalarMetric(0.0, 2)
         with pytest.raises(ConfigurationError):
             DiagonalMetric([1.0, -0.5])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        # a NaN entry passed set-up, then certified ``pass-strict``
+        with pytest.raises(ConfigurationError):
+            ScalarMetric(bad, 2)
+        with pytest.raises(ConfigurationError):
+            DiagonalMetric([1.0, bad])
 
 
 class TestGramShift:
@@ -220,6 +228,13 @@ class TestCheckCondition:
             want = sla.eigh(C, A, eigvals_only=True)[-1]
             assert rep.s_hat == pytest.approx(want, rel=1e-8)
 
+    def test_nan_estimate_fails(self):
+        K = DenseOperator([[1.0, np.nan], [0.5, -1.0]])
+        M = ScalarMetric(1.0, 2)
+        rep = check_condition(M, None, M, K)
+        assert np.isnan(rep.s_hat)
+        assert rep.verdict == "fail" and not rep.passed
+
     def test_zero_operator(self):
         K = DenseOperator(np.zeros((3, 2)))
         rep = check_condition(ScalarMetric(1.0, 2), None, ScalarMetric(1.0, 3), K)
@@ -348,3 +363,32 @@ class TestGramShiftToSparse:
         M = GramShiftMetric(1.0, 0.1, Transpose(GridDivergence(3, 3, 1.0)),
                             theta=1e-3)
         assert np.array_equal(M.to_sparse().toarray(), M.to_dense())
+
+
+def gram_shift_reference(K, scale, shift):
+    """The earlier assembly, through a LIL round trip."""
+    A = K.to_sparse()
+    G = (scale * (A @ A.T)).tolil()
+    G.setdiag(G.diagonal() + shift)
+    return G.tocsr()
+
+
+def _gram_operators():
+    rng = np.random.default_rng(41)
+    A = sp.random(9, 14, density=0.2, random_state=rng, format="csr")
+    return [GridDivergence(4, 5, 2.0), Transpose(GridDivergence(3, 3, 1.0)),
+            Transpose(GridDivergence(128, 128, 1.0)),
+            DenseOperator(rng.standard_normal((5, 7))), SparseOperator(A),
+            VStack([SparseOperator(A[:, :5]), DenseOperator(np.eye(5))]),
+            BirkhoffConstraint(3)]
+
+
+@pytest.mark.parametrize("K", _gram_operators(),
+                         ids=lambda K: type(K).__name__)
+@pytest.mark.parametrize("scale, shift", [(1.0, 0.0), (0.7, 1e-3), (3.0, 2.5)])
+def test_gram_shift_matrix_matches_the_lil_assembly(K, scale, shift):
+    got = gram_shift_matrix(K, scale, shift)
+    want = gram_shift_reference(K, scale, shift)
+    assert got.format == "csr" and got.has_sorted_indices
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, attr), getattr(want, attr))

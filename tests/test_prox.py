@@ -65,6 +65,38 @@ class TestProjectSimplex:
             assert np.all(z >= 0)
 
 
+def project_simplex_weighted_reference(v, d):
+    """The earlier breakpoint search, one candidate per loop step."""
+    bp = d * v
+    order = np.argsort(bp)[::-1]
+    vs, ws, bps = v[order], 1.0 / d[order], bp[order]
+    S, T = np.cumsum(vs), np.cumsum(ws)
+    lam = None
+    for k in range(v.size):
+        cand = (S[k] - 1.0) / T[k]
+        lo = bps[k + 1] if k + 1 < v.size else -np.inf
+        if lo < cand <= bps[k] + 1e-15:
+            lam = cand
+            break
+    if lam is None:
+        lam = (S[-1] - 1.0) / T[-1]
+    return np.maximum(v - lam / d, 0.0)
+
+
+def test_weighted_simplex_matches_the_loop_search():
+    rng = np.random.default_rng(43)
+    for trial in range(3000):
+        n = int(rng.integers(1, 12))
+        if trial % 3 == 0:  # small integers: tied breakpoints and candidates
+            v = rng.integers(-3, 4, n) / 2.0
+            d = rng.integers(1, 4, n).astype(float)
+        else:
+            v = rng.standard_normal(n) * 10.0 ** rng.integers(-2, 3)
+            d = rng.random(n) * 10.0 ** rng.integers(-1, 2) + 1e-3
+        assert np.array_equal(project_simplex_weighted(v, d),
+                              project_simplex_weighted_reference(v, d))
+
+
 class TestProxExamples:
     def test_soft_threshold(self):
         f = L1Norm(1, 1.0)

@@ -147,6 +147,14 @@ class TestSolve:
         assert full[-1] == min(full)
 
 
+@pytest.mark.parametrize("feas_scale", [-1.0, 0.0, np.nan, np.inf])
+def test_feas_scale_must_be_positive_and_finite(feas_scale):
+    # with feas_scale = -1 an emd solve stopped as converged at iteration 1
+    with pytest.raises(ConfigurationError, match="feas_scale"):
+        SolverConfig(M1=ScalarMetric(1.0, 1), M2=ScalarMetric(1.0, 1),
+                     feas_scale=feas_scale)
+
+
 class TestResidualHat:
     def test_saddle_point_start_stops_at_first_step(self):
         # the step does not move, so the full bound is exactly zero; the

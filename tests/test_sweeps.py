@@ -11,10 +11,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from prepdhg.metrics import SGSMetric, gram_shift_matrix
+from prepdhg.metrics import BoxQuadBCD, SGSMetric, gram_shift_matrix
 from prepdhg.operators import GridDivergence
 from prepdhg.problems import TwoEpochGramSolve, red_black_partition
-from prepdhg.solver import BoxQuadBCD
 
 from helpers import random_partition
 
