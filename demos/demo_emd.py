@@ -4,7 +4,8 @@ The flux formulation minimizes the summed Euclidean magnitude of a
 two-component flux field subject to a discrete divergence constraint.  The
 dual solve per iteration runs one symmetric Gauss-Seidel sweep over the
 red-black node coloring, which is an exact solve with the implied metric
-Q + U D^{-1} U^T; the inexact two-sweep variant is also shown.
+Q + U D^{-1} U^T; the inexact variant, two plain Gauss-Seidel epochs over
+the same coloring, is also shown.
 """
 
 import numpy as np
@@ -28,7 +29,7 @@ for gamma in (1.0, 0.9, 0.85, 0.75):
 inst = pd.emd(rho0, rho1, h, tau=tau, gamma=0.77, theta=1e-6,
               method="iebalm", tol=5e-5, record_every=2000)
 rep = inst.solve()
-print(f"inexact 2-sweep, gamma = 0.77: {rep.iters:6d} iterations "
+print(f"inexact 2-epoch GS, gamma = 0.77: {rep.iters:6d} iterations "
       f"({rep.status}, no convergence guarantee)")
 
 print()

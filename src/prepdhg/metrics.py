@@ -3,10 +3,13 @@
 A ``Metric`` supplies ``apply`` (Mz) and ``solve`` (M^{-1}r); realizations
 cover scalar and diagonal matrices, dense matrices, Gram shifts
 gamma*tau*K*K^T + theta*I (with the operator's closed-form inverse when it
-offers one), symmetric Gauss-Seidel implied metrics, and block-diagonal
-combinations.  Every positive-definite matrix a metric has to invert is
-factorized once, when the metric is built, by ``spd_solver``; every Gram
-shift matrix is assembled by ``gram_shift_matrix``.
+offers one, or an inexact solve by a fixed number of Gauss-Seidel sweeps),
+symmetric Gauss-Seidel implied metrics, and block-diagonal combinations.
+Every positive-definite matrix a metric inverts exactly is factorized once,
+when the metric is built, by ``spd_solver``; every Gram shift matrix is
+assembled by ``gram_shift_matrix``.  ``BoxQuadBCD.sweep`` is the one
+colored Gauss-Seidel iteration: clipped to a box it is the coordinate
+descent of the box update, unclipped the inexact Gram-shift solve.
 
 ``check_condition`` estimates the squared norm that governs convergence of
 the preconditioned primal-dual iteration,
@@ -160,11 +163,14 @@ class GramShiftMetric(Metric):
 
     The solve is the operator's closed-form inverse when it offers one
     (``gram_shift_solver``), else a factorization of ``gram_shift_matrix``;
-    either is set up at construction.
+    either is set up at construction.  Given ``epochs``, the solve is
+    instead that many Gauss-Seidel sweeps from zero (``BoxQuadBCD.sweep``
+    without a box): an inexact solve that factorizes nothing, so it also
+    builds where K K^T is singular and theta = 0.
     """
 
     def __init__(self, gamma: float, tau: float, op: LinearOperator,
-                 theta: float):
+                 theta: float, epochs: int = None):
         if gamma < 0 or tau <= 0:
             raise ConfigurationError("need gamma >= 0 and tau > 0")
         if theta < 0:
@@ -173,6 +179,10 @@ class GramShiftMetric(Metric):
         self.theta = float(theta)
         self.dim = op.rows
         gt = self._gt = self.gamma * self.tau
+        if epochs is not None:
+            gs = BoxQuadBCD(self.to_sparse(), np.inf, epochs)
+            self._solve = lambda r: gs.sweep(r, np.zeros_like(r))
+            return
         # M^{-1} = (gamma*tau)^{-1} (K K^T + theta' I)^{-1}, theta' = theta/(gamma*tau)
         inner = op.gram_shift_solver(self.theta / gt) if gt > 0 else None
         if inner is None:
@@ -272,15 +282,17 @@ class SGSMetric(Metric):
 
 
 class BoxQuadBCD:
-    """Cyclic exact coordinate descent for a box-constrained quadratic.
+    """Colored Gauss-Seidel sweeps over M, optionally clipped to a box.
 
-    Minimizes 1/2 ||y - y0||_M^2 - <r, y> over ||y||_inf <= radius, running a
-    fixed number of epochs over a greedy coloring of the sparsity graph of M
-    so that each color block updates in one vectorized pass.
+    ``solve`` minimizes 1/2 ||y - y0||_M^2 - <r, y> over ||y||_inf <= radius
+    by cyclic exact coordinate descent; with radius = inf, ``sweep`` is plain
+    Gauss-Seidel on M y = c.  The coordinates are grouped by a greedy
+    coloring of the sparsity graph of M, so each color block is diagonal in
+    M and updates in one vectorized pass.
 
-    The CSC column slice of M for each color is built once at construction,
-    so ``solve`` does no sparse indexing; the slices cost one more copy of
-    the nonzeros of M.
+    The CSR row slices of the off-diagonal part M - D for each color are
+    built once at construction, so a sweep does no sparse indexing; the
+    slices cost one more copy of the off-diagonal nonzeros of M.
     """
 
     def __init__(self, M, radius: float, epochs: int = 2):
@@ -290,6 +302,8 @@ class BoxQuadBCD:
         if np.any(self.diag <= 0):
             raise ConfigurationError("BCD needs positive diagonal entries")
         self.radius = float(radius)
+        if not self.radius > 0:
+            raise ConfigurationError("BCD needs a positive radius")
         self.epochs = int(epochs)
         if self.epochs < 1:
             raise ConfigurationError("BCD needs at least one epoch")
@@ -304,24 +318,24 @@ class BoxQuadBCD:
                 c += 1
             colors[j] = c
         self.groups = [np.nonzero(colors == c)[0] for c in range(colors.max() + 1)]
-        Mc = M.tocsc()
-        self._sweep = [(grp, self.diag[grp], Mc[:, grp]) for grp in self.groups]
+        off = (M - sp.diags(self.diag)).tocsr()
+        self._sweep = [(grp, self.diag[grp], off[grp, :]) for grp in self.groups]
+
+    def sweep(self, c: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """``epochs`` colored passes of y_g <- clip((c - (M - D) y)_g / d_g).
+
+        Updates y in place and returns it; with radius = inf there is no clip.
+        """
+        lo, hi = -self.radius, self.radius
+        box = hi < np.inf
+        for _ in range(self.epochs):
+            for grp, dg, rows in self._sweep:
+                v = (c[grp] - rows @ y) / dg
+                y[grp] = np.clip(v, lo, hi) if box else v
+        return y
 
     def solve(self, y0: np.ndarray, r: np.ndarray) -> np.ndarray:
-        delta = np.zeros_like(y0)
-        g = np.zeros_like(y0)  # g = M @ delta, maintained incrementally
-        lo, hi = -self.radius, self.radius
-        for _ in range(self.epochs):
-            for grp, dg, cols in self._sweep:
-                y0g = y0[grp]
-                step = delta[grp] + (r[grp] - g[grp]) / dg
-                new = np.clip(y0g + step, lo, hi) - y0g
-                change = new - delta[grp]
-                if np.any(change):
-                    delta[grp] = new
-                    g += cols @ change
-        # y0 + delta can round an ulp past the box the sweep clipped it to
-        return np.clip(y0 + delta, lo, hi)
+        return self.sweep(r + self.M @ y0, y0.copy())
 
 
 class BlockDiagMetric(Metric):

@@ -16,7 +16,7 @@ import scipy.optimize as sopt
 import scipy.sparse as sp
 
 from .exceptions import ConfigurationError
-from .metrics import (BlockDiagMetric, GramShiftMetric, Metric, ScalarMetric,
+from .metrics import (BlockDiagMetric, GramShiftMetric, ScalarMetric,
                       SGSMetric, gram_shift_matrix)
 from .operators import (BirkhoffConstraint, DenseOperator, GridDivergence,
                         LinearOperator, SparseOperator, Transpose, VStack,
@@ -280,47 +280,6 @@ def red_black_partition(M: int, N: int):
     return [b for b in blocks if b.size > 0]
 
 
-class TwoEpochGramSolve(Metric):
-    """Dual metric whose solve is a fixed number of Gauss-Seidel epochs.
-
-    Applies gamma*Mhat exactly, with Mhat = ``gram_shift_matrix(K, tau,
-    theta)``, but ``solve`` only runs ``epochs`` block sweeps over Mhat on the
-    node coloring, which is the inexact variant whose convergence carries no
-    guarantee; configurations built on it run with the condition check
-    overridden.
-
-    The CSR row slice of Mhat for each block is built once at construction,
-    so a block update multiplies only that block's rows; the slices cost one
-    more copy of the nonzeros of Mhat.
-    """
-
-    def __init__(self, gamma, tau, K: GridDivergence, theta, blocks,
-                 epochs: int = 2):
-        self.gamma, self.tau, self.theta = float(gamma), float(tau), float(theta)
-        self.dim = K.rows
-        self.Mhat = gram_shift_matrix(K, self.tau, self.theta)
-        self.diag = self.Mhat.diagonal()
-        if np.any(self.diag <= 0):
-            raise ConfigurationError("Gauss-Seidel needs positive diagonal; "
-                                     "increase theta")
-        self.blocks = blocks
-        self.epochs = int(epochs)
-        if self.epochs < 1:
-            raise ConfigurationError("Gauss-Seidel needs at least one epoch")
-        self._sweep = [(blk, self.diag[blk], self.Mhat[blk, :]) for blk in blocks]
-
-    def apply(self, z):
-        return self.gamma * (self.Mhat @ self._check(z))
-
-    def solve(self, r):
-        r = self._check(r)
-        delta = np.zeros_like(r)
-        for _ in range(self.epochs):
-            for blk, dg, rows in self._sweep:
-                delta[blk] = (r[blk] - rows @ delta + dg * delta[blk]) / dg
-        return delta / self.gamma
-
-
 def emd(rho0, rho1, h: float, tau: float, gamma: float, theta: float = 1e-6,
         method: str = "sgs", tol: float = 5e-5, max_iter: int = 200000,
         record_every: int = 1, bcd_epochs: int = 2,
@@ -331,8 +290,10 @@ def emd(rho0, rho1, h: float, tau: float, gamma: float, theta: float = 1e-6,
     div(m) = rho0 - rho1.  ``method`` picks the dual metric: "sgs" runs the
     convergent symmetric Gauss-Seidel sweep over the red-black node coloring
     (gamma >= 3/4, and theta > 0 at the boundary: with theta = 0 the sweep
-    metric puts the condition value exactly at 1/gamma); "iebalm" runs the
-    inexact variant with ``bcd_epochs`` plain sweeps, which has no
+    metric puts the condition value exactly at 1/gamma); "iebalm" solves
+    with the Gram shift gamma*(tau*K K^T + theta*I) inexactly, by
+    ``bcd_epochs`` plain Gauss-Seidel sweeps from zero over the same
+    coloring (``GramShiftMetric`` with ``epochs``).  That variant has no
     convergence guarantee, so its condition check is overridden.
     """
     rho0 = np.atleast_2d(np.asarray(rho0, dtype=float))
@@ -349,7 +310,6 @@ def emd(rho0, rho1, h: float, tau: float, gamma: float, theta: float = 1e-6,
     K = GridDivergence(M, N, h)
     f = GroupL12(M, N)
     b = (rho0 - rho1).ravel()
-    partition = red_black_partition(M, N)
     if method == "sgs":
         if gamma < GAMMA_MIN - 1e-15 and not override:
             raise ConfigurationError(
@@ -358,10 +318,11 @@ def emd(rho0, rho1, h: float, tau: float, gamma: float, theta: float = 1e-6,
             raise ConfigurationError(
                 "theta = 0 at gamma = 3/4 sits on the condition boundary; "
                 "use theta > 0")
-        M2 = SGSMetric(gram_shift_matrix(K, gamma * tau, theta), partition)
+        M2 = SGSMetric(gram_shift_matrix(K, gamma * tau, theta),
+                       red_black_partition(M, N))
     elif method == "iebalm":
-        M2 = TwoEpochGramSolve(gamma, tau, K, theta, partition,
-                               epochs=bcd_epochs)
+        M2 = GramShiftMetric(gamma, tau, K, theta=gamma * theta,
+                             epochs=bcd_epochs)
         override = True  # convergence unknown; condition check not meaningful
     else:
         raise ConfigurationError(f"unknown method {method!r}")

@@ -20,7 +20,7 @@ non-diagonal metrics they have a step for (the last column names the step):
     h = <b, .>                     z = w - M^{-1} (q + b)             linear
     h = 1/2 ||. - c||^2            one solve with M + I               shifted
     h separable, M block-diagonal  one update per block               blockwise
-    h = indicator of a box         coordinate descent (BoxQuadBCD)    box
+    h = indicator of a box         clipped Gauss-Seidel (BoxQuadBCD)  box
 
 ``sigma`` is the strong-convexity diagonal of the entry (all zeros unless
 the function has a quadratic part).
@@ -248,10 +248,10 @@ class IndicatorLinfBall(Proximable):
 
     def __init__(self, dim, radius, epochs=2):
         super().__init__(dim)
-        if radius <= 0:
+        if not radius > 0:
             raise ValueError("radius must be positive")
         self.radius = float(radius)
-        self.epochs = epochs  # of metric_step's coordinate descent
+        self.epochs = epochs  # of metric_step's clipped sweeps
 
     def __call__(self, x):
         return 0.0 if np.max(np.abs(self._v(x))) <= self.radius else np.inf
@@ -288,7 +288,7 @@ class L1Norm(Proximable):
 
     def __init__(self, dim, weight=1.0):
         super().__init__(dim)
-        if weight < 0:
+        if not weight >= 0:
             raise ValueError("weight must be nonnegative")
         self.weight = float(weight)
 

@@ -79,7 +79,7 @@ class SolverConfig:
     custom_residual: Optional[Callable] = None
 
     def __post_init__(self):
-        if self.tol < 0:
+        if not self.tol >= 0:  # NaN would never stop the loop
             raise ConfigurationError("tol must be nonnegative")
         if self.max_iter < 1:
             raise ConfigurationError("max_iter must be positive")

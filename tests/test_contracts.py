@@ -28,7 +28,7 @@ from prepdhg.metrics import (BlockDiagMetric, BoxQuadBCD, DenseMetric,
 from prepdhg.operators import (BirkhoffConstraint, DenseOperator,
                                GridDivergence, SparseOperator, Transpose,
                                VStack)
-from prepdhg.problems import (TwoEpochGramSolve, emd, random_balanced_grids,
+from prepdhg.problems import (emd, random_balanced_grids,
                               random_sparse_system, red_black_partition,
                               tv_least_squares)
 from prepdhg.prox import (GroupL12, IndicatorLinfBall, IndicatorNonneg,
@@ -193,7 +193,7 @@ def test_metric_diagonal_and_inverse(M, data):
 def test_inexact_gauss_seidel_metric_is_not_diagonal():
     # its solve runs a fixed number of sweeps, so only diagonal() applies
     K = GridDivergence(3, 3, 1.0)
-    M = TwoEpochGramSolve(1.0, 0.1, K, 1e-3, red_black_partition(3, 3))
+    M = GramShiftMetric(1.0, 0.1, K, theta=1e-3, epochs=2)
     assert M.diagonal() is None
 
 
@@ -201,11 +201,21 @@ def test_inexact_gauss_seidel_metric_applies_its_gram_shift():
     rng = np.random.default_rng(72)
     K = GridDivergence(4, 5, 0.6)
     gamma, tau, theta = 0.8, 0.3, 1e-3
-    M = TwoEpochGramSolve(gamma, tau, K, theta, red_black_partition(4, 5))
+    M = GramShiftMetric(gamma, tau, K, theta=gamma * theta, epochs=2)
     z = rng.standard_normal(K.rows)
     want = gamma * (tau * K.apply(K.apply_adjoint(z)) + theta * z)
     assert np.allclose(M.apply(z), want, rtol=1e-14, atol=0.0)
-    assert np.array_equal(M.apply(z), gamma * (M.Mhat @ z))
+    assert np.allclose(M.to_sparse() @ z, want, rtol=1e-14, atol=0.0)
+
+
+def test_inexact_gauss_seidel_metric_builds_on_a_singular_gram():
+    # theta = 0: K K^T of the grid divergence is a singular Laplacian, which
+    # the exact solve refuses to factorize but the sweeps never invert
+    K = GridDivergence(4, 4, 1.0)
+    with pytest.raises(ConfigurationError, match="positive definite"):
+        GramShiftMetric(1.0, 0.3, K, theta=0.0)
+    M = GramShiftMetric(1.0, 0.3, K, theta=0.0, epochs=2)
+    assert np.all(np.isfinite(M.solve(np.ones(K.rows))))
 
 
 def test_gram_shift_matrix_matches_dense_product():
@@ -476,8 +486,8 @@ def test_prox_step_box_under_gram_shift_metric():
 
 
 def test_prox_step_box_update_never_leaves_the_box():
-    # here y0 + delta rounds 5.6e-17 past the radius, where the box
-    # indicator would score the iterate as infinite
+    # here an earlier kernel's y0 + delta rounded 5.6e-17 past the radius,
+    # where the box indicator would score the iterate as infinite
     rng = np.random.default_rng(103)
     M = _gram_shift(rng, 6, 4)
     h = IndicatorLinfBall(6, 0.3, epochs=500)
@@ -680,6 +690,15 @@ def test_condition_check_without_iterations_rejected():
     for kw in ({"max_iter": 0}, {"tol": 0.0}):
         with pytest.raises(ConfigurationError):
             check_condition(M1, None, M2, K, **kw)
+
+
+def test_bcd_radius_must_be_positive():
+    for radius in (np.nan, 0.0, -1.0):
+        with pytest.raises(ConfigurationError, match="radius"):
+            BoxQuadBCD(np.eye(3), radius)
+    # no box at all is the plain sweep of the inexact Gram-shift solve
+    y = BoxQuadBCD(np.eye(3), np.inf).solve(np.zeros(3), np.full(3, 7.0))
+    assert np.array_equal(y, np.full(3, 7.0))
 
 
 def test_zero_bcd_epochs_rejected():

@@ -11,6 +11,18 @@ from prepdhg.prox import (GroupL12, IndicatorLinfBall, IndicatorNonneg,
                           project_simplex, project_simplex_weighted)
 
 
+@pytest.mark.parametrize("radius", [np.nan, 0.0, -1.0])
+def test_box_radius_must_be_positive(radius):
+    with pytest.raises(ValueError, match="radius"):
+        IndicatorLinfBall(3, radius)
+
+
+@pytest.mark.parametrize("weight", [np.nan, -1.0])
+def test_l1_weight_must_be_nonnegative(weight):
+    with pytest.raises(ValueError, match="weight"):
+        L1Norm(3, weight=weight)
+
+
 def simplex_qp_oracle(v):
     """Projection onto the simplex by active-set enumeration (n <= 4).
 

@@ -155,6 +155,16 @@ def test_feas_scale_must_be_positive_and_finite(feas_scale):
                      feas_scale=feas_scale)
 
 
+@pytest.mark.parametrize("tol", [-1e-8, np.nan])
+def test_tol_must_be_nonnegative(tol):
+    # a NaN tol never meets the stopping test, so the solve ran to max-iter
+    with pytest.raises(ConfigurationError, match="tol"):
+        SolverConfig(M1=ScalarMetric(1.0, 1), M2=ScalarMetric(1.0, 1), tol=tol)
+    K = np.random.default_rng(5).random((10, 10))
+    with pytest.raises(ConfigurationError, match="tol"):
+        matrix_game(K, 0.3, 1.0, tol=tol, max_iter=3000)
+
+
 class TestResidualHat:
     def test_saddle_point_start_stops_at_first_step(self):
         # the step does not move, so the full bound is exactly zero; the

@@ -1,19 +1,28 @@
-"""The three Gauss-Seidel sweeps, pinned bit for bit.
+"""The Gauss-Seidel kernels, pinned bit for bit and against the math.
 
-``SGSMetric``, ``BoxQuadBCD`` and ``TwoEpochGramSolve`` build their
-per-block sparse slices once at construction.  The reference functions
-below are the earlier kernels, which sliced the sparse matrix for every
-block on every call; a slice sums the same nonzeros in the same order, so
-the results must be identical, not merely close.
+``SGSMetric`` builds its per-block sparse slices once at construction, and
+``BoxQuadBCD`` its per-color slices of the off-diagonal part M - D.
+``sgs_solve_reference`` and ``bcd_solve_reference`` slice the sparse matrix
+for every block on every call; a slice sums the same nonzeros in the same
+order, so the results must be identical, not merely close.
+
+``BoxQuadBCD.sweep`` is both the box update's coordinate descent and the
+inexact Gram-shift solve of ``emd(method="iebalm")``.  The earlier kernels
+of those two, ``bcd_incremental_reference`` and
+``two_epoch_solve_reference``, do the same updates in another arithmetic
+and are checked to 1e-12.  The last tests check the sweep against what it
+computes: the fixed point of the box-constrained quadratic, and M y = r
+without a box.
 """
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from prepdhg.metrics import BoxQuadBCD, SGSMetric, gram_shift_matrix
+from prepdhg.metrics import (BoxQuadBCD, GramShiftMetric, SGSMetric,
+                             gram_shift_matrix)
 from prepdhg.operators import GridDivergence
-from prepdhg.problems import TwoEpochGramSolve, red_black_partition
+from prepdhg.problems import red_black_partition
 
 from helpers import random_partition
 
@@ -33,6 +42,18 @@ def sgs_solve_reference(M, r):
 
 
 def bcd_solve_reference(bcd, y0, r):
+    off = (bcd.M - sp.diags(bcd.diag)).tocsr()
+    c = r + bcd.M @ y0
+    y = y0.copy()
+    for _ in range(bcd.epochs):
+        for grp in bcd.groups:
+            v = (c[grp] - off[grp, :] @ y) / bcd.diag[grp]
+            y[grp] = np.clip(v, -bcd.radius, bcd.radius)
+    return y
+
+
+def bcd_incremental_reference(bcd, y0, r):
+    """The earlier box kernel: it kept g = M (y - y0) up to date by columns."""
     Mc = bcd.M.tocsc()
     delta = np.zeros_like(y0)
     g = np.zeros_like(y0)
@@ -47,14 +68,21 @@ def bcd_solve_reference(bcd, y0, r):
     return y0 + delta
 
 
-def two_epoch_solve_reference(M, r):
+def two_epoch_solve_reference(gamma, tau, K, theta, blocks, epochs, r):
+    """The earlier inexact iebalm solve: sweeps over tau K K^T + theta I,
+    divided by gamma afterwards."""
+    Mhat = gram_shift_matrix(K, tau, theta)
+    diag = Mhat.diagonal()
     delta = np.zeros_like(r)
-    for _ in range(M.epochs):
-        for blk in M.blocks:
-            g = M.Mhat @ delta
-            delta[blk] = (r[blk] - g[blk] + M.diag[blk] * delta[blk]) \
-                / M.diag[blk]
-    return delta / M.gamma
+    for _ in range(epochs):
+        for blk in blocks:
+            g = Mhat @ delta
+            delta[blk] = (r[blk] - g[blk] + diag[blk] * delta[blk]) / diag[blk]
+    return delta / gamma
+
+
+def rel_err(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
 
 
 def random_sparse_spd(rng, n, density=0.3):
@@ -114,20 +142,77 @@ def test_bcd_solve_matches_per_call_slicing(seed):
         r = 3.0 * rng.standard_normal(n)
         got = bcd.solve(y0, r)
         assert np.array_equal(got, bcd_solve_reference(bcd, y0, r))
+        assert rel_err(got, bcd_incremental_reference(bcd, y0, r)) <= 1e-12
         on_bound = np.abs(got) == radius
         assert on_bound.any() and not on_bound.all()
 
 
-@pytest.mark.parametrize("nblocks", [2, 3, 4])
-def test_two_epoch_solve_matches_per_call_slicing(nblocks):
-    rng = np.random.default_rng(300 + nblocks)
-    for _ in range(5):
+@pytest.mark.parametrize("seed", range(3))
+def test_swept_gram_shift_matches_the_two_epoch_solve(seed):
+    rng = np.random.default_rng(300 + seed)
+    for theta in (0.0, float(rng.uniform(1e-6, 1e-2))):
         Mg, Ng = (int(v) for v in rng.integers(2, 8, size=2))
         K = GridDivergence(Mg, Ng, float(rng.uniform(0.5, 3.0)))
-        blocks = random_partition(rng, K.rows, nblocks)
-        M = TwoEpochGramSolve(float(rng.uniform(0.75, 1.5)),
-                              float(rng.uniform(0.01, 0.5)), K,
-                              float(rng.uniform(1e-6, 1e-2)), blocks,
-                              epochs=int(rng.integers(1, 4)))
+        gamma, tau = float(rng.uniform(0.75, 1.5)), float(rng.uniform(0.01, 0.5))
+        epochs = int(rng.integers(1, 4))
+        M = GramShiftMetric(gamma, tau, K, theta=gamma * theta, epochs=epochs)
         r = rng.standard_normal(K.rows)
-        assert np.array_equal(M.solve(r), two_epoch_solve_reference(M, r))
+        got = M.solve(r)
+        want = two_epoch_solve_reference(gamma, tau, K, theta,
+                                         red_black_partition(Mg, Ng), epochs, r)
+        assert rel_err(got, want) <= 1e-12
+        # without a box the sweep is the same arithmetic as the box kernel's
+        bcd = BoxQuadBCD(M.to_sparse(), np.inf, epochs)
+        assert np.array_equal(got, bcd_solve_reference(bcd, np.zeros_like(r), r))
+
+
+@pytest.mark.parametrize("grid", [(1, 2), (1, 9), (2, 1), (6, 1), (2, 2),
+                                  (3, 3), (4, 5), (7, 6), (32, 20)])
+def test_gram_shift_coloring_is_red_black(grid):
+    # the iebalm sweep colors its Gram shift greedily; the coloring is the
+    # red-black partition the earlier solve was given, in the same order
+    want = red_black_partition(*grid)
+    for h, scale, theta in ((1.0, 0.75, 0.0), (0.6, 0.03, 1e-6), (3.0, 1.2, 1e-2)):
+        K = GridDivergence(*grid, h)
+        groups = BoxQuadBCD(gram_shift_matrix(K, scale, theta), np.inf, 1).groups
+        assert len(groups) == len(want)
+        assert all(np.array_equal(g, w) for g, w in zip(groups, want))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_box_solve_meets_the_box_qp_fixed_point(seed):
+    # y minimizes 1/2 ||y - y0||_M^2 - <r, y> over the box exactly when
+    # y = clip(y - (M (y - y0) - r))
+    rng = np.random.default_rng(400 + seed)
+    n = int(rng.integers(5, 20))
+    M = random_sparse_spd(rng, n)
+    radius = 0.5
+    y0 = rng.uniform(-radius, radius, n)
+    r = 3.0 * rng.standard_normal(n)
+    y = BoxQuadBCD(M, radius, epochs=200).solve(y0, r)
+    grad = M @ (y - y0) - r
+    assert np.linalg.norm(y - np.clip(y - grad, -radius, radius)) <= 1e-10
+    assert np.any(np.abs(y) == radius)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_box_free_sweep_solves_the_linear_system(seed):
+    rng = np.random.default_rng(500 + seed)
+    n = int(rng.integers(5, 20))
+    M = random_sparse_spd(rng, n)
+    r = rng.standard_normal(n)
+    y = BoxQuadBCD(M, np.inf, epochs=200).sweep(r, np.zeros(n))
+    assert np.linalg.norm(M @ y - r) <= 1e-10 * np.linalg.norm(r)
+
+
+def test_box_solve_never_leaves_the_box():
+    rng = np.random.default_rng(600)
+    for _ in range(200):
+        n = int(rng.integers(3, 15))
+        M = random_sparse_spd(rng, n)
+        radius = float(rng.uniform(0.1, 2.0))
+        # starts on and inside the bound, with steps that overshoot it
+        y0 = radius * rng.choice([-1.0, 1.0, 0.3], n)
+        r = 10.0 * rng.standard_normal(n)
+        y = BoxQuadBCD(M, radius, epochs=int(rng.integers(1, 4))).solve(y0, r)
+        assert np.all(np.abs(y) <= radius)
