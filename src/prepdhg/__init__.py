@@ -16,7 +16,7 @@ from .metrics import (BlockDiagMetric, ConditionReport, DenseMetric,
 from .solver import (SaddleProblem, SolveReport, SolverConfig,
                      configure_ebalm, configure_ebalm_sgs,
                      duality_gap_matrix_game, prepdhg_step, solve,
-                     sublinear_diagnostic)
+                     solve_batch, sublinear_diagnostic)
 from .ipadmm import AdmmDriver, AdmmState, equivalence_harness
 from .counterexamples import (ToyDynamics, classify, eig2,
                               rho2_boundary_scan)

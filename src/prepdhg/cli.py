@@ -1,11 +1,15 @@
 """Benchmark harness: parameter sweeps, CSV/SVG emission, ratio tables.
 
 Subcommands: game | birkhoff | emd | tvls | counterexample | check.
-Sweeps run over seeds x gamma x tau cells; each cell is one independent
-solve on a worker pool.  A summary CSV (byte-stable across reruns of the
-same seeded config), per-run residual CSVs, a saved-iteration ratio table
-against the gamma = 1 baseline, and optional SVG convergence plots are
-written under the output directory.
+Sweeps run over seeds x gamma x tau cells on a worker pool.  Each cell of
+the birkhoff, emd and tvls sweeps is one independent solve.  The game
+sweep builds K once per seed and deals that seed's cells out, interleaved,
+into one batch per worker; a batch is one row-block solve
+(``solver.solve_batch``), equal cell for cell to the serial solves.  A
+summary CSV (byte-stable across reruns of the same seeded config, and
+across worker counts), per-run residual CSVs, a saved-iteration ratio
+table against the gamma = 1 baseline, and optional SVG convergence plots
+are written under the output directory.
 """
 
 import argparse
@@ -24,6 +28,7 @@ from .operators import load_dense, load_sparse
 from .problems import (birkhoff_projection, emd, game_matrix, load_grid,
                        matrix_game, random_balanced_grids,
                        random_sparse_system, tv_least_squares)
+from .solver import solve_batch
 
 RATIO_BASELINE_GAMMA = 1.0
 
@@ -245,7 +250,9 @@ def _write_ratio(outdir, results):
 
 
 def _run_cells(fn, cells, workers):
-    if workers <= 1 or len(cells) <= 1:
+    """``fn`` of every task, on a pool of at most one process per task."""
+    workers = min(workers, len(cells))
+    if workers <= 1:
         return [fn(c) for c in cells]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, cells, chunksize=1))
@@ -273,23 +280,41 @@ def _finish_sweep(args, results, emit):
 # -- sweeps: game | birkhoff | emd | tvls -----------------------------------
 #
 # A cell's parameters are the sweep's shared head, then (seed, gamma, tau,
-# tol, max_iter, record_every).
+# tol, max_iter, record_every); a game batch's are the head, then (seed,
+# [(gamma, tau_tilde), ...], tol, max_iter, record_every).
 
-def _cell_result(inst, seed, gamma, tau, **extra):
-    """Solve one cell's instance; keep its last residuals and its history."""
-    rep = inst.solve()
+def _cell_result(rep, seed, gamma, tau, **extra):
+    """One cell's report, kept as its last residuals and its history."""
     last = rep.history[-1]
     return CellResult(seed, gamma, tau, rep.iters, rep.status,
                       last.rhat_full, last.rhat_half, rep.history, **extra)
 
 
-def _game_cell(params):
-    (test, m, n, centered, seed, gamma, tau_tilde, tol, max_iter,
-     record_every) = params
+def _game_batch(params):
+    """Solve one batch of one seed's game cells as one row block."""
+    (test, m, n, centered, seed, cells, tol, max_iter, record_every) = params
     K = game_matrix(test, seed, m, n, centered=centered)
-    inst = matrix_game(K, tau_tilde, gamma, tol=tol, max_iter=max_iter,
-                       record_every=record_every, record_gap=True)
-    return _cell_result(inst, seed, gamma, tau_tilde, has_gap=True)
+    insts = [matrix_game(K, tau_tilde, gamma, tol=tol, max_iter=max_iter,
+                         record_every=record_every, record_gap=True)
+             for gamma, tau_tilde in cells]
+    reps = solve_batch(insts[0].saddle, [inst.config for inst in insts])
+    return [_cell_result(rep, seed, gamma, tau_tilde, has_gap=True)
+            for rep, (gamma, tau_tilde) in zip(reps, cells)]
+
+
+def game_sweep_cells(head, seeds, cells, tail, workers):
+    """Every seed's game ``cells`` ((gamma, tau_tilde) pairs), solved.
+
+    ``head`` is (test, m, n, centered) and ``tail`` (tol, max_iter,
+    record_every).  Each seed's cells are dealt out in turn into
+    ``min(workers, len(cells))`` batches, so that every batch holds a
+    like mix of the grid, and each batch is one task of the pool.
+    """
+    nb = min(workers, len(cells))
+    batches = [head + (seed, cells[i::nb]) + tail
+               for seed in seeds for i in range(nb)]
+    return [res for batch in _run_cells(_game_batch, batches, workers)
+            for res in batch]
 
 
 def _birkhoff_cell(params):
@@ -306,7 +331,8 @@ def _birkhoff_cell(params):
     inst = birkhoff_projection(C, tau, gamma, theta=theta, method=method,
                                tol=tol, max_iter=max_iter,
                                record_every=record_every)
-    return _cell_result(inst, seed, gamma, tau_tilde, gamma_spec=gamma_spec)
+    return _cell_result(inst.solve(), seed, gamma, tau_tilde,
+                        gamma_spec=gamma_spec)
 
 
 def _emd_cell(params):
@@ -319,7 +345,7 @@ def _emd_cell(params):
     inst = emd(rho0, rho1, h, tau, gamma, theta=theta, method=method,
                tol=tol, max_iter=max_iter, record_every=record_every,
                bcd_epochs=bcd_epochs, override=allow)
-    return _cell_result(inst, seed, gamma, tau)
+    return _cell_result(inst.solve(), seed, gamma, tau)
 
 
 def _tvls_cell(params):
@@ -336,13 +362,14 @@ def _tvls_cell(params):
     inst = tv_least_squares(R, b, lam, (M, N), tau, gamma, theta=theta,
                             tol=tol, max_iter=max_iter,
                             record_every=record_every, bcd_epochs=bcd_epochs)
-    return _cell_result(inst, seed, gamma, tau)
+    return _cell_result(inst.solve(), seed, gamma, tau)
 
 
 def _sweep_head(args):
-    """The sweep's cell function and the parameters all its cells share."""
+    """The sweep's cell function (the game sweep's: its batch function) and
+    the parameters all its cells share."""
     if args.command == "game":
-        return _game_cell, (args.test, args.m, args.n, args.centered)
+        return _game_batch, (args.test, args.m, args.n, args.centered)
     if args.command == "birkhoff":
         return _birkhoff_cell, (args.n, args.method, args.theta)
     M, N = (int(v) for v in args.size.split(","))
@@ -356,15 +383,24 @@ def _sweep_head(args):
 
 def run_sweep(args):
     """Solve every (seed, gamma, tau) cell of one problem; write the outputs."""
+    if args.workers < 1:
+        raise ConfigurationError("--workers must be at least 1")
+    if args.seeds < 1:
+        raise ConfigurationError("--seeds must be at least 1")
     cell, head = _sweep_head(args)
     # birkhoff's cells resolve the named "tight" gamma rule themselves
     gammas = (args.gamma.split(",") if args.command == "birkhoff"
               else parse_number_list(args.gamma))
     taus = (parse_number_list(args.taus) if getattr(args, "taus", None)
             else parse_log_range(args.tau_exp))
-    cells = [head + (s, g, t, args.tol, args.max_iter, args.record_every)
-             for s in range(args.seeds) for g in gammas for t in taus]
-    results = _run_cells(cell, cells, args.workers)
+    grid = [(g, t) for g in gammas for t in taus]
+    tail = (args.tol, args.max_iter, args.record_every)
+    seeds = range(args.seeds)
+    if cell is _game_batch:
+        results = game_sweep_cells(head, seeds, grid, tail, args.workers)
+    else:
+        results = _run_cells(cell, [head + (s, g, t) + tail for s in seeds
+                                    for g, t in grid], args.workers)
     return _finish_sweep(args, results, args.emit.split(","))
 
 

@@ -33,7 +33,7 @@ class AdmmDriver:
     def __init__(self, p: SaddleProblem, M1: Metric, M2: Metric):
         self.p, self.M1, self.M2 = p, M1, M2
         self.S, self.Sinv = dense_sqrt(M2)
-        self.eng = _Engine(p, SolverConfig(M1=M1, M2=M2, override=True))
+        self.eng = _Engine(p, [SolverConfig(M1=M1, M2=M2, override=True)])
 
     def initial_state(self, x0=None, lam0=None) -> AdmmState:
         x0 = np.zeros(self.p.K.cols) if x0 is None else np.asarray(x0, float).ravel()
@@ -46,9 +46,10 @@ class AdmmDriver:
         # u-update through the Moreau route: the dual update started from
         # y = 0 with q = -v gives y = prox_{g*}^{M2}(M2^{-1} v) and M2 y, so
         # that u = v - M2 y and y = M2^{-1}(v - u), the transform value
-        y, m2y = self.eng.yup(np.zeros_like(v), -v)
+        # (the engine's updates act on one-row blocks)
+        y, m2y = (a[0] for a in self.eng.yup(np.zeros((1, v.size)), -v[None]))
         u_new = v - m2y
-        x_new, _ = self.eng.xup(st.x, K.apply_adjoint(y))
+        x_new = self.eng.xup(st.x[None], K.apply_adjoint(y)[None])[0][0]
         lam_new = st.lam + self.Sinv @ (K.apply(x_new) - u_new)
         return AdmmState(u=u_new, x=x_new, lam=lam_new)
 
@@ -97,7 +98,7 @@ def equivalence_harness(p: SaddleProblem, M1: Metric, M2: Metric,
     x, y = pairs[0]
     max_dev = 0.0
     for k in range(1, len(pairs)):
-        x, y = admm.eng.step(x, y)[:2]
+        x, y = (a[0] for a in admm.eng.step(x[None], y[None])[:2])
         xa, ya = pairs[k]
         dev = max(np.max(np.abs(x - xa)), np.max(np.abs(y - ya)))
         max_dev = max(max_dev, float(dev))

@@ -1,11 +1,15 @@
 """Linear operators used by the saddle-point solvers.
 
 Every operator represents a matrix K acting between flat numpy vectors and
-exposes ``apply`` (Kx) and ``apply_adjoint`` (K^T y).  Dense and sparse
-wrappers are provided.  The 2D grid divergence, vertical stacking and the
-transpose are sparse operators: each assembles its CSR matrix once and
-applies it.  The doubly-stochastic (row-sum/column-sum) constraint operator
-stays matrix-free, with a closed-form Gram-shift inverse.
+exposes ``apply`` (Kx) and ``apply_adjoint`` (K^T y).  Both also take a
+row block X of shape (B, n) and return the block of the rows' products,
+each row computed by the same arithmetic as the product of that row alone
+(one BLAS matrix-vector or CSR row product per row, never a matrix-matrix
+product, which rounds differently).  Dense and sparse wrappers are
+provided.  The 2D grid divergence, vertical stacking and the transpose are
+sparse operators: each assembles its CSR matrix once and applies it.  The
+doubly-stochastic (row-sum/column-sum) constraint operator stays
+matrix-free, with a closed-form Gram-shift inverse.
 """
 
 from typing import NamedTuple, Sequence
@@ -36,10 +40,14 @@ class LinearOperator:
         raise NotImplementedError
 
     def _check_in(self, x, n, name):
-        if type(x) is not np.ndarray or x.ndim != 1 or x.dtype != np.float64:
-            x = np.asarray(x, dtype=float).ravel()
-        if x.size != n:
-            raise ValueError(f"{name}: expected length {n}, got {x.size}")
+        """x as a float vector, or as a (B, n) float row block."""
+        if type(x) is not np.ndarray or x.ndim not in (1, 2) \
+                or x.dtype != np.float64:
+            x = np.asarray(x, dtype=float)
+            if x.ndim != 2:
+                x = x.ravel()
+        if x.shape[-1] != n:
+            raise ValueError(f"{name}: expected length {n}, got {x.shape[-1]}")
         return x
 
     def to_dense(self) -> np.ndarray:
@@ -58,6 +66,24 @@ class LinearOperator:
         return None
 
 
+def _dense_rows(A, X):
+    """The rows of X times A^T, each by the gemv of ``A @ X[i]``."""
+    if len(X) == 1:
+        return (A @ X[0])[None]
+    # a stack of row-times-matrix products: one gemv per row, where X @ A.T
+    # (one gemm) rounds differently
+    return np.matmul(X[:, None, :], A.T)[:, 0]
+
+
+def _csr_rows(A, X):
+    """The rows of X times A^T for a CSR A, each as ``A @ X[i]``."""
+    if len(X) == 1:
+        return (A @ X[0])[None]
+    # CSR times a dense block accumulates each output entry in the order of
+    # the CSR matrix-vector product
+    return np.ascontiguousarray((A @ X.T).T)
+
+
 class DenseOperator(LinearOperator):
     """K given as a dense 2D array."""
 
@@ -66,10 +92,12 @@ class DenseOperator(LinearOperator):
         self.rows, self.cols = self.A.shape
 
     def apply(self, x):
-        return self.A @ self._check_in(x, self.cols, "apply")
+        x = self._check_in(x, self.cols, "apply")
+        return self.A @ x if x.ndim == 1 else _dense_rows(self.A, x)
 
     def apply_adjoint(self, y):
-        return self.A.T @ self._check_in(y, self.rows, "apply_adjoint")
+        y = self._check_in(y, self.rows, "apply_adjoint")
+        return self.A.T @ y if y.ndim == 1 else _dense_rows(self.A.T, y)
 
     def to_dense(self):
         return self.A.copy()
@@ -84,10 +112,12 @@ class SparseOperator(LinearOperator):
         self._AT = sp.csr_matrix(self.A.T)
 
     def apply(self, x):
-        return self.A @ self._check_in(x, self.cols, "apply")
+        x = self._check_in(x, self.cols, "apply")
+        return self.A @ x if x.ndim == 1 else _csr_rows(self.A, x)
 
     def apply_adjoint(self, y):
-        return self._AT @ self._check_in(y, self.rows, "apply_adjoint")
+        y = self._check_in(y, self.rows, "apply_adjoint")
+        return self._AT @ y if y.ndim == 1 else _csr_rows(self._AT, y)
 
     def to_dense(self):
         return self.A.toarray()
@@ -162,13 +192,13 @@ class BirkhoffConstraint(LinearOperator):
 
     def apply(self, x):
         x = self._check_in(x, self.cols, "apply")
-        X = x.reshape(self.n, self.n)
-        return np.concatenate([X.sum(axis=1), X.sum(axis=0)])
+        X = x.reshape(*x.shape[:-1], self.n, self.n)
+        return np.concatenate([X.sum(axis=-1), X.sum(axis=-2)], axis=-1)
 
     def apply_adjoint(self, y):
         y = self._check_in(y, self.rows, "apply_adjoint")
-        y1, y2 = y[: self.n], y[self.n :]
-        return (y1[:, None] + y2[None, :]).ravel()
+        y1, y2 = y[..., : self.n], y[..., self.n :]
+        return (y1[..., :, None] + y2[..., None, :]).reshape(*y.shape[:-1], -1)
 
     def gram_shift_solver(self, shift):
         """Closed-form inverse of K K^T + shift*I; K K^T has the null vector

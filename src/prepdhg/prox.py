@@ -9,7 +9,9 @@ metric D = diag(d):
 An entry implements one method, ``prox_at(d)``: it checks the weights once
 and returns the map ``v -> prox_f^D(v)``, which checks nothing and expects a
 float vector of length ``dim``.  ``prox(v, d)`` derives from it and also
-checks ``v``.
+checks ``v``.  Weights may also be a (B, dim) block, one row of weights
+per row of a (B, dim) block of points; the map then treats each row on its
+own, by the arithmetic of that row alone.
 
 ``step(M)`` builds the solver's subproblem argmin_z h(z) + <q, z> +
 1/2 ||z - w||_M^2 once per solve, as ``(w, q) -> (z, M (z - w))``, from the
@@ -36,8 +38,9 @@ def _as_diag(d, dim):
     d = np.asarray(d, dtype=float)
     if d.ndim == 0:
         d = np.full(dim, float(d))
-    if d.size != dim:
-        raise ValueError(f"metric diagonal has length {d.size}, expected {dim}")
+    if d.ndim > 2 or d.shape[-1] != dim:
+        raise ValueError(f"metric diagonal has shape {d.shape}, expected "
+                         f"length {dim}")
     if not np.all(d > 0):
         raise ValueError("metric diagonal must be strictly positive")
     return d
@@ -47,25 +50,31 @@ _SIMPLEX_KS = {}
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort-based).
+    """Euclidean projection onto the probability simplex (sort-based), of a
+    vector or of each row of a (B, n) block.
 
     The active set of the sorted thresholding rule is a prefix, so its size
     is the count of indices with k*u_k > cumsum(u)_k - 1.
     """
-    if not (type(v) is np.ndarray and v.ndim == 1 and v.dtype == np.float64):
+    if not (type(v) is np.ndarray and v.ndim in (1, 2)
+            and v.dtype == np.float64):
         v = np.asarray(v, dtype=float).ravel()
-    n = v.size
+    n = v.shape[-1]
     if n < 1:
         raise ValueError("empty input")
     ks = _SIMPLEX_KS.get(n)
     if ks is None:
         ks = _SIMPLEX_KS.setdefault(n, np.arange(1.0, n + 1.0))
-    u = v.copy()
-    u.sort()
-    u = u[::-1]
-    css = np.cumsum(u)
-    rho = int(np.count_nonzero(u * ks > css - 1.0)) - 1
-    theta = (css[rho] - 1.0) / (rho + 1.0)
+    u = np.sort(v, axis=-1)[..., ::-1]
+    css = np.cumsum(u, axis=-1)
+    active = u * ks > css - 1.0
+    if v.ndim == 1:
+        size = np.count_nonzero(active)
+        theta = (css[size - 1] - 1.0) / size
+    else:
+        size = active.sum(axis=1)
+        theta = (css[np.arange(v.shape[0]), size - 1] - 1.0) / size
+        theta = theta[:, None]
     return np.maximum(v - theta, 0.0)
 
 
@@ -111,8 +120,11 @@ class Proximable:
     def step(self, M):
         """The module docstring's subproblem, ``(w, q) -> (z, M (z - w))``."""
         d = M.diagonal()
-        if d is None:
-            return self.metric_step(M)
+        return self.metric_step(M) if d is None else self.prox_step(d)
+
+    def prox_step(self, d):
+        """``step`` under M = diag(d); with (B, dim) weights it updates a
+        (B, dim) block of rows, each under its own row of weights."""
         hprox, inv_d = self.prox_at(d), 1.0 / d
 
         def prox(w, q):
@@ -228,8 +240,11 @@ class IndicatorSimplex(Proximable):
 
     def prox_at(self, d):
         d = _as_diag(d, self.dim)
-        if np.all(d == d[0]):
+        if np.all(d == d[..., :1]):
             return project_simplex
+        if d.ndim > 1:
+            raise ConfigurationError(
+                "simplex weights of a row block must be uniform in each row")
         return lambda v: project_simplex_weighted(v, d)
 
 
@@ -280,7 +295,7 @@ class IndicatorSingleton(Proximable):
         return 0.0 if np.array_equal(self._v(x), self.b) else np.inf
 
     def prox_at(self, d):
-        return lambda v: self.b.copy()
+        return lambda v: np.broadcast_to(self.b, v.shape).copy()
 
 
 class L1Norm(Proximable):
@@ -319,7 +334,7 @@ class GroupL12(Proximable):
 
     def _pairs(self, x):
         mn = self.M * self.N
-        return x[:mn], x[mn:]
+        return x[..., :mn], x[..., mn:]
 
     def __call__(self, x):
         x = self._v(x)
@@ -339,10 +354,11 @@ class GroupL12(Proximable):
         # the structural zeros are fixed, so they take no part in a group norm
         a, b = self._pairs(np.where(self.zero_mask, 0.0, v))
         norms = np.hypot(a, b)
-        scale = np.zeros_like(norms)
-        pos = norms > 0
-        scale[pos] = np.maximum(0.0, 1.0 - 1.0 / (da[pos] * norms[pos]))
-        return np.concatenate([a * scale, b * scale])
+        # 1 / (da * norms) where norms > 0, else inf: a zero scale there
+        inv = np.divide(1.0, da * norms, out=np.full(norms.shape, np.inf),
+                        where=norms > 0)
+        scale = np.maximum(0.0, 1.0 - inv)
+        return np.concatenate([a * scale, b * scale], axis=-1)
 
 
 class SeparableSum(Proximable):
@@ -364,8 +380,10 @@ class SeparableSum(Proximable):
 
     def prox_at(self, d):
         d = _as_diag(d, self.dim)
-        maps = [(c.prox_at(d[sl]), sl) for c, sl in zip(self.children, self._slices)]
-        return lambda v: np.concatenate([p(v[sl]) for p, sl in maps])
+        maps = [(c.prox_at(d[..., sl]), sl)
+                for c, sl in zip(self.children, self._slices)]
+        return lambda v: np.concatenate([p(v[..., sl]) for p, sl in maps],
+                                        axis=-1)
 
     def metric_step(self, M):
         if not isinstance(M, BlockDiagMetric):

@@ -15,6 +15,12 @@ g* = <b, .> is linear, the compact bound max(||M1 dx||, ||Kx+ - b||);
 otherwise the full bound.  Both bounds are computable upper bounds of the
 KKT residual built from consecutive iterates (``_residual_bounds``), and
 every recorded history row carries them.
+
+One loop, over row blocks: ``solve_batch`` iterates a (B, n) block, one
+row per config of one problem, and ``solve`` is its one-row case.  Under
+diagonal metrics every part of a step, both bounds and both stopping tests
+act on each row on its own, by the arithmetic of that row alone, so a row
+of a block reproduces its serial solve bit for bit.
 Configuration helpers cover the balanced augmented-Lagrangian specializations
 (dual metric gamma*tau*K*K^T + theta*I, optionally realized through one
 symmetric Gauss-Seidel block sweep).
@@ -94,6 +100,10 @@ class HistoryRow(NamedTuple):
     rhat_full: float
     rhat_half: float
     gap: float
+    #: loop wall time charged to this solve so far.  A solve of one config
+    #: is charged all of it, so this is the time since its loop started; in
+    #: a block of several, each stretch of loop time is split evenly among
+    #: the rows live in it, so the rows' final values add up to the loop time
     elapsed_s: float
 
 
@@ -109,20 +119,41 @@ class SolveReport:
 
 
 class _Engine:
-    """Validated step executor for one (problem, config) pair.
+    """Validated step executor for a block of configs of one problem.
 
-    ``xup`` and ``yup`` are the two ``Proximable.step`` updates, and ``b`` is
-    the linear term of g* (None unless g* is linear).
+    Iterates are row blocks, one row per config: x of shape (B, K.cols) and
+    y of shape (B, K.rows).  ``xup`` and ``yup`` are the two
+    ``Proximable.step`` updates on such blocks, and ``b`` is the linear term
+    of g* (None unless g* is linear).  One config may take any metric pair
+    its entries have a step for; a block of several needs diagonal metrics,
+    under which each row is updated on its own, by the arithmetic of the
+    single-row step.
     """
 
-    def __init__(self, p: SaddleProblem, cfg: SolverConfig):
-        self.K = p.K
-        M1, M2 = cfg.M1, cfg.M2
-        if M1.dim != p.K.cols or M2.dim != p.K.rows:
-            raise ConfigurationError("metric dimensions do not match K")
-        self.xup = p.f.step(M1)
-        self.yup = p.gstar.step(M2)
+    def __init__(self, p: SaddleProblem, cfgs):
+        self.p, self.K = p, p.K
+        for cfg in cfgs:
+            if cfg.M1.dim != p.K.cols or cfg.M2.dim != p.K.rows:
+                raise ConfigurationError("metric dimensions do not match K")
+        if len(cfgs) == 1:
+            self.xup = _one_row(p.f.step(cfgs[0].M1))
+            self.yup = _one_row(p.gstar.step(cfgs[0].M2))
+        else:
+            self.D1 = _row_weights([cfg.M1 for cfg in cfgs])
+            self.D2 = _row_weights([cfg.M2 for cfg in cfgs])
+            self.keep(slice(None))
         self.b = p.gstar.b if isinstance(p.gstar, Linear) else None
+
+    def keep(self, rows):
+        """Narrow a block of several configs to ``rows`` (an index)."""
+        self.D1, self.D2 = self.D1[rows], self.D2[rows]
+        f, gstar = self.p.f, self.p.gstar
+        if len(self.D1) == 1:  # the single-row step, which costs less
+            self.xup = _one_row(f.prox_step(self.D1[0]))
+            self.yup = _one_row(gstar.prox_step(self.D2[0]))
+        else:
+            self.xup = f.prox_step(self.D1)
+            self.yup = gstar.prox_step(self.D2)
 
     def step(self, x, y, Kx=None, Kty=None):
         """``(x+, y+, K x+, M1 (x+ - x), M2 (y+ - y))``."""
@@ -137,51 +168,96 @@ class _Engine:
         return x_new, y_new, Kx_new, m1dx, m2dy
 
 
+def _one_row(step):
+    """A one-row block's update from the vector update ``step``."""
+    def one_row(w, q):
+        z, mdz = step(w[0], q[0])
+        return z[None], mdz[None]
+    return one_row
+
+
+def _row_weights(metrics):
+    """The (B, dim) block of the metrics' diagonals."""
+    for M in metrics:
+        if M.diagonal() is None:
+            raise ConfigurationError(
+                f"a block of several configs needs diagonal metrics, "
+                f"not {type(M).__name__}")
+    return np.stack([M.diagonal() for M in metrics])
+
+
 def prepdhg_step(p: SaddleProblem, cfg: SolverConfig, x, y):
     """One iteration of the preconditioned primal-dual update."""
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
-    return _Engine(p, cfg).step(x, y)[:2]
+    x_new, y_new = _Engine(p, [cfg]).step(x[None], y[None])[:2]
+    return x_new[0], y_new[0]
 
 
-def _nrm(v) -> float:
-    return math.sqrt(v @ v)
+def _nrm(v):
+    """The Euclidean norm of each row of a block."""
+    return np.sqrt(np.vecdot(v, v))
 
 
-def _residual_bounds(b, feas_scale: float):
-    """The two recorded KKT residual bounds, picked once per solve from g*.
+def _larger(a, b):
+    """a where a > b, else b: the entrywise maximum that keeps b when a is
+    NaN, like ``a if a > b else b``."""
+    return np.where(a > b, a, b)
 
-    Returns ``bounds(Kx, Kx_new, dKty, m1dx, m2dy, prev, half)`` giving
-    ``(rhat_full, rhat_half)``, upper bounds of the KKT residual at (x+, y+)
-    and at (x+, y), from ``dKty = K^T (y+ - y)``, ``m1dx = M1 (x+ - x)``,
-    ``m2dy = M2 (y+ - y)`` and ``prev = (K x_prev, M2 (y - y_prev))`` of the
-    step before (None on the first step).  For linear g* = <b, .> the dual
-    part of both bounds is ``||K x+ - b|| / feas_scale`` (the compact
-    bound).  Otherwise rhat_half is None unless ``half`` is set, and nan on
-    the first step.
+
+def _residual_bounds(b, feas_scale):
+    """The stopping bound and the two recorded bounds, picked once per solve.
+
+    Returns ``bounds(Kx, Kx_new, Kty, Kty_new, m1dx, m2dy, prev, record)``
+    giving ``(stop, recorded)``, one entry per row of a block, where
+    ``recorded`` is ``(rhat_full, rhat_half)`` when ``record`` is set and
+    None otherwise.  rhat_full and rhat_half are upper bounds of the KKT
+    residual at (x+, y+) and at (x+, y), built from K x, K x+, K^T y,
+    K^T y+, ``m1dx = M1 (x+ - x)``, ``m2dy = M2 (y+ - y)`` and ``prev =
+    (K x_prev, M2 (y - y_prev))`` of the step before (None on the first
+    step); ``feas_scale`` holds one scale per row.  For linear g* = <b, .>
+    the dual part of both bounds is ``||K x+ - b|| / feas_scale`` and the
+    solve stops on rhat_half (the compact bound); otherwise it stops on
+    rhat_full, and rhat_half is nan on the first step.
     """
     if b is not None:
-        def compact(Kx, Kx_new, dKty, m1dx, m2dy, prev, half):
+        def compact(Kx, Kx_new, Kty, Kty_new, m1dx, m2dy, prev, record):
             feas = _nrm(Kx_new - b) / feas_scale
-            part_x = _nrm(dKty - m1dx)
-            nm1dx = _nrm(m1dx)
-            return (part_x if part_x > feas else feas,
-                    nm1dx if nm1dx > feas else feas)
+            rhat_half = _larger(_nrm(m1dx), feas)
+            if not record:
+                return rhat_half, None
+            part_x = _nrm((Kty_new - Kty) - m1dx)
+            return rhat_half, (_larger(part_x, feas), rhat_half)
         return compact
 
-    def full(Kx, Kx_new, dKty, m1dx, m2dy, prev, half):
-        part_x = _nrm(dKty - m1dx)
-        part_y = _nrm(Kx_new - Kx - m2dy)
-        if not half:
-            rhat_half = None
-        elif prev is None:
-            rhat_half = np.nan
+    def full(Kx, Kx_new, Kty, Kty_new, m1dx, m2dy, prev, record):
+        rhat_full = _larger(_nrm((Kty_new - Kty) - m1dx),
+                            _nrm(Kx_new - Kx - m2dy))
+        if not record:
+            return rhat_full, None
+        if prev is None:
+            rhat_half = np.full(rhat_full.shape, np.nan)
         else:
             Kx_prev, m2dy_prev = prev
             t = (Kx - Kx_prev) + (Kx - Kx_new) - m2dy_prev
-            rhat_half = max(_nrm(m1dx), _nrm(t))
-        return (part_x if part_x > part_y else part_y), rhat_half
+            rhat_half = _larger(_nrm(t), _nrm(m1dx))
+        return rhat_full, (rhat_full, rhat_half)
     return full
+
+
+def _checked_condition(p: SaddleProblem, cfg: SolverConfig):
+    report = check_condition(cfg.M1, p.f.sigma, cfg.M2, p.K,
+                             tol=CHECK_TOL, max_iter=CHECK_MAX_ITER)
+    if not report.passed:
+        raise ConfigurationError(
+            f"metric pair fails the convergence condition "
+            f"(s_hat = {report.s_hat:.6f} >= 4/3); "
+            f"set override to run anyway")
+    return report
+
+
+def _start(v0, n):
+    return np.zeros(n) if v0 is None else np.asarray(v0, dtype=float).ravel()
 
 
 def solve(p: SaddleProblem, cfg: SolverConfig) -> SolveReport:
@@ -191,71 +267,121 @@ def solve(p: SaddleProblem, cfg: SolverConfig) -> SolveReport:
     compact bound when g* is linear, else the full bound.  Divergence (an
     iterate entry past ``BLOWUP`` in magnitude, or any non-finite entry) is
     reported as a status, not an error, so counter-example runs terminate
-    cleanly.
+    cleanly.  This is ``solve_batch`` of the one config.
     """
-    eng = _Engine(p, cfg)
-    report_cond = None
-    if not cfg.override:
-        report_cond = check_condition(cfg.M1, p.f.sigma, cfg.M2, p.K,
-                                      tol=CHECK_TOL, max_iter=CHECK_MAX_ITER)
-        if not report_cond.passed:
-            raise ConfigurationError(
-                f"metric pair fails the convergence condition "
-                f"(s_hat = {report_cond.s_hat:.6f} >= 4/3); "
-                f"set override to run anyway")
+    return solve_batch(p, [cfg])[0]
 
-    x = (np.zeros(p.K.cols) if cfg.x0 is None
-         else np.asarray(cfg.x0, dtype=float).ravel().copy())
-    y = (np.zeros(p.K.rows) if cfg.y0 is None
-         else np.asarray(cfg.y0, dtype=float).ravel().copy())
-    Kx = p.K.apply(x)
-    Kty = p.K.apply_adjoint(y)
 
-    history = []
-    status = "max-iter"
-    iters = cfg.max_iter
-    stop_res = np.nan
+def solve_batch(p: SaddleProblem, cfgs) -> list:
+    """Solve several configs of one problem as one row block.
+
+    Returns one ``SolveReport`` per config, in order, each equal bit for bit
+    to ``solve(p, cfg)`` apart from the ``elapsed_s`` of its history (see
+    ``HistoryRow``): the block runs every row's arithmetic on its own, with
+    one matrix-vector product per row.  A row that stops (converged,
+    diverged or at its own ``max_iter``) leaves the block with its status,
+    iteration count, history and final iterates.  A block of more than one
+    config is refused at set-up when a metric is not diagonal, when the
+    simplex weights of a row are not uniform, or when a config has a
+    ``custom_residual``.
+    """
+    cfgs = list(cfgs)
+    if not cfgs:
+        return []
+    if len(cfgs) > 1 and any(c.custom_residual is not None for c in cfgs):
+        raise ConfigurationError(
+            "a block of several configs takes no custom_residual")
+    eng = _Engine(p, cfgs)
+    conditions = [None if cfg.override else _checked_condition(p, cfg)
+                  for cfg in cfgs]
+
+    K = p.K
+    x = np.stack([_start(cfg.x0, K.cols) for cfg in cfgs])
+    y = np.stack([_start(cfg.y0, K.rows) for cfg in cfgs])
+    Kx = K.apply(x)
+    Kty = K.apply_adjoint(y)
+
+    def per_row(name):
+        return np.array([getattr(cfg, name) for cfg in cfgs])
+
+    # live-row state; ``rows`` maps each live row to its config
+    rows = np.arange(len(cfgs))
+    tol, every, last = per_row("tol"), per_row("record_every"), \
+        per_row("max_iter")
+    feas_scale = per_row("feas_scale")
+    gap_fns = [cfg.gap_fn for cfg in cfgs]
+    histories = [[] for _ in cfgs]
+    reports = [None] * len(cfgs)
+    charged = np.zeros(len(cfgs))  # loop seconds charged to each config
+
     prev = None
-    step, Kadj = eng.step, p.K.apply_adjoint
-    bounds = _residual_bounds(eng.b, cfg.feas_scale)
-    custom, compact = cfg.custom_residual, eng.b is not None
-    tol, max_iter, record_every = cfg.tol, cfg.max_iter, cfg.record_every
-    t0 = time.perf_counter()
-    for k in range(1, max_iter + 1):
+    step, Kadj = eng.step, K.apply_adjoint
+    bounds = _residual_bounds(eng.b, feas_scale)
+    custom = cfgs[0].custom_residual
+    next_rec = int(np.minimum(every, last).min())
+    k = 0
+    t_last = time.perf_counter()
+    while True:
+        k += 1
         x_new, y_new, Kx_new, m1dx, m2dy = step(x, y, Kx, Kty)
         Kty_new = Kadj(y_new)
-        rec = k % record_every == 0 or k == max_iter
+        rec = k == next_rec  # some row records this step
         if custom is None:
-            rhat_full, rhat_half = bounds(Kx, Kx_new, Kty_new - Kty, m1dx,
-                                          m2dy, prev, rec)
-            stop_res = rhat_half if compact else rhat_full
+            stop_res, rhat = bounds(Kx, Kx_new, Kty, Kty_new, m1dx, m2dy,
+                                    prev, rec)
         else:  # the bounds are only recorded: work them out on recorded rows
-            rhat_half = None
-            stop_res = float(custom(x_new, y_new, Kx_new, Kty_new))
+            rhat = None
+            stop_res = np.array([float(custom(x_new[0], y_new[0],
+                                              Kx_new[0], Kty_new[0]))])
 
         done = stop_res <= tol
-        # written so that a NaN entry, whose comparisons are all false, blows up
-        blown = not (x_new.max() <= BLOWUP and -x_new.min() <= BLOWUP
-                     and y_new.max() <= BLOWUP and -y_new.min() <= BLOWUP)
-        if done or blown or rec:
-            if rhat_half is None:  # a custom residual, or a stop between records
-                rhat_full, rhat_half = bounds(Kx, Kx_new, Kty_new - Kty,
-                                              m1dx, m2dy, prev, True)
-            gap = cfg.gap_fn(x_new, y_new) if cfg.gap_fn is not None else np.nan
-            history.append(HistoryRow(k, float(rhat_full), float(rhat_half),
-                                      gap, time.perf_counter() - t0))
+        # written so that a NaN entry, whose comparisons are all false, blows
+        # up; the test of the whole block finds the rows only when one does
+        if rec or done.any() or not (np.abs(x_new).max() <= BLOWUP
+                                     and np.abs(y_new).max() <= BLOWUP):
+            blown = ~(np.maximum(np.abs(x_new).max(axis=1),
+                                 np.abs(y_new).max(axis=1)) <= BLOWUP)
+            leave = done | blown | (k == last)
+            show = leave | (k % every == 0) if rec else leave
+            if rhat is None:  # a custom residual, or a stop between records
+                rhat = bounds(Kx, Kx_new, Kty, Kty_new, m1dx, m2dy, prev,
+                              True)[1]
+            rhat_full, rhat_half = rhat
+            now = time.perf_counter()
+            charged[rows] += (now - t_last) / rows.size
+            t_last = now
+            for i in np.flatnonzero(show):
+                j = rows[i]
+                gap = (gap_fns[j](x_new[i], y_new[i])
+                       if gap_fns[j] is not None else np.nan)
+                histories[j].append(HistoryRow(
+                    k, float(rhat_full[i]), float(rhat_half[i]), gap,
+                    float(charged[j])))
+            for i in np.flatnonzero(leave):
+                j = rows[i]
+                status = ("converged" if done[i] else
+                          "diverged" if blown[i] else "max-iter")
+                reports[j] = SolveReport(
+                    status=status, iters=k, history=histories[j],
+                    x_final=x_new[i].copy(), y_final=y_new[i].copy(),
+                    stop_residual=float(stop_res[i]),
+                    condition=conditions[j])
+            if leave.any():
+                next_rec = None
+                stay = np.flatnonzero(~leave)
+                if not stay.size:
+                    return reports
+                rows, tol, every, last, feas_scale = (
+                    a[stay] for a in (rows, tol, every, last, feas_scale))
+                x_new, y_new, Kx_new, Kty_new, Kx, m2dy = (
+                    a[stay] for a in (x_new, y_new, Kx_new, Kty_new, Kx, m2dy))
+                eng.keep(stay)
+                bounds = _residual_bounds(eng.b, feas_scale)
+            if rec or next_rec is None:
+                next_rec = int(np.minimum((k // every + 1) * every,
+                                          last).min())
         prev = (Kx, m2dy)
         x, y, Kx, Kty = x_new, y_new, Kx_new, Kty_new
-        if done:
-            status, iters = "converged", k
-            break
-        if blown:
-            status, iters = "diverged", k
-            break
-
-    return SolveReport(status=status, iters=iters, history=history,
-                       x_final=x, y_final=y, stop_residual=float(stop_res),
-                       condition=report_cond)
 
 
 def duality_gap_matrix_game(K: LinearOperator, x, y) -> float:

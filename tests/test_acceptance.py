@@ -7,14 +7,13 @@ parameter grids and are the only long-running part.
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
 import prepdhg as pd
-from prepdhg.cli import _game_cell, main
+from prepdhg.cli import game_sweep_cells, main
 from prepdhg.counterexamples import ToyDynamics, classify, eig2, \
     rho2_boundary_scan
 from prepdhg.ipadmm import equivalence_harness
@@ -258,14 +257,10 @@ def test_criterion_07_oracle_equivalence_small_instances():
 
 
 def _sweep_game(seeds, gammas, tau_exps, tol=1e-5):
-    cells = [(1, 100, 100, True, s, g, float(10.0 ** e), tol, 10 ** 6, 10 ** 9)
-             for s in seeds for g in gammas for e in tau_exps]
-    if WORKERS > 1:
-        with ProcessPoolExecutor(max_workers=WORKERS) as pool:
-            results = list(pool.map(_game_cell, cells, chunksize=4))
-    else:
-        results = [_game_cell(c) for c in cells]
-    return results
+    # each seed's cells as WORKERS row-block solves, on a pool of WORKERS
+    cells = [(g, float(10.0 ** e)) for g in gammas for e in tau_exps]
+    return game_sweep_cells((1, 100, 100, True), seeds, cells,
+                            (tol, 10 ** 6, 10 ** 9), WORKERS)
 
 
 def _best_tau_mean_iters(results, gamma):

@@ -85,10 +85,32 @@ class TestGameSweep:
         assert read(out1 / "ratio.csv") == read(out2 / "ratio.csv")
 
     def test_workers_do_not_change_results(self, tmp_path):
-        _, out1 = self.run_small(tmp_path, "w1")
-        code, out2 = self.run_small(tmp_path, "w2", ("--workers", "2"))
-        assert code == 0
-        assert read(out1 / "summary.csv") == read(out2 / "summary.csv")
+        outs = []
+        for w in ("1", "2", "3"):
+            code, out = self.run_small(tmp_path, f"w{w}", ("--workers", w))
+            assert code == 0
+            outs.append(out)
+        first = outs[0]
+        runs = sorted(p for p in os.listdir(first) if p.startswith("run_"))
+        assert len(runs) == 12
+        for out in outs[1:]:
+            assert read(first / "summary.csv") == read(out / "summary.csv")
+            assert read(first / "ratio.csv") == read(out / "ratio.csv")
+            assert sorted(p for p in os.listdir(out)
+                          if p.startswith("run_")) == runs
+            for run in runs:  # every column but the last, elapsed_s
+                assert [r.rsplit(",", 1)[0] for r in
+                        (first / run).read_text().splitlines()] == \
+                    [r.rsplit(",", 1)[0] for r in
+                     (out / run).read_text().splitlines()]
+
+    @pytest.mark.parametrize("flag", ["--workers", "--seeds"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_counts_below_one_rejected(self, tmp_path, capsys, flag, value):
+        code, out = self.run_small(tmp_path, "z", (flag, value))
+        assert code == 1
+        assert f"{flag} must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestConfigFile:

@@ -554,6 +554,11 @@ def test_steps_are_named_by_their_case():
         assert h.step(M).__name__ == name
 
 
+def _engine_step(p, cfg, x, y):
+    """One engine step of the one-row block of vectors x and y."""
+    return [a[0] for a in _Engine(p, [cfg]).step(x[None], y[None])]
+
+
 @pytest.mark.parametrize("dense", [False, True])
 def test_step_returns_the_primal_metric_times_the_move(dense):
     # the loop reads M1 (x+ - x) from the step instead of applying M1
@@ -568,7 +573,7 @@ def test_step_returns_the_primal_metric_times_the_move(dense):
     p = SaddleProblem(f=f, gstar=Linear(rng.standard_normal(4)), K=K)
     cfg = SolverConfig(M1=M1, M2=ScalarMetric(3.0, 4), override=True)
     x, y = rng.standard_normal(5), rng.standard_normal(4)
-    x_new, _, _, m1dx, _ = _Engine(p, cfg).step(x, y)
+    x_new, _, _, m1dx, _ = _engine_step(p, cfg, x, y)
     if dense:
         assert np.allclose(m1dx, M1.apply(x_new - x), rtol=1e-12, atol=1e-12)
     else:
@@ -600,7 +605,7 @@ def test_block_step_equals_hand_computation():
     p, cfg, rng = _block_problem()
     K = p.K.A
     x, y = rng.standard_normal(K.shape[1]), rng.standard_normal(K.shape[0])
-    x_new, y_new, Kx_new, m1dx, m2dy = _Engine(p, cfg).step(x, y)
+    x_new, y_new, Kx_new, m1dx, m2dy = _engine_step(p, cfg, x, y)
 
     d1 = cfg.M1.d
     v = x - K.T @ y / d1
@@ -634,7 +639,7 @@ def test_unsupported_nested_pair_rejected_at_setup():
     # L1Norm has no update under a dense block metric
     gstar = SeparableSum([L1Norm(3, 1.0), *p.gstar.children[1:]])
     with pytest.raises(ConfigurationError, match="L1Norm"):
-        _Engine(SaddleProblem(p.f, gstar, p.K), cfg)
+        _Engine(SaddleProblem(p.f, gstar, p.K), [cfg])
     # nested blocks must conform too
     inner = SeparableSum([Linear(np.zeros(1)), Linear(np.zeros(1))])
     gstar = SeparableSum([p.gstar.children[0], inner, p.gstar.children[2]])
@@ -643,7 +648,7 @@ def test_unsupported_nested_pair_rejected_at_setup():
                           cfg.M2.metrics[2]])
     with pytest.raises(ConfigurationError, match="do not conform"):
         _Engine(SaddleProblem(p.f, gstar, p.K),
-                SolverConfig(M1=cfg.M1, M2=M2, override=True))
+                [SolverConfig(M1=cfg.M1, M2=M2, override=True)])
 
 
 def test_game_with_nonuniform_primal_weights_takes_weighted_projection():
@@ -657,14 +662,14 @@ def test_game_with_nonuniform_primal_weights_takes_weighted_projection():
     cfg = SolverConfig(M1=DiagonalMetric(d1), M2=ScalarMetric(3.0, m),
                        override=True)
     x, y = np.full(n, 1.0 / n), np.full(m, 1.0 / m)
-    x_new = _Engine(p, cfg).step(x, y)[0]
+    x_new = _engine_step(p, cfg, x, y)[0]
     v = x - K.A.T @ y * (1.0 / d1)
     assert np.array_equal(x_new, project_simplex_weighted(v, d1))
     assert not np.allclose(x_new, project_simplex(v))
     # uniform weights take the plain projection
     cfg = SolverConfig(M1=DiagonalMetric(np.full(n, 2.0)),
                        M2=ScalarMetric(3.0, m), override=True)
-    x_new = _Engine(p, cfg).step(x, y)[0]
+    x_new = _engine_step(p, cfg, x, y)[0]
     assert np.array_equal(x_new, project_simplex(x - K.A.T @ y * 0.5))
 
 
@@ -672,7 +677,7 @@ def test_engine_is_freed_without_the_cycle_collector():
     p, cfg, _ = _block_problem()
     gc.disable()
     try:
-        eng = _Engine(p, cfg)
+        eng = _Engine(p, [cfg])
         ref = weakref.ref(eng)
         del eng
         assert ref() is None

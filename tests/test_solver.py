@@ -400,4 +400,4 @@ def test_group_weights_rejected_at_engine_setup():
     cfg = SolverConfig(M1=DiagonalMetric(d), M2=ScalarMetric(1.0, K.rows),
                        override=True)
     with pytest.raises(ConfigurationError, match="equal metric weights"):
-        _Engine(p, cfg)  # set-up alone, before any step
+        _Engine(p, [cfg])  # set-up alone, before any step
