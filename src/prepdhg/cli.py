@@ -387,13 +387,19 @@ def run_sweep(args):
         raise ConfigurationError("--workers must be at least 1")
     if args.seeds < 1:
         raise ConfigurationError("--seeds must be at least 1")
+    emit = args.emit.split(",")
+    if not set(emit) <= {"csv", "ratio", "svg"}:
+        raise ConfigurationError(f"--emit takes csv, ratio and svg, not {args.emit!r}")
     cell, head = _sweep_head(args)
     # birkhoff's cells resolve the named "tight" gamma rule themselves
-    gammas = (args.gamma.split(",") if args.command == "birkhoff"
+    gammas = ([g for g in args.gamma.split(",") if g.strip()]
+              if args.command == "birkhoff"
               else parse_number_list(args.gamma))
     taus = (parse_number_list(args.taus) if getattr(args, "taus", None)
             else parse_log_range(args.tau_exp))
     grid = [(g, t) for g in gammas for t in taus]
+    if not grid:
+        raise ConfigurationError("the gamma and tau lists give an empty grid")
     tail = (args.tol, args.max_iter, args.record_every)
     seeds = range(args.seeds)
     if cell is _game_batch:
@@ -401,7 +407,7 @@ def run_sweep(args):
     else:
         results = _run_cells(cell, [head + (s, g, t) + tail for s in seeds
                                     for g, t in grid], args.workers)
-    return _finish_sweep(args, results, args.emit.split(","))
+    return _finish_sweep(args, results, emit)
 
 
 # -- counterexample ---------------------------------------------------------

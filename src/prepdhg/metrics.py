@@ -7,9 +7,11 @@ offers one, or an inexact solve by a fixed number of Gauss-Seidel sweeps),
 symmetric Gauss-Seidel implied metrics, and block-diagonal combinations.
 Every positive-definite matrix a metric inverts exactly is factorized once,
 when the metric is built, by ``spd_solver``; every Gram shift matrix is
-assembled by ``gram_shift_matrix``.  ``BoxQuadBCD.sweep`` is the one
-colored Gauss-Seidel iteration: clipped to a box it is the coordinate
-descent of the box update, unclipped the inexact Gram-shift solve.
+assembled by ``gram_shift_matrix``.  ``BoxQuadBCD`` is the one block
+Gauss-Seidel kernel: its colored sweep clipped to a box is the coordinate
+descent of the box update, unclipped the inexact Gram-shift solve, and one
+backward and one forward pass over a given partition the symmetric
+Gauss-Seidel metric's solve.
 
 ``check_condition`` estimates the squared norm that governs convergence of
 the preconditioned primal-dual iteration,
@@ -208,20 +210,18 @@ class SGSMetric(Metric):
     """Metric implied by one backward+forward block Gauss-Seidel sweep.
 
     Given a symmetric matrix Q with block partition Q = U^T + D + U (D the
-    SPD diagonal blocks, U strictly block upper), represents
+    SPD diagonal blocks, U strictly block upper: the entries whose row lies
+    in an earlier block than their column), represents
 
         M = (D + U) D^{-1} (D + U^T) = Q + U D^{-1} U^T
 
-    without forming it: ``apply`` runs two triangular block products around
-    one block-diagonal solve, and ``solve`` runs the backward sweep, the
-    block-diagonal scaling, and the forward sweep.  Each diagonal block is
-    factorized once at construction (``spd_solver``); U keeps the nonzero
-    entries of the permuted Q whose row block precedes their column block.
-
-    The per-block CSR row slices of U and U^T that the sweeps multiply by
-    are built once at construction, so ``solve`` does no sparse indexing;
-    they cost one more copy of the off-diagonal nonzeros.  The last block's
-    rows of U and the first block's rows of U^T are empty and not kept.
+    without forming it.  ``solve`` runs the block Gauss-Seidel kernel
+    ``BoxQuadBCD`` over the partition, without a box, on Q y = r from y = 0:
+    one backward pass, which leaves w with (D + U) w = r, so r - U w = D w,
+    then one forward pass, which solves (D + U^T) y = D w.  The forward pass
+    skips the first block, whose update would repeat the backward pass's
+    last one bit for bit.  ``apply`` runs two block products around the
+    kernel's block solves.
     """
 
     def __init__(self, Q, blocks):
@@ -229,73 +229,45 @@ class SGSMetric(Metric):
         if Q.shape[0] != Q.shape[1]:
             raise ConfigurationError("Q must be square")
         self.dim = Q.shape[0]
-        blocks = [np.asarray(b, dtype=int).ravel() for b in blocks]
-        if len(blocks) < 1:
-            raise ConfigurationError("need at least one block")
-        perm = np.concatenate(blocks)
-        if perm.size != self.dim or np.unique(perm).size != self.dim:
-            raise ConfigurationError("blocks must partition the index range")
-        self.perm = perm
-        self.inv_perm = np.argsort(perm)
-        sizes = [b.size for b in blocks]
-        self.offsets = np.cumsum([0] + sizes)
-        self.nblocks = len(blocks)
-        Qp = Q[perm][:, perm].tocsr()
-        self._slices = [slice(self.offsets[i], self.offsets[i + 1])
-                        for i in range(self.nblocks)]
-        diag = [Qp[si, si] for si in self._slices]
-        self._dsolve = [spd_solver(Dii, f"diagonal block {i}")
-                        for i, Dii in enumerate(diag)]
-        self.D = sp.block_diag(diag, format="csr")
-        block_of = np.repeat(np.arange(self.nblocks), sizes)
-        Qc = Qp.tocoo()
-        up = (block_of[Qc.row] < block_of[Qc.col]) & (Qc.data != 0)
+        gs = self._gs = BoxQuadBCD(Q, np.inf, 1, blocks)
+        self._backward, self._forward = gs._steps[::-1], gs._steps[1:]
+        self.D = gs.D
+        Qc = Q.tocoo()
+        up = (gs.block_of[Qc.row] < gs.block_of[Qc.col]) & (Qc.data != 0)
         self.U = sp.csr_matrix((Qc.data[up], (Qc.row[up], Qc.col[up])),
-                               shape=Qp.shape)
-        self.UT = self.U.T.tocsr()
-        self._U_rows = [self.U[si, :] for si in self._slices[:-1]]
-        self._UT_rows = [self.UT[si, :] for si in self._slices[1:]]
+                               shape=Q.shape)
 
     def apply(self, z):
-        z = self._check(z)[self.perm]
-        t = self.D @ z + self.UT @ z
-        u = np.concatenate([ds(t[si]) for ds, si in zip(self._dsolve, self._slices)])
-        out = self.D @ u + self.U @ u
-        return out[self.inv_perm]
+        z = self._check(z)
+        t = self.D @ z + self.U.T @ z
+        for grp, dsolve, _ in self._gs._steps:
+            t[grp] = dsolve(t[grp])
+        return self.D @ t + self.U @ t
 
     def solve(self, r):
-        r = self._check(r)[self.perm]
-        sl = self._slices
-        last = self.nblocks - 1
-        # backward: (D + U) w = r; the last block has no U rows
-        w = np.zeros_like(r)
-        ds = self._dsolve
-        w[sl[last]] = ds[last](r[sl[last]])
-        for i in range(last - 1, -1, -1):
-            w[sl[i]] = ds[i](r[sl[i]] - self._U_rows[i] @ w)
-        # forward: (D + U^T) x = D w; the first block has no U^T rows
-        x = np.zeros_like(r)
-        x[sl[0]] = w[sl[0]]
-        for i in range(1, self.nblocks):
-            x[sl[i]] = w[sl[i]] - ds[i](self._UT_rows[i - 1] @ x)
-        return x[self.inv_perm]
+        r = self._check(r)
+        w = self._gs._pass(r, np.zeros_like(r), self._backward)
+        return self._gs._pass(r, w, self._forward)
 
 
 class BoxQuadBCD:
-    """Colored Gauss-Seidel sweeps over M, optionally clipped to a box.
+    """Block Gauss-Seidel sweeps over M, optionally clipped to a box.
 
     ``solve`` minimizes 1/2 ||y - y0||_M^2 - <r, y> over ||y||_inf <= radius
     by cyclic exact coordinate descent; with radius = inf, ``sweep`` is plain
-    Gauss-Seidel on M y = c.  The coordinates are grouped by a greedy
-    coloring of the sparsity graph of M, so each color block is diagonal in
-    M and updates in one vectorized pass.
+    block Gauss-Seidel on M y = c.  The blocks are ``blocks`` when given (a
+    partition of the index range, each block's indices in the order given),
+    else a greedy coloring of the sparsity graph of M, whose blocks are
+    diagonal in M.  A clipped update is exact coordinate descent only on
+    diagonal blocks, so a box takes the coloring.
 
-    The CSR row slices of the off-diagonal part M - D for each color are
-    built once at construction, so a sweep does no sparse indexing; the
-    slices cost one more copy of the off-diagonal nonzeros of M.
+    Each diagonal block D_b of M is factorized once by ``spd_solver``
+    (entrywise when diagonal), and the CSR row slice of the off-block part
+    M - D of each block is built once at construction, so a pass does no
+    sparse indexing; the slices cost one more copy of the off-block nonzeros.
     """
 
-    def __init__(self, M, radius: float, epochs: int = 2):
+    def __init__(self, M, radius: float, epochs: int = 2, blocks=None):
         M = sp.csr_matrix(M)
         self.M = M
         self.diag = M.diagonal()
@@ -308,30 +280,51 @@ class BoxQuadBCD:
         if self.epochs < 1:
             raise ConfigurationError("BCD needs at least one epoch")
         n = M.shape[0]
-        colors = -np.ones(n, dtype=int)
-        indptr, indices = M.indptr, M.indices
-        for j in range(n):
-            used = {colors[i] for i in indices[indptr[j]:indptr[j + 1]]
-                    if i != j and colors[i] >= 0}
-            c = 0
-            while c in used:
-                c += 1
-            colors[j] = c
-        self.groups = [np.nonzero(colors == c)[0] for c in range(colors.max() + 1)]
-        off = (M - sp.diags(self.diag)).tocsr()
-        self._sweep = [(grp, self.diag[grp], off[grp, :]) for grp in self.groups]
+        block_of = -np.ones(n, dtype=int)
+        if blocks is None:
+            indptr, indices = M.indptr, M.indices
+            for j in range(n):
+                used = {block_of[i] for i in indices[indptr[j]:indptr[j + 1]]
+                        if i != j and block_of[i] >= 0}
+                c = 0
+                while c in used:
+                    c += 1
+                block_of[j] = c
+            blocks = [np.nonzero(block_of == c)[0]
+                      for c in range(block_of.max() + 1)]
+        else:
+            blocks = [np.asarray(b, dtype=int).ravel() for b in blocks]
+            if not (blocks and np.array_equal(np.sort(np.concatenate(blocks)),
+                                              np.arange(n))):
+                raise ConfigurationError("blocks must partition the index range")
+            for c, b in enumerate(blocks):
+                block_of[b] = c
+        self.groups, self.block_of = blocks, block_of
+        Mc = M.tocoo()
+        inb = block_of[Mc.row] == block_of[Mc.col]
+        self.D = sp.csr_matrix((Mc.data[inb], (Mc.row[inb], Mc.col[inb])),
+                               shape=M.shape)
+        off = M - self.D
+        self._steps = [(b, spd_solver(self.D[b][:, b], f"diagonal block {c}"),
+                        off[b, :]) for c, b in enumerate(blocks)]
+
+    def _pass(self, c, y, steps):
+        """One pass of y_b <- clip(D_b^{-1} (c - (M - D) y)_b) over ``steps``,
+        a sequence of the blocks' (indices, D_b solve, off-block rows)."""
+        lo, hi = -self.radius, self.radius
+        box = hi < np.inf
+        for grp, dsolve, rows in steps:
+            v = dsolve(c[grp] - rows @ y)
+            y[grp] = np.clip(v, lo, hi) if box else v
+        return y
 
     def sweep(self, c: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """``epochs`` colored passes of y_g <- clip((c - (M - D) y)_g / d_g).
+        """``epochs`` passes over the blocks in order.
 
         Updates y in place and returns it; with radius = inf there is no clip.
         """
-        lo, hi = -self.radius, self.radius
-        box = hi < np.inf
         for _ in range(self.epochs):
-            for grp, dg, rows in self._sweep:
-                v = (c[grp] - rows @ y) / dg
-                y[grp] = np.clip(v, lo, hi) if box else v
+            self._pass(c, y, self._steps)
         return y
 
     def solve(self, y0: np.ndarray, r: np.ndarray) -> np.ndarray:

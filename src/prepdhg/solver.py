@@ -135,25 +135,21 @@ class _Engine:
         for cfg in cfgs:
             if cfg.M1.dim != p.K.cols or cfg.M2.dim != p.K.rows:
                 raise ConfigurationError("metric dimensions do not match K")
-        if len(cfgs) == 1:
-            self.xup = _one_row(p.f.step(cfgs[0].M1))
-            self.yup = _one_row(p.gstar.step(cfgs[0].M2))
-        else:
-            self.D1 = _row_weights([cfg.M1 for cfg in cfgs])
-            self.D2 = _row_weights([cfg.M2 for cfg in cfgs])
-            self.keep(slice(None))
+        self.cfgs = cfgs
+        self.keep(range(len(cfgs)))
         self.b = p.gstar.b if isinstance(p.gstar, Linear) else None
 
     def keep(self, rows):
-        """Narrow a block of several configs to ``rows`` (an index)."""
-        self.D1, self.D2 = self.D1[rows], self.D2[rows]
+        """Narrow the block to the configs at positions ``rows`` and build
+        the updates of what is left."""
+        cfgs = self.cfgs = [self.cfgs[i] for i in rows]
         f, gstar = self.p.f, self.p.gstar
-        if len(self.D1) == 1:  # the single-row step, which costs less
-            self.xup = _one_row(f.prox_step(self.D1[0]))
-            self.yup = _one_row(gstar.prox_step(self.D2[0]))
+        if len(cfgs) == 1:  # the single-row step, which costs less
+            self.xup = _one_row(f.step(cfgs[0].M1))
+            self.yup = _one_row(gstar.step(cfgs[0].M2))
         else:
-            self.xup = f.prox_step(self.D1)
-            self.yup = gstar.prox_step(self.D2)
+            self.xup = f.prox_step(_row_weights([cfg.M1 for cfg in cfgs]))
+            self.yup = gstar.prox_step(_row_weights([cfg.M2 for cfg in cfgs]))
 
     def step(self, x, y, Kx=None, Kty=None):
         """``(x+, y+, K x+, M1 (x+ - x), M2 (y+ - y))``."""

@@ -112,6 +112,21 @@ class TestGameSweep:
         assert f"{flag} must be at least 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("extra", [("--tau-exp=-0.3:0.01:-0.7",),
+                                       ("--gamma", ""), ("--gamma", ",")])
+    def test_empty_grid_rejected(self, tmp_path, capsys, extra):
+        code, out = self.run_small(tmp_path, "z", extra)
+        assert code == 1
+        assert "empty grid" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("emit", ["cvs", "csv,svgs", "", "csv,"])
+    def test_unknown_emit_rejected(self, tmp_path, capsys, emit):
+        code, out = self.run_small(tmp_path, "z", ("--emit", emit))
+        assert code == 1
+        assert "--emit takes csv, ratio and svg" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestConfigFile:
     def test_file_values_applied_and_flags_win(self, tmp_path):
@@ -304,3 +319,11 @@ def test_birkhoff_ratio_one_row_per_configured_gamma(tmp_path):
     gammas = {r.split(",")[1] for r in
               (out / "summary.csv").read_text().splitlines()[1:]}
     assert len(gammas) == 1 + 3
+
+
+def test_birkhoff_empty_gamma_list_rejected(tmp_path, capsys):
+    out = tmp_path / "bk"
+    assert main(["birkhoff", "--n", "3", "--gamma", "", "--tau-exp", "0.2",
+                 "--workers", "1", "--out", str(out)]) == 1
+    assert "empty grid" in capsys.readouterr().err
+    assert not out.exists()

@@ -153,6 +153,7 @@ class TestSGS:
             assert np.allclose(M.apply(M.solve(z)), z, atol=1e-10)
 
     def test_blocks_reassemble_permuted_q(self):
+        # D + U + U^T = Q in the original order, U strictly block upper
         rng = np.random.default_rng(15)
         for nblocks in (1, 2, 4):
             n = 11
@@ -161,22 +162,28 @@ class TestSGS:
             Q = (S + S.T + n * sp.eye(n)).tocsr()
             blocks = random_partition(rng, n, nblocks)
             M = SGSMetric(Q, blocks)
-            Qp = Q.toarray()[np.ix_(M.perm, M.perm)]
-            assert np.array_equal((M.D + M.U + M.U.T).toarray(), Qp)
-            block_of = np.repeat(np.arange(nblocks), [b.size for b in blocks])
+            assert np.array_equal((M.D + M.U + M.U.T).toarray(), Q.toarray())
+            block_of = np.empty(n, dtype=int)
+            for i, b in enumerate(blocks):
+                block_of[b] = i
             U = M.U.tocoo()
             assert np.all(block_of[U.row] < block_of[U.col])
-            # the loop over block pairs that U was built with before
-            ref = np.zeros_like(Qp)
-            for i, si in enumerate(M._slices):
-                for sj in M._slices[i + 1:]:
-                    ref[si, sj] = Qp[si, sj]
-            assert np.array_equal(M.U.toarray(), ref)
+            D = M.D.tocoo()
+            assert np.all(block_of[D.row] == block_of[D.col])
 
     def test_rejects_non_spd_diagonal_block(self):
         Q = np.array([[0.0, 1.0], [1.0, 2.0]])
         with pytest.raises(ConfigurationError):
             SGSMetric(Q, [np.array([0]), np.array([1])])
+        Q = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.5], [0.0, 0.5, 3.0]])
+        with pytest.raises(ConfigurationError, match="diagonal block 0"):
+            SGSMetric(Q, [np.array([0, 1]), np.array([2])])
+
+    @pytest.mark.parametrize("blocks", [[], [[0, 1], [1, 2]], [[0, 1]],
+                                        [[0, 3], [1, 2]], [[-1, 0], [1]]])
+    def test_rejects_a_non_partition(self, blocks):
+        with pytest.raises(ConfigurationError):
+            SGSMetric(np.eye(3), [np.array(b, dtype=int) for b in blocks])
 
 
 def test_block_diag_metric():

@@ -1,18 +1,19 @@
-"""The Gauss-Seidel kernels, pinned bit for bit and against the math.
+"""The Gauss-Seidel kernel, pinned bit for bit and against the math.
 
-``SGSMetric`` builds its per-block sparse slices once at construction, and
-``BoxQuadBCD`` its per-color slices of the off-diagonal part M - D.
+``BoxQuadBCD`` builds, once at construction, each block's solve of its
+diagonal block D_b and its CSR row slice of the off-block part M - D.
 ``sgs_solve_reference`` and ``bcd_solve_reference`` slice the sparse matrix
 for every block on every call; a slice sums the same nonzeros in the same
 order, so the results must be identical, not merely close.
 
-``BoxQuadBCD.sweep`` is both the box update's coordinate descent and the
-inexact Gram-shift solve of ``emd(method="iebalm")``.  The earlier kernels
-of those two, ``bcd_incremental_reference`` and
-``two_epoch_solve_reference``, do the same updates in another arithmetic
-and are checked to 1e-12.  The last tests check the sweep against what it
-computes: the fixed point of the box-constrained quadratic, and M y = r
-without a box.
+``BoxQuadBCD`` is the one kernel of three solves: the box update's
+coordinate descent, the inexact Gram-shift solve of ``emd(method="iebalm")``
+and, as one backward and one forward pass over its partition, the solve of
+``SGSMetric``.  The earlier kernels of these, ``bcd_incremental_reference``,
+``two_epoch_solve_reference`` and ``sgs_triangular_reference``, do the same
+updates in another arithmetic and are checked to 1e-12.  The last tests
+check the sweep against what it computes: the fixed point of the
+box-constrained quadratic, and M y = r without a box.
 """
 
 import numpy as np
@@ -20,25 +21,48 @@ import pytest
 import scipy.sparse as sp
 
 from prepdhg.metrics import (BoxQuadBCD, GramShiftMetric, SGSMetric,
-                             gram_shift_matrix)
+                             gram_shift_matrix, spd_solver)
 from prepdhg.operators import GridDivergence
 from prepdhg.problems import red_black_partition
 
 from helpers import random_partition
 
 
-def sgs_solve_reference(M, r):
-    r = np.asarray(r, dtype=float).ravel()[M.perm]
-    w = np.zeros_like(r)
-    for i in range(M.nblocks - 1, -1, -1):
-        si = M._slices[i]
-        rhs = r[si] - M.U[si, :] @ w
-        w[si] = M._dsolve[i](rhs)
-    x = np.zeros_like(r)
-    for i in range(M.nblocks):
-        si = M._slices[i]
-        x[si] = w[si] - M._dsolve[i](M.UT[si, :] @ x)
-    return x[M.inv_perm]
+def sgs_solve_reference(Q, M, blocks, r):
+    """``SGSMetric.solve`` from y = 0: a backward pass over the blocks, then
+    a forward pass that skips the first, each block solved against Q - D."""
+    off = sp.csr_matrix(Q) - M.D
+    y = np.zeros_like(r)
+    for order in (blocks[::-1], blocks[1:]):
+        for b in order:
+            y[b] = spd_solver(M.D[b][:, b])(r[b] - off[b, :] @ y)
+    return y
+
+
+def sgs_triangular_reference(Q, blocks, r):
+    """The earlier sGS solve: triangular block solves with U and U^T on a
+    permuted copy of Q, backward (D + U) w = r, then forward
+    x = w - D^{-1} U^T x."""
+    perm = np.concatenate(blocks)
+    Qp = sp.csr_matrix(Q)[perm][:, perm].tocsr()
+    ends = np.cumsum([len(b) for b in blocks])
+    sl = [slice(e - len(b), e) for b, e in zip(blocks, ends)]
+    dsolve = [spd_solver(Qp[s, s]) for s in sl]
+    block_of = np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])
+    Qc = Qp.tocoo()
+    up = block_of[Qc.row] < block_of[Qc.col]
+    U = sp.csr_matrix((Qc.data[up], (Qc.row[up], Qc.col[up])), shape=Qp.shape)
+    UT = U.T.tocsr()
+    rp = r[perm]
+    w = np.zeros_like(rp)
+    for i in range(len(sl) - 1, -1, -1):
+        w[sl[i]] = dsolve[i](rp[sl[i]] - U[sl[i], :] @ w)
+    x = np.zeros_like(rp)
+    for i in range(len(sl)):
+        x[sl[i]] = w[sl[i]] - dsolve[i](UT[sl[i], :] @ x)
+    out = np.empty_like(x)
+    out[perm] = x
+    return out
 
 
 def bcd_solve_reference(bcd, y0, r):
@@ -91,42 +115,66 @@ def random_sparse_spd(rng, n, density=0.3):
     return sp.csr_matrix(A @ A.T + sp.diags(rng.uniform(0.5, 2.0, n)))
 
 
-@pytest.mark.parametrize("nblocks", [2, 3, 4])
+@pytest.mark.parametrize("nblocks", [1, 2, 3, 4])
 def test_sgs_solve_matches_per_call_slicing(nblocks):
     rng = np.random.default_rng(100 + nblocks)
     for _ in range(10):
         n = int(rng.integers(nblocks + 2, 30))
-        M = SGSMetric(random_sparse_spd(rng, n),
-                      random_partition(rng, n, nblocks))
+        Q = random_sparse_spd(rng, n)
+        blocks = random_partition(rng, n, nblocks)
+        M = SGSMetric(Q, blocks)
         for _ in range(3):
             r = rng.standard_normal(n)
-            assert np.array_equal(M.solve(r), sgs_solve_reference(M, r))
+            got = M.solve(r)
+            assert np.array_equal(got, sgs_solve_reference(Q, M, blocks, r))
+            assert rel_err(got, sgs_triangular_reference(Q, blocks, r)) <= 1e-12
 
 
 def test_sgs_solve_matches_on_red_black_grid():
     # independent-set blocks: every diagonal block is diagonal
     rng = np.random.default_rng(11)
-    K = GridDivergence(6, 7, 1.5)
-    M = SGSMetric(gram_shift_matrix(K, 0.75 * 0.03, 1e-6),
-                  red_black_partition(6, 7))
-    d = M.D.diagonal()
-    assert (M.D - sp.diags(d)).count_nonzero() == 0
-    for _ in range(5):
-        r = rng.standard_normal(M.dim)
-        assert np.array_equal(M.solve(r), sgs_solve_reference(M, r))
-    # a diagonal block is inverted entrywise, as before the blocks were
-    # factorized through spd_solver
-    for ds, si in zip(M._dsolve, M._slices):
-        r = rng.standard_normal(si.stop - si.start)
-        assert np.array_equal(ds(r), r / d[si])
+    for grid in ((2, 3), (6, 7), (16, 16)):
+        K = GridDivergence(*grid, 1.5)
+        Q = gram_shift_matrix(K, 0.75 * 0.03, 1e-6)
+        blocks = red_black_partition(*grid)
+        M = SGSMetric(Q, blocks)
+        d = M.D.diagonal()
+        assert (M.D - sp.diags(d)).count_nonzero() == 0
+        for _ in range(5):
+            r = rng.standard_normal(M.dim)
+            got = M.solve(r)
+            assert np.array_equal(got, sgs_solve_reference(Q, M, blocks, r))
+            assert rel_err(got, sgs_triangular_reference(Q, blocks, r)) <= 1e-12
+        # a diagonal block is inverted entrywise, the arithmetic of the box
+        # update's colored blocks
+        for grp, dsolve, _ in M._gs._steps:
+            r = rng.standard_normal(grp.size)
+            assert np.array_equal(dsolve(r), r / d[grp])
 
 
 def test_sgs_single_block_is_the_diagonal_solve():
     rng = np.random.default_rng(12)
     Q = random_sparse_spd(rng, 8)
-    M = SGSMetric(Q, [np.arange(8)])
+    blocks = [np.arange(8)]
+    M = SGSMetric(Q, blocks)
     r = rng.standard_normal(8)
-    assert np.array_equal(M.solve(r), sgs_solve_reference(M, r))
+    got = M.solve(r)
+    assert np.array_equal(got, spd_solver(Q)(r))
+    assert np.array_equal(got, sgs_solve_reference(Q, M, blocks, r))
+    assert rel_err(got, sgs_triangular_reference(Q, blocks, r)) <= 1e-12
+
+
+def test_sgs_solve_runs_passes_not_the_box_solve(monkeypatch):
+    # a traced run counts box updates by wrapping BoxQuadBCD.solve; the sGS
+    # metric runs the kernel's passes without it
+    rng = np.random.default_rng(13)
+    M = SGSMetric(random_sparse_spd(rng, 10), random_partition(rng, 10, 3))
+    calls = []
+    real = BoxQuadBCD.solve
+    monkeypatch.setattr(BoxQuadBCD, "solve",
+                        lambda self, *a: calls.append(a) or real(self, *a))
+    M.solve(rng.standard_normal(10))
+    assert not calls
 
 
 @pytest.mark.parametrize("seed", range(4))
