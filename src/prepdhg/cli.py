@@ -1,15 +1,17 @@
 """Benchmark harness: parameter sweeps, CSV/SVG emission, ratio tables.
 
 Subcommands: game | birkhoff | emd | tvls | counterexample | check.
-Sweeps run over seeds x gamma x tau cells on a worker pool.  Each cell of
-the birkhoff, emd and tvls sweeps is one independent solve.  The game
-sweep builds K once per seed and deals that seed's cells out, interleaved,
-into one batch per worker; a batch is one row-block solve
-(``solver.solve_batch``), equal cell for cell to the serial solves.  A
-summary CSV (byte-stable across reruns of the same seeded config, and
-across worker counts), per-run residual CSVs, a saved-iteration ratio
-table against the gamma = 1 baseline, and optional SVG convergence plots
-are written under the output directory.
+argparse parses every value and reads every input file once, before any
+work: a bad value or file exits 1 with one line naming it.  Sweeps run
+over seeds x gamma x tau cells on a worker pool; a cell is ``cell(args,
+seed, gamma, tau)`` on the parsed arguments and, for birkhoff, emd and
+tvls, one solve.  The game sweep builds K once per seed and deals that
+seed's cells out, interleaved, into one batch per worker; a batch is one
+row-block solve (``solver.solve_batch``), equal cell for cell to the
+serial solves.  A summary CSV (byte-stable across reruns of the same
+seeded config, and across worker counts), per-run residual CSVs, a
+saved-iteration ratio table against the gamma = 1 baseline, and optional
+SVG convergence plots are written under the output directory.
 """
 
 import argparse
@@ -18,6 +20,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -28,7 +31,7 @@ from .operators import load_dense, load_sparse
 from .problems import (birkhoff_projection, emd, game_matrix, load_grid,
                        matrix_game, random_balanced_grids,
                        random_sparse_system, tv_least_squares)
-from .solver import solve_batch
+from .solver import HistoryRow, solve_batch
 
 RATIO_BASELINE_GAMMA = 1.0
 
@@ -43,12 +46,21 @@ def parse_number(token: str) -> float:
     """Float literal or a fraction like 4/3."""
     token = token.strip()
     if "/" in token:
-        return float(Fraction(token))
+        try:
+            return float(Fraction(token))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {token!r}") from None
     return float(token)
 
 
 def parse_number_list(text: str):
     return [parse_number(t) for t in text.split(",") if t.strip()]
+
+
+def parse_gamma_rules(text: str):
+    """Comma list of numbers and the named rule 'tight' (birkhoff's gamma)."""
+    return [t.strip() if t.strip() == "tight" else parse_number(t)
+            for t in text.split(",") if t.strip()]
 
 
 def parse_log_range(text: str):
@@ -57,12 +69,28 @@ def parse_log_range(text: str):
     if len(parts) == 1:
         return [10.0 ** parse_number(parts[0])]
     if len(parts) != 3:
-        raise ConfigurationError(f"range must be a:step:b, got {text!r}")
+        raise argparse.ArgumentTypeError(f"range must be a:step:b, got {text!r}")
     a, step, b = (parse_number(p) for p in parts)
     if step <= 0:
-        raise ConfigurationError("range step must be positive")
+        raise argparse.ArgumentTypeError("range step must be positive")
     exps = np.arange(a, b + step * 0.5, step)
     return [float(10.0 ** e) for e in exps]
+
+
+def parse_grid_size(text: str):
+    """'M,N' -> (M, N)."""
+    M, N = (int(v) for v in text.split(","))
+    return M, N
+
+
+def load_vector(path):
+    """A whitespace text file's numbers, flattened."""
+    return np.loadtxt(path, ndmin=1).ravel()
+
+
+def load_operator(path):
+    """A Matrix Market (.mtx) or whitespace text operator."""
+    return load_sparse(path) if path.endswith(".mtx") else load_dense(path)
 
 
 def parse_config_text(text: str) -> dict:
@@ -148,18 +176,9 @@ def _write_csv(path, header, rows):
 
 def _write_run_outputs(outdir, tag, res: CellResult, emit):
     if "csv" in emit:
-        cols = ["k", "rhat_full", "rhat_half"]
-        if res.has_gap:
-            cols.append("gap")
-        cols.append("elapsed_s")
-        rows = []
-        for h in res.history:
-            row = [h.k, h.rhat_full, h.rhat_half]
-            if res.has_gap:
-                row.append(h.gap)
-            row.append(h.elapsed_s)
-            rows.append(row)
-        _write_csv(os.path.join(outdir, f"run_{tag}.csv"), cols, rows)
+        cols = [c for c in HistoryRow._fields if c != "gap" or res.has_gap]
+        _write_csv(os.path.join(outdir, f"run_{tag}.csv"), cols,
+                   ([getattr(h, c) for c in cols] for h in res.history))
     if "svg" in emit:
         ks = [h.k for h in res.history if np.isfinite(h.rhat_full) and h.rhat_full > 0]
         vs = [np.log10(h.rhat_full) for h in res.history
@@ -249,13 +268,13 @@ def _write_ratio(outdir, results):
     return rows
 
 
-def _run_cells(fn, cells, workers):
-    """``fn`` of every task, on a pool of at most one process per task."""
-    workers = min(workers, len(cells))
+def _run_cells(fn, tasks, workers):
+    """``fn(*task)`` of every task, on a pool of at most one process per task."""
+    workers = min(workers, len(tasks))
     if workers <= 1:
-        return [fn(c) for c in cells]
+        return [fn(*t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, cells, chunksize=1))
+        return list(pool.map(fn, *zip(*tasks), chunksize=1))
 
 
 def _finish_sweep(args, results, emit):
@@ -278,10 +297,6 @@ def _finish_sweep(args, results, emit):
 
 
 # -- sweeps: game | birkhoff | emd | tvls -----------------------------------
-#
-# A cell's parameters are the sweep's shared head, then (seed, gamma, tau,
-# tol, max_iter, record_every); a game batch's are the head, then (seed,
-# [(gamma, tau_tilde), ...], tol, max_iter, record_every).
 
 def _cell_result(rep, seed, gamma, tau, **extra):
     """One cell's report, kept as its last residuals and its history."""
@@ -290,95 +305,76 @@ def _cell_result(rep, seed, gamma, tau, **extra):
                       last.rhat_full, last.rhat_half, rep.history, **extra)
 
 
-def _game_batch(params):
+def _stop(args):
+    """The stopping and recording settings every sweep's solves share."""
+    return dict(tol=args.tol, max_iter=args.max_iter,
+                record_every=args.record_every)
+
+
+def _game_batch(args, seed, cells):
     """Solve one batch of one seed's game cells as one row block."""
-    (test, m, n, centered, seed, cells, tol, max_iter, record_every) = params
-    K = game_matrix(test, seed, m, n, centered=centered)
-    insts = [matrix_game(K, tau_tilde, gamma, tol=tol, max_iter=max_iter,
-                         record_every=record_every, record_gap=True)
+    K = game_matrix(args.test, seed, args.m, args.n, centered=args.centered)
+    insts = [matrix_game(K, tau_tilde, gamma, record_gap=True, **_stop(args))
              for gamma, tau_tilde in cells]
     reps = solve_batch(insts[0].saddle, [inst.config for inst in insts])
     return [_cell_result(rep, seed, gamma, tau_tilde, has_gap=True)
             for rep, (gamma, tau_tilde) in zip(reps, cells)]
 
 
-def game_sweep_cells(head, seeds, cells, tail, workers):
+def game_sweep_cells(args, cells):
     """Every seed's game ``cells`` ((gamma, tau_tilde) pairs), solved.
 
-    ``head`` is (test, m, n, centered) and ``tail`` (tol, max_iter,
-    record_every).  Each seed's cells are dealt out in turn into
-    ``min(workers, len(cells))`` batches, so that every batch holds a
+    Each of the ``args.seeds`` seeds deals its cells out in turn into
+    ``min(args.workers, len(cells))`` batches, so that every batch holds a
     like mix of the grid, and each batch is one task of the pool.
     """
-    nb = min(workers, len(cells))
-    batches = [head + (seed, cells[i::nb]) + tail
-               for seed in seeds for i in range(nb)]
-    return [res for batch in _run_cells(_game_batch, batches, workers)
+    nb = min(args.workers, len(cells))
+    batches = [(seed, cells[i::nb]) for seed in range(args.seeds)
+               for i in range(nb)]
+    return [res for batch in _run_cells(partial(_game_batch, args), batches,
+                                        args.workers)
             for res in batch]
 
 
-def _birkhoff_cell(params):
-    (n, method, theta, seed, gamma_spec, tau_tilde, tol, max_iter,
-     record_every) = params
+def _birkhoff_cell(args, seed, gamma, tau_tilde):
     rng = np.random.default_rng(seed)
-    C = rng.random((n, n))
+    C = rng.random((args.n, args.n))
     C = 0.5 * (C + C.T)
-    tau = tau_tilde / np.sqrt(2.0 * n)
-    if gamma_spec == "tight":
-        gamma = 0.751 / (1.0 + tau / 2.0)
-    else:
-        gamma, gamma_spec = parse_number(gamma_spec), None
-    inst = birkhoff_projection(C, tau, gamma, theta=theta, method=method,
-                               tol=tol, max_iter=max_iter,
-                               record_every=record_every)
+    tau = tau_tilde / np.sqrt(2.0 * args.n)
+    gamma_spec = None
+    if gamma == "tight":
+        gamma, gamma_spec = 0.751 / (1.0 + tau / 2.0), gamma
+    inst = birkhoff_projection(C, tau, gamma, theta=args.theta,
+                               method=args.method, **_stop(args))
     return _cell_result(inst.solve(), seed, gamma, tau_tilde,
                         gamma_spec=gamma_spec)
 
 
-def _emd_cell(params):
-    (M, N, h, rho0_path, rho1_path, method, theta, bcd_epochs, allow,
-     seed, gamma, tau, tol, max_iter, record_every) = params
-    if rho0_path:
-        rho0, rho1 = load_grid(rho0_path), load_grid(rho1_path)
-    else:
-        rho0, rho1 = random_balanced_grids(M, N, seed)
-    inst = emd(rho0, rho1, h, tau, gamma, theta=theta, method=method,
-               tol=tol, max_iter=max_iter, record_every=record_every,
-               bcd_epochs=bcd_epochs, override=allow)
+def _emd_cell(args, seed, gamma, tau):
+    M, N = args.size
+    rho0, rho1 = (random_balanced_grids(M, N, seed) if args.rho0 is None
+                  else (args.rho0, args.rho1))
+    h = (N - 1) / 4.0 if args.h is None else args.h
+    inst = emd(rho0, rho1, h, tau, gamma, theta=args.theta,
+               method=args.method, bcd_epochs=args.bcd_epochs,
+               override=args.allow_diverge, **_stop(args))
     return _cell_result(inst.solve(), seed, gamma, tau)
 
 
-def _tvls_cell(params):
-    (M, N, mrows, density, r_path, lam, theta, bcd_epochs,
-     seed, gamma, tau, tol, max_iter, record_every) = params
+def _tvls_cell(args, seed, gamma, tau):
+    M, N = args.size
     n = M * N
-    if r_path:
-        R = load_sparse(r_path)
-    else:
-        R = random_sparse_system(mrows, n, density, seed)
+    R = args.r
+    if R is None:
+        R = random_sparse_system(n // 2 if args.m_rows is None else args.m_rows,
+                                 n, args.density, seed)
     rng = np.random.default_rng(seed + 7919)
     x_true = rng.random(n)
     b = R.apply(x_true)
-    inst = tv_least_squares(R, b, lam, (M, N), tau, gamma, theta=theta,
-                            tol=tol, max_iter=max_iter,
-                            record_every=record_every, bcd_epochs=bcd_epochs)
+    inst = tv_least_squares(R, b, args.lam, (M, N), tau, gamma,
+                            theta=args.theta, bcd_epochs=args.bcd_epochs,
+                            **_stop(args))
     return _cell_result(inst.solve(), seed, gamma, tau)
-
-
-def _sweep_head(args):
-    """The sweep's cell function (the game sweep's: its batch function) and
-    the parameters all its cells share."""
-    if args.command == "game":
-        return _game_batch, (args.test, args.m, args.n, args.centered)
-    if args.command == "birkhoff":
-        return _birkhoff_cell, (args.n, args.method, args.theta)
-    M, N = (int(v) for v in args.size.split(","))
-    if args.command == "emd":
-        h = parse_number(args.h) if args.h else (N - 1) / 4.0
-        return _emd_cell, (M, N, h, args.rho0, args.rho1, args.method,
-                           args.theta, args.bcd_epochs, args.allow_diverge)
-    return _tvls_cell, (M, N, args.m_rows or (M * N) // 2, args.density,
-                        args.r, args.lam, args.theta, args.bcd_epochs)
 
 
 def run_sweep(args):
@@ -390,23 +386,18 @@ def run_sweep(args):
     emit = args.emit.split(",")
     if not set(emit) <= {"csv", "ratio", "svg"}:
         raise ConfigurationError(f"--emit takes csv, ratio and svg, not {args.emit!r}")
-    cell, head = _sweep_head(args)
-    # birkhoff's cells resolve the named "tight" gamma rule themselves
-    gammas = ([g for g in args.gamma.split(",") if g.strip()]
-              if args.command == "birkhoff"
-              else parse_number_list(args.gamma))
-    taus = (parse_number_list(args.taus) if getattr(args, "taus", None)
-            else parse_log_range(args.tau_exp))
-    grid = [(g, t) for g in gammas for t in taus]
+    if (getattr(args, "rho0", None) is None) != (getattr(args, "rho1", None) is None):
+        raise ConfigurationError("--rho0 and --rho1 must be given together")
+    taus = getattr(args, "taus", None) or args.tau_exp
+    grid = [(g, t) for g in args.gamma for t in taus]
     if not grid:
         raise ConfigurationError("the gamma and tau lists give an empty grid")
-    tail = (args.tol, args.max_iter, args.record_every)
-    seeds = range(args.seeds)
-    if cell is _game_batch:
-        results = game_sweep_cells(head, seeds, grid, tail, args.workers)
+    if args.cell is _game_batch:
+        results = game_sweep_cells(args, grid)
     else:
-        results = _run_cells(cell, [head + (s, g, t) + tail for s in seeds
-                                    for g, t in grid], args.workers)
+        results = _run_cells(partial(args.cell, args),
+                             [(s, g, t) for s in range(args.seeds)
+                              for g, t in grid], args.workers)
     return _finish_sweep(args, results, emit)
 
 
@@ -416,7 +407,7 @@ def run_counterexample(args):
     os.makedirs(args.out, exist_ok=True)
     rows = []
     if args.kind == "bilinear":
-        for prod in parse_number_list(args.taus):
+        for prod in args.taus:
             t = float(np.sqrt(prod))
             dyn = ToyDynamics("bilinear", t, prod / t)
             mu1, mu2 = eig2(dyn.G)
@@ -429,9 +420,7 @@ def run_counterexample(args):
                    ["tau_sigma", "mu1_re", "mu1_im", "mu2_re", "mu2_im",
                     "verdict", "final_norm"], rows)
     else:
-        tau = parse_number(args.tau)
-        grid = parse_number_list(args.rho3)
-        table = rho2_boundary_scan(tau, grid)
+        table = rho2_boundary_scan(args.tau, args.rho3)
         for rho3, sigma, dom in table:
             print(f"rho3={rho3:.6g} sigma={sigma:.6g} dominant_abs={dom:.12g}")
             rows.append((rho3, sigma, dom))
@@ -442,21 +431,16 @@ def run_counterexample(args):
 
 # -- check ------------------------------------------------------------------
 
-def _metric_from_file(path, dim=None):
-    vals = np.loadtxt(path, ndmin=1).ravel()
-    if vals.size == 1:
-        if dim is None:
-            raise ConfigurationError("scalar metric file needs a known dimension")
-        return ScalarMetric(float(vals[0]), dim)
-    return DiagonalMetric(vals)
+def _metric(vals, dim):
+    """A metric file's values: one number is a scalar metric of ``dim``."""
+    return ScalarMetric(float(vals[0]), dim) if vals.size == 1 \
+        else DiagonalMetric(vals)
 
 
 def run_check(args):
-    K = load_sparse(args.k) if args.k.endswith(".mtx") else load_dense(args.k)
-    M1 = _metric_from_file(args.m1, K.cols)
-    M2 = _metric_from_file(args.m2, K.rows)
-    sigma = np.loadtxt(args.sigma_f).ravel() if args.sigma_f else None
-    report = check_condition(M1, sigma, M2, K)
+    K = args.k
+    report = check_condition(_metric(args.m1, K.cols), args.sigma_f,
+                             _metric(args.m2, K.rows), K)
     print(f"s_hat = {report.s_hat:.12g}")
     print(f"threshold = {report.threshold:.12g}")
     print(f"margin = {report.margin:.12g}")
@@ -492,70 +476,75 @@ def build_parser():
     g = sub.add_parser("game", help="matrix game sweep")
     _add_common(g)
     g.add_argument("--test", type=int, default=1, help="generator recipe 1-4")
-    g.add_argument("--m", type=int, default=None)
-    g.add_argument("--n", type=int, default=None)
+    g.add_argument("--m", type=int)
+    g.add_argument("--n", type=int)
     g.add_argument("--centered", action="store_true",
                    help="zero-mean uniform for recipe 1")
-    g.add_argument("--gamma", default="1.0,0.751")
-    g.add_argument("--tau-exp", default="-0.7:0.01:-0.3",
+    g.add_argument("--gamma", type=parse_number_list, default="1.0,0.751")
+    g.add_argument("--tau-exp", type=parse_log_range, default="-0.7:0.01:-0.3",
                    help="log10 range a:step:b for tau_tilde")
-    g.set_defaults(func=run_sweep, tol=1e-5)
+    g.set_defaults(func=run_sweep, cell=_game_batch, tol=1e-5)
 
     bk = sub.add_parser("birkhoff", help="doubly-stochastic projection sweep")
     _add_common(bk)
     bk.add_argument("--n", type=int, default=50)
     bk.add_argument("--method", choices=["ebalm", "pdhg"], default="ebalm")
-    bk.add_argument("--gamma", default="1.0,tight",
+    bk.add_argument("--gamma", type=parse_gamma_rules, default="1.0,tight",
                     help="comma list of values or 'tight' (= 0.751/(1+tau/2))")
-    bk.add_argument("--tau-exp", default="0.2:0.01:0.6")
+    bk.add_argument("--tau-exp", type=parse_log_range, default="0.2:0.01:0.6")
     bk.add_argument("--theta", type=float, default=1e-4)
-    bk.set_defaults(func=run_sweep, tol=1e-8)
+    bk.set_defaults(func=run_sweep, cell=_birkhoff_cell, tol=1e-8)
 
     em = sub.add_parser("emd", help="minimal-flux transport sweep")
     _add_common(em)
-    em.add_argument("--size", default="16,16", help="grid M,N")
-    em.add_argument("--h", default=None, help="grid step (default (N-1)/4)")
-    em.add_argument("--rho0", default=None, help="source grid file")
-    em.add_argument("--rho1", default=None, help="target grid file")
+    em.add_argument("--size", type=parse_grid_size, default="16,16", help="grid M,N")
+    em.add_argument("--h", type=parse_number, help="grid step (default (N-1)/4)")
+    em.add_argument("--rho0", type=load_grid, help="source grid file")
+    em.add_argument("--rho1", type=load_grid, help="target grid file")
     em.add_argument("--method", choices=["sgs", "iebalm"], default="sgs")
-    em.add_argument("--gamma", default="1.0,0.75")
-    em.add_argument("--taus", default=None, help="comma list of tau values")
-    em.add_argument("--tau-exp", default="-2:0.25:-1")
+    em.add_argument("--gamma", type=parse_number_list, default="1.0,0.75")
+    em.add_argument("--taus", type=parse_number_list, help="comma list of tau values")
+    em.add_argument("--tau-exp", type=parse_log_range, default="-2:0.25:-1")
     em.add_argument("--theta", type=float, default=1e-6)
     em.add_argument("--bcd-epochs", type=int, default=2)
-    em.set_defaults(func=run_sweep, tol=5e-5, max_iter=200000)
+    em.set_defaults(func=run_sweep, cell=_emd_cell, tol=5e-5, max_iter=200000)
 
     tv = sub.add_parser("tvls", help="TV-regularized least squares sweep")
     _add_common(tv)
-    tv.add_argument("--size", default="16,16", help="pixel grid M,N")
-    tv.add_argument("--m-rows", type=int, default=None)
+    tv.add_argument("--size", type=parse_grid_size, default="16,16",
+                    help="pixel grid M,N")
+    tv.add_argument("--m-rows", type=int)
     tv.add_argument("--density", type=float, default=0.05)
-    tv.add_argument("--r", default=None, help="system matrix .mtx")
+    tv.add_argument("--r", type=load_sparse, help="system matrix .mtx")
     tv.add_argument("--lam", type=float, default=1.0)
-    tv.add_argument("--gamma", default="1.0,0.75")
-    tv.add_argument("--taus", default=None)
-    tv.add_argument("--tau-exp", default="-2.5:0.25:-1.5")
+    tv.add_argument("--gamma", type=parse_number_list, default="1.0,0.75")
+    tv.add_argument("--taus", type=parse_number_list)
+    tv.add_argument("--tau-exp", type=parse_log_range, default="-2.5:0.25:-1.5")
     tv.add_argument("--theta", type=float, default=1e-3)
     tv.add_argument("--bcd-epochs", type=int, default=2)
-    tv.set_defaults(func=run_sweep, tol=5e-6)
+    tv.set_defaults(func=run_sweep, cell=_tvls_cell, tol=5e-6)
 
     ce = sub.add_parser("counterexample", help="2x2 tightness certificates")
     _add_common(ce, ("--out", "--max-iter"))
     ce.add_argument("--kind", choices=["bilinear", "quadratic"],
                     default="bilinear")
-    ce.add_argument("--taus", default="4/3",
+    ce.add_argument("--taus", type=parse_number_list, default="4/3",
                     help="bilinear: comma list of tau*sigma products")
-    ce.add_argument("--tau", default="1.0", help="quadratic: tau value")
-    ce.add_argument("--rho3", default="0.4,0.5,0.6",
+    ce.add_argument("--tau", type=parse_number, default="1.0",
+                    help="quadratic: tau value")
+    ce.add_argument("--rho3", type=parse_number_list, default="0.4,0.5,0.6",
                     help="quadratic: comma list of rho3 values")
     ce.set_defaults(func=run_counterexample, max_iter=100000)
 
     ck = sub.add_parser("check", help="convergence-condition check")
     _add_common(ck, ())
-    ck.add_argument("--m1", required=True, help="scalar/diagonal file")
-    ck.add_argument("--m2", required=True, help="scalar/diagonal file")
-    ck.add_argument("--k", required=True, help="operator file (.mtx or text)")
-    ck.add_argument("--sigma-f", default=None)
+    ck.add_argument("--m1", type=load_vector, required=True,
+                    help="scalar/diagonal file")
+    ck.add_argument("--m2", type=load_vector, required=True,
+                    help="scalar/diagonal file")
+    ck.add_argument("--k", type=load_operator, required=True,
+                    help="operator file (.mtx or text)")
+    ck.add_argument("--sigma-f", type=load_vector)
     ck.set_defaults(func=run_check)
     return ap
 
@@ -564,7 +553,10 @@ def main(argv=None) -> int:
     args_list = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        args = parser.parse_args(_apply_config_file(args_list))
+        try:
+            args = parser.parse_args(_apply_config_file(args_list))
+        except OSError as exc:  # an input file that a flag's type reads
+            raise ConfigurationError(f"cannot read input file: {exc}") from None
         return args.func(args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -374,11 +374,13 @@ class ConditionReport:
 
 def _shifted_solver(M1: Metric, sigma):
     """Return functions applying and solving with A = M1 + diag(sigma)/2."""
-    if sigma is None or not np.any(sigma):
+    if sigma is None:
         return M1.apply, M1.solve
     sigma = np.asarray(sigma, dtype=float).ravel()
     if sigma.size != M1.dim:
-        raise ValueError("sigma length mismatch")
+        raise ConfigurationError(f"sigma_f has length {sigma.size}, not {M1.dim}")
+    if not np.any(sigma):
+        return M1.apply, M1.solve
     if np.any(sigma < 0):
         raise ConfigurationError("sigma must be nonnegative")
     A = M1.to_sparse() + sp.diags(0.5 * sigma)
@@ -395,10 +397,13 @@ def check_condition(M1: Metric, sigma_f, M2: Metric, K: LinearOperator,
     avoids any matrix square roots.  The verdict is "fail" when the
     estimate reaches 4/3 (minus a small slack), "pass-unit" when it is
     below 1 (the regime with per-iterate rate guarantees), and
-    "pass-strict" in between.
+    "pass-strict" in between.  Mismatched dimensions raise ConfigurationError.
     """
     if max_iter < 1 or not tol > 0:
         raise ConfigurationError("condition check needs max_iter >= 1 and tol > 0")
+    if (M1.dim, M2.dim) != (K.cols, K.rows):
+        raise ConfigurationError(f"metric dimensions {M1.dim}, {M2.dim} do not "
+                                 f"match K's {K.cols}, {K.rows}")
     a_apply, a_solve = _shifted_solver(M1, sigma_f)
 
     def big_c(z):

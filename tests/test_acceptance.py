@@ -13,7 +13,7 @@ import pytest
 import scipy.linalg as sla
 
 import prepdhg as pd
-from prepdhg.cli import game_sweep_cells, main
+from prepdhg.cli import build_parser, game_sweep_cells, main
 from prepdhg.counterexamples import ToyDynamics, classify, eig2, \
     rho2_boundary_scan
 from prepdhg.ipadmm import equivalence_harness
@@ -258,9 +258,12 @@ def test_criterion_07_oracle_equivalence_small_instances():
 
 def _sweep_game(seeds, gammas, tau_exps, tol=1e-5):
     # each seed's cells as WORKERS row-block solves, on a pool of WORKERS
+    args = build_parser().parse_args(
+        ["game", "--test", "1", "--m", "100", "--n", "100", "--centered",
+         "--seeds", str(seeds), "--tol", repr(tol), "--max-iter", str(10 ** 6),
+         "--record-every", str(10 ** 9), "--workers", str(WORKERS)])
     cells = [(g, float(10.0 ** e)) for g in gammas for e in tau_exps]
-    return game_sweep_cells((1, 100, 100, True), seeds, cells,
-                            (tol, 10 ** 6, 10 ** 9), WORKERS)
+    return game_sweep_cells(args, cells)
 
 
 def _best_tau_mean_iters(results, gamma):
@@ -277,7 +280,7 @@ _GAME_RESULTS = {}
 def test_criterion_08a_matrix_game_speedup():
     t0 = time.perf_counter()
     tau_exps = np.arange(-0.7, -0.3 + 0.005, 0.01)
-    results = _sweep_game(range(5), [1.0, 0.751], tau_exps)
+    results = _sweep_game(5, [1.0, 0.751], tau_exps)
     assert all(r.status == "converged" for r in results)
     tb1, it1 = _best_tau_mean_iters(results, 1.0)
     tbt, itt = _best_tau_mean_iters(results, 0.751)

@@ -327,3 +327,126 @@ def test_birkhoff_empty_gamma_list_rejected(tmp_path, capsys):
                  "--workers", "1", "--out", str(out)]) == 1
     assert "empty grid" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["game", "--gamma", "abc"], "--gamma"),
+    (["game", "--gamma", "1/0"], "--gamma"),
+    (["game", "--tau-exp=abc"], "--tau-exp"),
+    (["birkhoff", "--gamma", "abc"], "--gamma"),
+    (["emd", "--size", "16"], "--size"),
+    (["emd", "--h", "abc"], "--h"),
+    (["tvls", "--taus", "x"], "--taus"),
+    (["counterexample", "--taus", "abc"], "--taus"),
+    (["counterexample", "--tau", "abc"], "--tau"),
+    (["counterexample", "--rho3", "abc"], "--rho3"),
+])
+def test_malformed_value_exits_one_naming_the_flag(tmp_path, capsys, argv,
+                                                   flag):
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"argument {flag}: " in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rng, reason", [("-1:1", "range must be a:step:b"),
+                                         ("-1:0:1", "range step must be positive")])
+def test_bad_log_range_keeps_its_reason(tmp_path, capsys, rng, reason):
+    out = tmp_path / "o"
+    assert main(["game", f"--tau-exp={rng}", "--out", str(out)]) == 1
+    assert f"argument --tau-exp: {reason}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+class TestInputFiles:
+    @pytest.fixture
+    def files(self, tmp_path):
+        (tmp_path / "grid.txt").write_text("1 2\n3 4\n")
+        (tmp_path / "k.txt").write_text("1 0\n0 1\n")
+        (tmp_path / "m.txt").write_text("1\n")
+        return tmp_path
+
+    @pytest.mark.parametrize("argv", [
+        ["emd", "--rho0", "{d}/none.txt", "--rho1", "{d}/grid.txt"],
+        ["emd", "--rho0", "{d}/grid.txt", "--rho1", "{d}/none.npy"],
+        ["tvls", "--r", "{d}/none.mtx"],
+        ["check", "--m1", "{d}/none.txt", "--m2", "{d}/m.txt", "--k", "{d}/k.txt"],
+        ["check", "--m1", "{d}/m.txt", "--m2", "{d}/none.txt", "--k", "{d}/k.txt"],
+        ["check", "--m1", "{d}/m.txt", "--m2", "{d}/m.txt", "--k", "{d}/none.txt"],
+        ["check", "--m1", "{d}/m.txt", "--m2", "{d}/m.txt", "--k", "{d}/none.mtx"],
+        ["check", "--m1", "{d}/m.txt", "--m2", "{d}/m.txt", "--k", "{d}/k.txt",
+         "--sigma-f", "{d}/none.txt"],
+    ])
+    def test_missing_file_is_a_configuration_error(self, files, capsys, argv):
+        argv = [a.format(d=files) for a in argv]
+        if argv[0] != "check":
+            argv += ["--out", str(files / "o")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: cannot read input file")
+        assert "none." in err and "Traceback" not in err
+        assert not (files / "o").exists()
+
+    @pytest.mark.parametrize("flag, other", [("--rho0", "--rho1"),
+                                             ("--rho1", "--rho0")])
+    def test_one_grid_file_without_the_other_rejected(self, files, capsys,
+                                                      flag, other):
+        out = files / "o"
+        assert main(["emd", flag, str(files / "grid.txt"), "--out",
+                     str(out)]) == 1
+        assert "configuration error: --rho0 and --rho1 must be given " \
+               "together" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, text", [("--m1", "1 1 1\n"),
+                                            ("--sigma-f", "2\n2\n2\n")])
+    def test_check_dimension_mismatch_rejected(self, files, capsys, flag,
+                                               text):
+        (files / "bad.txt").write_text(text)
+        argv = {"--m1": str(files / "m.txt"), "--m2": str(files / "m.txt"),
+                "--k": str(files / "k.txt"), flag: str(files / "bad.txt")}
+        assert main(["check"] + [v for kv in argv.items() for v in kv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert "Traceback" not in err
+
+
+def _summary_at_workers(argv, out):
+    """summary.csv bytes of ``argv`` at one and at two workers; every cell
+    must have converged."""
+    sums = []
+    for w in ("1", "2"):
+        assert main(argv + ["--workers", w, "--out", str(out / w)]) == 0
+        sums.append(read(out / w / "summary.csv"))
+        rows = sums[-1].decode().splitlines()[1:]
+        assert rows and all(r.split(",")[4] == "converged" for r in rows)
+    assert sums[0] == sums[1]
+    return out / "1"
+
+
+def test_emd_sweep_on_grid_files(tmp_path):
+    rng = np.random.default_rng(3)
+    rho0, rho1 = rng.random((4, 4)), rng.random((4, 4))
+    np.savetxt(tmp_path / "rho0.txt", rho0)
+    np.save(tmp_path / "rho1.npy", rho1 * rho0.sum() / rho1.sum())
+    _summary_at_workers(["emd", "--size", "4,4", "--rho0",
+                         str(tmp_path / "rho0.txt"), "--rho1",
+                         str(tmp_path / "rho1.npy"), "--gamma", "1.0,0.8",
+                         "--taus", "0.1,0.3", "--seeds", "2"], tmp_path)
+
+
+def test_tvls_sweep_on_a_matrix_market_system(tmp_path):
+    import scipy.sparse as sp
+    from scipy.io import mmwrite
+    R = sp.random(8, 16, density=0.3, format="csr",
+                  random_state=np.random.default_rng(5))
+    mmwrite(tmp_path / "R.mtx", R)
+    out = _summary_at_workers(["tvls", "--size", "4,4", "--r",
+                               str(tmp_path / "R.mtx"), "--gamma", "1.0,0.75",
+                               "--taus", "0.03", "--seeds", "2"], tmp_path)
+    # a problem without a duality gap writes no gap column
+    run = next(p for p in os.listdir(out) if p.endswith(".csv")
+               and p.startswith("run_"))
+    assert (out / run).read_text().splitlines()[0] == \
+        "k,rhat_full,rhat_half,elapsed_s"

@@ -249,6 +249,18 @@ class TestCheckCondition:
         assert rep.verdict == "pass-unit"
         assert rep.unit
 
+    @pytest.mark.parametrize("d1, d2, sigma, match", [
+        (3, 3, None, "metric dimensions"),
+        (2, 2, None, "metric dimensions"),
+        (2, 3, np.ones(3), "sigma_f has length 3"),
+        (2, 3, np.zeros(1), "sigma_f has length 1"),
+    ])
+    def test_dimension_mismatch_rejected_up_front(self, d1, d2, sigma, match):
+        # K is 3 x 2: M1 must be of dim 2, M2 and sigma_f of dims 3 and 2
+        K = DenseOperator(np.ones((3, 2)))
+        with pytest.raises(ConfigurationError, match=match):
+            check_condition(ScalarMetric(1.0, d1), sigma, ScalarMetric(1.0, d2), K)
+
 
 class TestDiagPreconditioner:
     def test_hand_evaluated_example(self):
