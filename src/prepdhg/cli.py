@@ -2,7 +2,10 @@
 
 Subcommands: game | birkhoff | emd | tvls | counterexample | check.
 argparse parses every value and reads every input file once, before any
-work: a bad value or file exits 1 with one line naming it.  Sweeps run
+work: a bad value or file exits 1 with one line naming it, and so does a
+value that a problem builder would refuse from the arguments alone (a grid
+dimension or row count below 1, an emd grid of one node, grid files of two
+shapes).  Sweeps run
 over seeds x gamma x tau cells on a worker pool; a cell is ``cell(args,
 seed, gamma, tau)`` on the parsed arguments and, for birkhoff, emd and
 tvls, one solve.  The game sweep builds K once per seed and deals that
@@ -77,9 +80,29 @@ def parse_log_range(text: str):
     return [float(10.0 ** e) for e in exps]
 
 
+def parse_positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return value
+
+
 def parse_grid_size(text: str):
-    """'M,N' -> (M, N)."""
+    """'M,N' -> (M, N), both positive."""
     M, N = (int(v) for v in text.split(","))
+    if M < 1 or N < 1:
+        raise argparse.ArgumentTypeError(
+            f"grid dimensions must be positive, got {text!r}")
+    return M, N
+
+
+def parse_flux_grid_size(text: str):
+    """A grid size with at least two nodes, so that a flux has an edge."""
+    M, N = parse_grid_size(text)
+    if M * N < 2:
+        raise argparse.ArgumentTypeError(
+            f"grid must have at least two nodes, got {text!r}")
     return M, N
 
 
@@ -386,8 +409,12 @@ def run_sweep(args):
     emit = args.emit.split(",")
     if not set(emit) <= {"csv", "ratio", "svg"}:
         raise ConfigurationError(f"--emit takes csv, ratio and svg, not {args.emit!r}")
-    if (getattr(args, "rho0", None) is None) != (getattr(args, "rho1", None) is None):
+    rho0, rho1 = getattr(args, "rho0", None), getattr(args, "rho1", None)
+    if (rho0 is None) != (rho1 is None):
         raise ConfigurationError("--rho0 and --rho1 must be given together")
+    if rho0 is not None and rho0.shape != rho1.shape:
+        raise ConfigurationError(f"--rho0 and --rho1 differ in shape: "
+                                 f"{rho0.shape} and {rho1.shape}")
     taus = getattr(args, "taus", None) or args.tau_exp
     grid = [(g, t) for g in args.gamma for t in taus]
     if not grid:
@@ -497,7 +524,8 @@ def build_parser():
 
     em = sub.add_parser("emd", help="minimal-flux transport sweep")
     _add_common(em)
-    em.add_argument("--size", type=parse_grid_size, default="16,16", help="grid M,N")
+    em.add_argument("--size", type=parse_flux_grid_size, default="16,16",
+                    help="grid M,N")
     em.add_argument("--h", type=parse_number, help="grid step (default (N-1)/4)")
     em.add_argument("--rho0", type=load_grid, help="source grid file")
     em.add_argument("--rho1", type=load_grid, help="target grid file")
@@ -513,7 +541,7 @@ def build_parser():
     _add_common(tv)
     tv.add_argument("--size", type=parse_grid_size, default="16,16",
                     help="pixel grid M,N")
-    tv.add_argument("--m-rows", type=int)
+    tv.add_argument("--m-rows", type=parse_positive_int)
     tv.add_argument("--density", type=float, default=0.05)
     tv.add_argument("--r", type=load_sparse, help="system matrix .mtx")
     tv.add_argument("--lam", type=float, default=1.0)

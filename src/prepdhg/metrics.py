@@ -31,7 +31,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .exceptions import ConfigurationError
-from .operators import LinearOperator
+from .operators import LinearOperator, csr_matvec
 
 #: strictness margin subtracted from the 4/3 threshold; the boundary itself
 #: is exactly where non-convergent instances exist, and power iteration only
@@ -261,14 +261,17 @@ class BoxQuadBCD:
     diagonal in M.  A clipped update is exact coordinate descent only on
     diagonal blocks, so a box takes the coloring.
 
-    Each diagonal block D_b of M is factorized once by ``spd_solver``
-    (entrywise when diagonal), and the CSR row slice of the off-block part
-    M - D of each block is built once at construction, so a pass does no
-    sparse indexing; the slices cost one more copy of the off-block nonzeros.
+    A diagonal block D_b of M (every color of the coloring) is solved
+    entrywise by ``r / diag[b]``; any other is factorized once by
+    ``spd_solver``.  The CSR row slice of the off-block part M - D of each
+    block is built once at construction, as float64, and a pass multiplies
+    it by ``csr_matvec``, so a pass does no sparse indexing and no scipy
+    operator dispatch; the slices cost one more copy of the off-block
+    nonzeros.
     """
 
     def __init__(self, M, radius: float, epochs: int = 2, blocks=None):
-        M = sp.csr_matrix(M)
+        M = sp.csr_matrix(M, dtype=float)
         self.M = M
         self.diag = M.diagonal()
         if np.any(self.diag <= 0):
@@ -305,7 +308,12 @@ class BoxQuadBCD:
         self.D = sp.csr_matrix((Mc.data[inb], (Mc.row[inb], Mc.col[inb])),
                                shape=M.shape)
         off = M - self.D
-        self._steps = [(b, spd_solver(self.D[b][:, b], f"diagonal block {c}"),
+        # a block without a nonzero off-diagonal entry of its own is diagonal
+        coupled = np.bincount(
+            block_of[Mc.row[inb & (Mc.row != Mc.col) & (Mc.data != 0)]],
+            minlength=len(blocks))
+        self._steps = [(b, spd_solver(self.D[b][:, b], f"diagonal block {c}")
+                        if coupled[c] else (lambda r, d=self.diag[b]: r / d),
                         off[b, :]) for c, b in enumerate(blocks)]
 
     def _pass(self, c, y, steps):
@@ -314,8 +322,10 @@ class BoxQuadBCD:
         lo, hi = -self.radius, self.radius
         box = hi < np.inf
         for grp, dsolve, rows in steps:
-            v = dsolve(c[grp] - rows @ y)
-            y[grp] = np.clip(v, lo, hi) if box else v
+            v = dsolve(c[grp] - csr_matvec(rows, y))
+            if box:  # np.clip(v, lo, hi) bit for bit, NaN and signed zeros too
+                np.minimum(np.maximum(v, lo, out=v), hi, out=v)
+            y[grp] = v
         return y
 
     def sweep(self, c: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -328,7 +338,7 @@ class BoxQuadBCD:
         return y
 
     def solve(self, y0: np.ndarray, r: np.ndarray) -> np.ndarray:
-        return self.sweep(r + self.M @ y0, y0.copy())
+        return self.sweep(r + csr_matvec(self.M, y0), y0.copy())
 
 
 class BlockDiagMetric(Metric):

@@ -6,8 +6,10 @@ row block X of shape (B, n) and return the block of the rows' products,
 each row computed by the same arithmetic as the product of that row alone
 (one BLAS matrix-vector or CSR row product per row, never a matrix-matrix
 product, which rounds differently).  Dense and sparse wrappers are
-provided.  The 2D grid divergence, vertical stacking and the transpose are
-sparse operators: each assembles its CSR matrix once and applies it.  The
+provided; a sparse operator stores its matrix as float64 CSR and multiplies
+one vector by scipy's CSR kernel directly (``csr_matvec``).  The 2D grid
+divergence, vertical stacking and the transpose are sparse operators: each
+assembles its CSR matrix once and applies it.  The
 doubly-stochastic (row-sum/column-sum) constraint operator stays
 matrix-free, with a closed-form Gram-shift inverse.
 """
@@ -17,6 +19,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 import scipy.sparse as sp
 from scipy.io import mmread
+from scipy.sparse._sparsetools import csr_matvec as _csr_matvec_kernel
 
 from .exceptions import ConfigurationError
 
@@ -66,6 +69,24 @@ class LinearOperator:
         return None
 
 
+def csr_matvec(A, x):
+    """A @ x for a float64 CSR matrix A and a float64 vector x.
+
+    Calls the C kernel behind ``A @ x`` (the private
+    ``scipy.sparse._sparsetools.csr_matvec``, present at the scipy>=1.10
+    floor) on the same zero-filled float64 output, so the result is bitwise
+    that of ``A @ x``; it skips only scipy's operator dispatch, which costs
+    more than the product itself on the small matrices of a Gauss-Seidel
+    pass.  The kernel does not check dtypes: A must hold float64 data, as
+    every ``SparseOperator`` and ``BoxQuadBCD`` matrix does.  The tests pin
+    the equality on empty rows, strided x, int64 indices and empty shapes.
+    """
+    m, n = A.shape
+    y = np.zeros(m)
+    _csr_matvec_kernel(m, n, A.indptr, A.indices, A.data, x, y)
+    return y
+
+
 def _dense_rows(A, X):
     """The rows of X times A^T, each by the gemv of ``A @ X[i]``."""
     if len(X) == 1:
@@ -78,7 +99,7 @@ def _dense_rows(A, X):
 def _csr_rows(A, X):
     """The rows of X times A^T for a CSR A, each as ``A @ X[i]``."""
     if len(X) == 1:
-        return (A @ X[0])[None]
+        return csr_matvec(A, X[0])[None]
     # CSR times a dense block accumulates each output entry in the order of
     # the CSR matrix-vector product
     return np.ascontiguousarray((A @ X.T).T)
@@ -104,20 +125,23 @@ class DenseOperator(LinearOperator):
 
 
 class SparseOperator(LinearOperator):
-    """K given as a scipy CSR matrix; ``to_sparse`` returns it, not a copy."""
+    """K given as a scipy CSR matrix, stored as float64 (the kernel of
+    ``csr_matvec`` takes no other data type); ``to_sparse`` returns it, not a
+    copy."""
 
     def __init__(self, A):
-        self.A = sp.csr_matrix(A)
+        self.A = sp.csr_matrix(A, dtype=float)
         self.rows, self.cols = self.A.shape
         self._AT = sp.csr_matrix(self.A.T)
 
     def apply(self, x):
         x = self._check_in(x, self.cols, "apply")
-        return self.A @ x if x.ndim == 1 else _csr_rows(self.A, x)
+        return csr_matvec(self.A, x) if x.ndim == 1 else _csr_rows(self.A, x)
 
     def apply_adjoint(self, y):
         y = self._check_in(y, self.rows, "apply_adjoint")
-        return self._AT @ y if y.ndim == 1 else _csr_rows(self._AT, y)
+        return csr_matvec(self._AT, y) if y.ndim == 1 \
+            else _csr_rows(self._AT, y)
 
     def to_dense(self):
         return self.A.toarray()

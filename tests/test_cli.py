@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from prepdhg import cli
 from prepdhg.cli import (_SWITCHES, _apply_config_file, build_parser, main,
                          parse_config_text, parse_log_range, parse_number)
 
@@ -357,6 +358,36 @@ def test_bad_log_range_keeps_its_reason(tmp_path, capsys, rng, reason):
     assert main(["game", f"--tau-exp={rng}", "--out", str(out)]) == 1
     assert f"argument --tau-exp: {reason}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["tvls", "--m-rows", "0"], "argument --m-rows: expected a positive integer"),
+    (["tvls", "--size", "0,4"], "argument --size: grid dimensions must be positive"),
+    (["emd", "--size", "0,4"], "argument --size: grid dimensions must be positive"),
+    (["emd", "--size", "1,1"], "argument --size: grid must have at least two nodes"),
+    (["emd", "--rho0", "{d}/square.txt", "--rho1", "{d}/row.txt"],
+     "configuration error: --rho0 and --rho1 differ in shape"),
+])
+def test_builder_errors_surface_before_any_cell(tmp_path, capsys, monkeypatch,
+                                                argv, reason):
+    # each of these was refused by the problem builder, inside a cell
+    cells = []
+    for name in ("_emd_cell", "_tvls_cell"):
+        monkeypatch.setattr(cli, name, lambda *a: cells.append(a))
+    (tmp_path / "square.txt").write_text("1 2\n3 4\n")
+    (tmp_path / "row.txt").write_text("1 2 3 4\n")
+    out = tmp_path / "o"
+    argv = [a.format(d=tmp_path) for a in argv]
+    assert main(argv + ["--taus", "0.03", "--workers", "1",
+                        "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert reason in err and "Traceback" not in err
+    assert not cells and not out.exists()
+
+
+def test_a_one_node_tvls_grid_is_accepted():
+    # the TV least-squares builder solves a one-pixel problem
+    assert build_parser().parse_args(["tvls", "--size", "1,1"]).size == (1, 1)
 
 
 class TestInputFiles:

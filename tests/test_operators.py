@@ -1,12 +1,18 @@
+import pickle
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.io import mmwrite
 
+from prepdhg import metrics, operators
 from prepdhg.metrics import build_diag_preconditioner, gram_shift_matrix
 from prepdhg.operators import (BirkhoffConstraint, DenseOperator,
                                GridDivergence, SparseOperator, Transpose,
-                               VStack, load_dense, load_sparse,
+                               VStack, csr_matvec, load_dense, load_sparse,
                                spectral_norm_sq)
+from prepdhg.problems import (emd, random_balanced_grids,
+                              random_sparse_system, tv_least_squares)
 
 
 # The earlier matrix-free forms of the grid operators, kept as references
@@ -299,3 +305,99 @@ def test_stored_sparse_form_survives_its_callers():
         assert op.to_sparse() is S
         assert all(np.array_equal(a, b) for a, b in
                    zip((S.indptr, S.indices, S.data), before))
+
+
+# ``csr_matvec`` calls the C kernel behind ``A @ x`` directly; these pin it
+# to ``A @ x`` byte for byte.
+
+def assert_same_bytes(got, want):
+    assert got.dtype == want.dtype == np.float64
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def random_csr_with_empty_rows(rng, m, n):
+    A = sp.random(m, n, density=0.3, random_state=rng,
+                  data_rvs=rng.standard_normal, format="lil")
+    A[rng.choice(m, m // 3, replace=False)] = 0.0
+    return sp.csr_matrix(A)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_csr_matvec_is_the_product_with_empty_rows(seed):
+    rng = np.random.default_rng(700 + seed)
+    m, n = (int(v) for v in rng.integers(3, 40, size=2))
+    A = random_csr_with_empty_rows(rng, m, n)
+    assert np.any(np.diff(A.indptr) == 0)
+    for _ in range(3):
+        x = rng.standard_normal(n)
+        assert_same_bytes(csr_matvec(A, x), A @ x)
+
+
+def test_csr_matvec_on_a_strided_vector():
+    rng = np.random.default_rng(710)
+    A = random_csr_with_empty_rows(rng, 25, 17)
+    x = rng.standard_normal(3 * 17)[::3]
+    assert not x.flags.c_contiguous
+    assert_same_bytes(csr_matvec(A, x), A @ x)
+
+
+def test_csr_matvec_with_int64_indices():
+    rng = np.random.default_rng(720)
+    A = random_csr_with_empty_rows(rng, 30, 21)
+    A.indices, A.indptr = A.indices.astype(np.int64), A.indptr.astype(np.int64)
+    x = rng.standard_normal(21)
+    assert_same_bytes(csr_matvec(A, x), A @ x)
+
+
+@pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
+def test_csr_matvec_on_zero_size_shapes(shape):
+    A = sp.csr_matrix(shape)
+    assert_same_bytes(csr_matvec(A, np.zeros(shape[1])), A @ np.zeros(shape[1]))
+
+
+def test_integer_matrix_market_operator_applies_as_floats(tmp_path):
+    # the kernel does not check dtypes, so the operator stores float64
+    rng = np.random.default_rng(730)
+    dense = rng.integers(-6, 7, (6, 5))
+    dense[rng.random((6, 5)) < 0.4] = 0
+    ints = sp.coo_matrix(dense)
+    mmwrite(tmp_path / "K.mtx", ints)
+    assert "integer" in (tmp_path / "K.mtx").read_text().splitlines()[0]
+    K = load_sparse(tmp_path / "K.mtx")
+    F = SparseOperator(ints.astype(float))
+    assert K.A.dtype == np.float64
+    for _ in range(3):
+        x, y = rng.standard_normal(5), rng.standard_normal(6)
+        assert_same_bytes(K.apply(x), F.apply(x))
+        assert_same_bytes(K.apply_adjoint(y), F.apply_adjoint(y))
+
+
+def test_sparse_operator_pickles():
+    # sweep workers receive the --r operator pickled
+    rng = np.random.default_rng(740)
+    K = SparseOperator(random_csr_with_empty_rows(rng, 12, 9))
+    back = pickle.loads(pickle.dumps(K))
+    x, y = rng.standard_normal(9), rng.standard_normal(12)
+    assert_same_bytes(back.apply(x), K.apply(x))
+    assert_same_bytes(back.apply_adjoint(y), K.apply_adjoint(y))
+
+
+def test_solves_are_bitwise_those_of_the_operator_product(monkeypatch):
+    rng = np.random.default_rng(750)
+    R = random_sparse_system(32, 64, 0.1, 3)
+    b = R.apply(rng.random(64))
+    rho0, rho1 = random_balanced_grids(4, 5, 2)
+    builds = [
+        lambda: tv_least_squares(R, b, 1.0, (8, 8), 0.01, 0.75, theta=1e-3,
+                                 max_iter=3000),
+        lambda: emd(rho0, rho1, 1.0, 0.05, 0.75, theta=1e-6, method="sgs",
+                    max_iter=3000)]
+    kernel = [inst.solve() for inst in (build() for build in builds)]
+    for mod in (operators, metrics):
+        monkeypatch.setattr(mod, "csr_matvec", lambda A, x: A @ x)
+    matmul = [inst.solve() for inst in (build() for build in builds)]
+    for got, want in zip(kernel, matmul):
+        assert got.status == want.status == "converged"
+        assert got.iters == want.iters
+        assert_same_bytes(got.x_final, want.x_final)
+        assert_same_bytes(got.y_final, want.y_final)

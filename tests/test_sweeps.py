@@ -195,6 +195,49 @@ def test_bcd_solve_matches_per_call_slicing(seed):
         assert on_bound.any() and not on_bound.all()
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_diagonal_blocks_solve_as_the_factorized_blocks(seed):
+    # a block without a nonzero off-diagonal entry of its own skips
+    # ``spd_solver``; its entrywise r / d is the solver's diagonal branch on
+    # the same values
+    rng = np.random.default_rng(250 + seed)
+    n = int(rng.integers(10, 40))
+    M = random_sparse_spd(rng, n, density=0.15)
+    for bcd in (BoxQuadBCD(M, 0.5),
+                BoxQuadBCD(M, np.inf, blocks=random_partition(rng, n, 3))):
+        for grp, dsolve, _ in bcd._steps:
+            block, r = bcd.D[grp][:, grp], rng.standard_normal(grp.size)
+            assert np.array_equal(dsolve(r), spd_solver(block)(r))
+            if (block - sp.diags(bcd.diag[grp])).count_nonzero() == 0:
+                assert np.array_equal(dsolve(r), r / bcd.diag[grp])
+
+
+def test_stored_zeros_leave_a_block_diagonal():
+    # blocks {0, 1} and {2, 3}; the first stores explicit zeros at (0, 1)
+    rows = [0, 0, 1, 1, 2, 3, 0, 2, 2, 3]
+    cols = [0, 1, 0, 1, 2, 3, 2, 0, 3, 2]
+    vals = [2.0, 0.0, 0.0, 3.0, 4.0, 5.0, 0.5, 0.5, 1.0, 1.0]
+    M = sp.csr_matrix((vals, (rows, cols)), shape=(4, 4))
+    assert M.nnz == 10
+    bcd = BoxQuadBCD(M, np.inf, blocks=[[0, 1], [2, 3]])
+    r = np.array([1.0, -2.0])
+    for grp, dsolve, _ in bcd._steps:
+        assert np.array_equal(dsolve(r), spd_solver(bcd.D[grp][:, grp])(r))
+    assert np.array_equal(bcd._steps[0][1](r), r / np.array([2.0, 3.0]))
+
+
+def test_box_pass_clips_as_np_clip_bit_for_bit():
+    # over M = I a pass is the clip of c alone; the kernel clips in place by
+    # np.minimum(np.maximum(v, lo), hi), equal to np.clip on NaN and -0.0 too
+    rng = np.random.default_rng(260)
+    radius = 0.5
+    c = np.concatenate([rng.uniform(-2, 2, 200), [np.nan, 0.0, -0.0, np.inf,
+                        -np.inf, radius, -radius, np.nextafter(radius, 1)]])
+    got = BoxQuadBCD(sp.identity(c.size), radius, epochs=1).sweep(
+        c, np.zeros_like(c))
+    assert got.tobytes() == np.clip(c, -radius, radius).tobytes()
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_swept_gram_shift_matches_the_two_epoch_solve(seed):
     rng = np.random.default_rng(300 + seed)
