@@ -5,14 +5,15 @@ argparse parses every value and reads every input file once, before any
 work: a bad value or file exits 1 with one line naming it, and so does a
 value that a problem builder would refuse from the arguments alone (a grid
 dimension or row count below 1, an emd grid of one node, grid files of two
-shapes).  Sweeps run
+shapes, a one-pixel tvls grid without a row count).  Sweeps run
 over seeds x gamma x tau cells on a worker pool; a cell is ``cell(args,
 seed, gamma, tau)`` on the parsed arguments and, for birkhoff, emd and
 tvls, one solve.  The game sweep builds K once per seed and deals that
 seed's cells out, interleaved, into one batch per worker; a batch is one
 row-block solve (``solver.solve_batch``), equal cell for cell to the
-serial solves.  A summary CSV (byte-stable across reruns of the same
-seeded config, and across worker counts), per-run residual CSVs, a
+serial solves, and its cells share one estimate of ||K||^2, memoized on
+K by ``spectral_norm_sq``.  A summary CSV (byte-stable across reruns of
+the same seeded config, and across worker counts), per-run residual CSVs, a
 saved-iteration ratio table against the gamma = 1 baseline, and optional
 SVG convergence plots are written under the output directory.
 """
@@ -415,6 +416,10 @@ def run_sweep(args):
     if rho0 is not None and rho0.shape != rho1.shape:
         raise ConfigurationError(f"--rho0 and --rho1 differ in shape: "
                                  f"{rho0.shape} and {rho1.shape}")
+    if args.cell is _tvls_cell and args.r is None and args.m_rows is None \
+            and args.size[0] * args.size[1] < 2:
+        raise ConfigurationError("a one-pixel --size has no default row "
+                                 "count; give --m-rows or --r")
     taus = getattr(args, "taus", None) or args.tau_exp
     grid = [(g, t) for g in args.gamma for t in taus]
     if not grid:

@@ -20,7 +20,10 @@ the preconditioned primal-dual iteration,
 
 by power iteration on the equivalent generalized eigenproblem
 K^T M2^{-1} K z = s (M1 + Sigma_f/2) z, and compares it against the 4/3
-threshold below which the iteration provably converges.
+threshold below which the iteration provably converges.  For a scalar pair
+(M1 + Sigma_f/2 = a I, M2 = b I) the eigenproblem collapses to
+s = ||K||^2 / (a b), which it reads off the operator's memoized
+``spectral_norm_sq``.
 """
 
 from dataclasses import dataclass
@@ -31,7 +34,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .exceptions import ConfigurationError
-from .operators import LinearOperator, csr_matvec
+from .operators import LinearOperator, csr_matvec, spectral_norm_sq
 
 #: strictness margin subtracted from the 4/3 threshold; the boundary itself
 #: is exactly where non-convergent instances exist, and power iteration only
@@ -382,19 +385,40 @@ class ConditionReport:
         return self.verdict == "pass-unit"
 
 
-def _shifted_solver(M1: Metric, sigma):
-    """Return functions applying and solving with A = M1 + diag(sigma)/2."""
+def _sigma(M1: Metric, sigma):
+    """sigma as a checked float vector of M1's dimension; None when zero."""
     if sigma is None:
-        return M1.apply, M1.solve
+        return None
     sigma = np.asarray(sigma, dtype=float).ravel()
     if sigma.size != M1.dim:
         raise ConfigurationError(f"sigma_f has length {sigma.size}, not {M1.dim}")
     if not np.any(sigma):
-        return M1.apply, M1.solve
+        return None
     if np.any(sigma < 0):
         raise ConfigurationError("sigma must be nonnegative")
+    return sigma
+
+
+def _shifted_solver(M1: Metric, sigma):
+    """Return functions applying and solving with A = M1 + diag(sigma)/2."""
+    sigma = _sigma(M1, sigma)
+    if sigma is None:
+        return M1.apply, M1.solve
     A = M1.to_sparse() + sp.diags(0.5 * sigma)
     return (lambda z: A @ z), spd_solver(A, "primal metric")
+
+
+def _scalar_pair(M1: Metric, sigma, M2: Metric):
+    """a * b when M1 + diag(sigma)/2 = a I and M2 = b I, else None; sigma
+    is checked by ``_sigma``."""
+    d1, d2 = M1.diagonal(), M2.diagonal()
+    if d1 is None or d2 is None or not (d1.size and d2.size):
+        return None
+    if sigma is not None:
+        d1 = d1 + 0.5 * sigma
+    if np.any(d1 != d1[0]) or np.any(d2 != d2[0]):
+        return None
+    return d1[0] * d2[0]
 
 
 def check_condition(M1: Metric, sigma_f, M2: Metric, K: LinearOperator,
@@ -408,44 +432,31 @@ def check_condition(M1: Metric, sigma_f, M2: Metric, K: LinearOperator,
     estimate reaches 4/3 (minus a small slack), "pass-unit" when it is
     below 1 (the regime with per-iterate rate guarantees), and
     "pass-strict" in between.  Mismatched dimensions raise ConfigurationError.
+
+    A scalar pair, whose diagonals A = a I and M2 = b I are constant and
+    nonempty, takes no iteration of its own: s is
+    ``spectral_norm_sq(K, tol=tol).value / (a * b)``, and ``converged`` and
+    ``iterations`` are that estimate's.  ``tol`` applies to it; ``max_iter``
+    and ``seed`` apply only to the generalized iteration.  The estimate is
+    the one memoized on K, so where the stepsizes were chosen from
+    ``spectral_norm_sq`` (as a matrix game's are), the check certifies no
+    more than the estimate that chose them; the same-seed iteration it ran
+    before certified no more either.  Certifying ||K||^2 would certify both.
     """
     if max_iter < 1 or not tol > 0:
         raise ConfigurationError("condition check needs max_iter >= 1 and tol > 0")
     if (M1.dim, M2.dim) != (K.cols, K.rows):
         raise ConfigurationError(f"metric dimensions {M1.dim}, {M2.dim} do not "
                                  f"match K's {K.cols}, {K.rows}")
-    a_apply, a_solve = _shifted_solver(M1, sigma_f)
-
-    def big_c(z):
-        return K.apply_adjoint(M2.solve(K.apply(z)))
-
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal(K.cols)
-    z /= np.linalg.norm(z)
-    s = 0.0
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        cz = big_c(z)
-        num = float(np.dot(z, cz))
-        den = float(np.dot(z, a_apply(z)))
-        s_new = num / den
-        if num <= 0:
-            s_new = 0.0
-            converged = True
-            break
-        if it > 1 and abs(s_new - s) <= tol * max(abs(s_new), 1e-300):
-            s = s_new
-            converged = True
-            break
-        s = s_new
-        z = a_solve(cz)
-        nz = np.linalg.norm(z)
-        if nz == 0:
-            converged = True
-            s = 0.0
-            break
-        z /= nz
+    sigma = _sigma(M1, sigma_f)
+    ab = _scalar_pair(M1, sigma, M2)
+    if ab is not None:
+        est = spectral_norm_sq(K, tol=tol)
+        s, converged, it = est.value / ab, est.converged, est.iterations
+    else:
+        a_apply, a_solve = _shifted_solver(M1, sigma)
+        s, converged, it = _generalized_power(K, M2, a_apply, a_solve, tol,
+                                              max_iter, seed)
     if not s < CONDITION_THRESHOLD - CHECKER_SLACK:  # a NaN estimate fails
         verdict = "fail"
     elif s < 1.0 - CHECKER_SLACK:
@@ -455,6 +466,33 @@ def check_condition(M1: Metric, sigma_f, M2: Metric, K: LinearOperator,
     return ConditionReport(s_hat=s, threshold=CONDITION_THRESHOLD,
                            margin=CONDITION_THRESHOLD - s, verdict=verdict,
                            converged=converged, iterations=it)
+
+
+def _generalized_power(K, M2, a_apply, a_solve, tol, max_iter, seed):
+    """(s, converged, iterations) of the generalized power iteration."""
+    def big_c(z):
+        return K.apply_adjoint(M2.solve(K.apply(z)))
+
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(K.cols)
+    z /= np.linalg.norm(z)
+    s = 0.0
+    for it in range(1, max_iter + 1):
+        cz = big_c(z)
+        num = float(np.dot(z, cz))
+        den = float(np.dot(z, a_apply(z)))
+        s_new = num / den
+        if num <= 0:
+            return s, True, it
+        if it > 1 and abs(s_new - s) <= tol * max(abs(s_new), 1e-300):
+            return s_new, True, it
+        s = s_new
+        z = a_solve(cz)
+        nz = np.linalg.norm(z)
+        if nz == 0:
+            return 0.0, True, it
+        z /= nz
+    return s, False, max_iter
 
 
 def build_diag_preconditioner(K: LinearOperator, alpha: float, delta: float,

@@ -106,10 +106,12 @@ def _csr_rows(A, X):
 
 
 class DenseOperator(LinearOperator):
-    """K given as a dense 2D array."""
+    """K given as a dense 2D array, stored as a read-only copy of its own, so
+    that no caller can change K under a memoized ``spectral_norm_sq``."""
 
     def __init__(self, A):
-        self.A = np.atleast_2d(np.asarray(A, dtype=float))
+        self.A = np.array(A, dtype=float, ndmin=2)
+        self.A.flags.writeable = False
         self.rows, self.cols = self.A.shape
 
     def apply(self, x):
@@ -125,12 +127,13 @@ class DenseOperator(LinearOperator):
 
 
 class SparseOperator(LinearOperator):
-    """K given as a scipy CSR matrix, stored as float64 (the kernel of
-    ``csr_matvec`` takes no other data type); ``to_sparse`` returns it, not a
-    copy."""
+    """K given as a scipy CSR matrix, stored as a float64 copy of its own
+    (the kernel of ``csr_matvec`` takes no other data type, and no caller
+    can change K under a memoized ``spectral_norm_sq``); ``to_sparse``
+    returns it, not a copy."""
 
     def __init__(self, A):
-        self.A = sp.csr_matrix(A, dtype=float)
+        self.A = sp.csr_matrix(A, dtype=float, copy=True)
         self.rows, self.cols = self.A.shape
         self._AT = sp.csr_matrix(self.A.T)
 
@@ -280,9 +283,23 @@ def spectral_norm_sq(op: LinearOperator, tol: float = 1e-10,
     when the relative change of successive Rayleigh quotients drops below
     ``tol``; the returned value is a lower bound of ||K||^2 up to that
     tolerance.  Non-convergence is flagged, not raised.
+
+    The estimate is memoized on the operator, one entry per ``(tol,
+    max_iter)``: the start vector is always the one of ``POWER_SEED`` and
+    an operator's matrix never changes (the dense and sparse wrappers keep
+    copies of their own), so a memoized estimate is bitwise the one a fresh
+    iteration would return.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
+    memo = op.__dict__.setdefault("_spectral_memo", {})
+    key = (tol, max_iter)
+    if key not in memo:
+        memo[key] = _power_iteration(op, tol, max_iter)
+    return memo[key]
+
+
+def _power_iteration(op, tol, max_iter):
     rng = np.random.default_rng(POWER_SEED)
     v = rng.standard_normal(op.cols)
     nv = np.linalg.norm(v)

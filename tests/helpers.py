@@ -1,6 +1,22 @@
-"""Dense reference constructions shared across test modules."""
+"""Dense reference constructions and probes shared across test modules."""
 
 import numpy as np
+
+from prepdhg.operators import DenseOperator
+
+
+class CountingOperator(DenseOperator):
+    """A dense operator that counts its products with K and K^T."""
+
+    calls = 0
+
+    def apply(self, x):
+        self.calls += 1
+        return super().apply(x)
+
+    def apply_adjoint(self, y):
+        self.calls += 1
+        return super().apply_adjoint(y)
 
 
 def sgs_dense_oracle(Q, blocks):

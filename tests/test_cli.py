@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from prepdhg import cli
+from prepdhg import cli, metrics, operators
 from prepdhg.cli import (_SWITCHES, _apply_config_file, build_parser, main,
                          parse_config_text, parse_log_range, parse_number)
 
@@ -104,6 +104,22 @@ class TestGameSweep:
                         (first / run).read_text().splitlines()] == \
                     [r.rsplit(",", 1)[0] for r in
                      (out / run).read_text().splitlines()]
+
+    def test_a_batch_estimates_the_norm_once(self, tmp_path, monkeypatch):
+        # a batch's cells share K, and each scalar-pair check reads the
+        # estimate memoized on it: one power iteration per seed's batch
+        runs = []
+        power = operators._power_iteration
+        monkeypatch.setattr(operators, "_power_iteration",
+                            lambda *a: runs.append(a) or power(*a))
+        monkeypatch.setattr(metrics, "_generalized_power",
+                            lambda *a: pytest.fail("the check iterated"))
+        code, one = self.run_small(tmp_path, "one")
+        assert code == 0 and len(runs) == 2  # --seeds 2, --workers 1
+        code, two = self.run_small(tmp_path, "two", ("--workers", "2"))
+        assert code == 0
+        assert read(one / "summary.csv") == read(two / "summary.csv")
+        assert read(one / "ratio.csv") == read(two / "ratio.csv")
 
     @pytest.mark.parametrize("flag", ["--workers", "--seeds"])
     @pytest.mark.parametrize("value", ["0", "-3"])
@@ -367,6 +383,9 @@ def test_bad_log_range_keeps_its_reason(tmp_path, capsys, rng, reason):
     (["emd", "--size", "1,1"], "argument --size: grid must have at least two nodes"),
     (["emd", "--rho0", "{d}/square.txt", "--rho1", "{d}/row.txt"],
      "configuration error: --rho0 and --rho1 differ in shape"),
+    (["tvls", "--size", "1,1"],
+     "configuration error: a one-pixel --size has no default row count; "
+     "give --m-rows or --r"),
 ])
 def test_builder_errors_surface_before_any_cell(tmp_path, capsys, monkeypatch,
                                                 argv, reason):
@@ -388,6 +407,12 @@ def test_builder_errors_surface_before_any_cell(tmp_path, capsys, monkeypatch,
 def test_a_one_node_tvls_grid_is_accepted():
     # the TV least-squares builder solves a one-pixel problem
     assert build_parser().parse_args(["tvls", "--size", "1,1"]).size == (1, 1)
+
+
+def test_a_one_node_tvls_grid_runs_with_a_row_count(tmp_path):
+    assert main(["tvls", "--size", "1,1", "--m-rows", "1", "--density", "1.0",
+                 "--taus", "0.03", "--workers", "1", "--emit", "csv",
+                 "--out", str(tmp_path / "o")]) == 0
 
 
 class TestInputFiles:

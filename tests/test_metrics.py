@@ -9,10 +9,11 @@ from prepdhg.metrics import (BlockDiagMetric, DenseMetric, DiagonalMetric,
                              build_diag_preconditioner, check_condition,
                              dense_sqrt, gram_shift_matrix)
 from prepdhg.operators import (BirkhoffConstraint, DenseOperator, GridDivergence,
-                               SparseOperator, Transpose, VStack)
+                               SparseOperator, Transpose, VStack,
+                               spectral_norm_sq)
 
 
-from helpers import random_partition, sgs_dense_oracle
+from helpers import CountingOperator, random_partition, sgs_dense_oracle
 
 
 class TestBasicMetrics:
@@ -239,13 +240,13 @@ class TestCheckCondition:
         K = DenseOperator([[1.0, np.nan], [0.5, -1.0]])
         M = ScalarMetric(1.0, 2)
         rep = check_condition(M, None, M, K)
-        assert np.isnan(rep.s_hat)
+        assert np.isnan(rep.s_hat) and not rep.converged
         assert rep.verdict == "fail" and not rep.passed
 
     def test_zero_operator(self):
         K = DenseOperator(np.zeros((3, 2)))
         rep = check_condition(ScalarMetric(1.0, 2), None, ScalarMetric(1.0, 3), K)
-        assert rep.s_hat == 0.0
+        assert rep.s_hat == 0.0 and rep.converged
         assert rep.verdict == "pass-unit"
         assert rep.unit
 
@@ -260,6 +261,68 @@ class TestCheckCondition:
         K = DenseOperator(np.ones((3, 2)))
         with pytest.raises(ConfigurationError, match=match):
             check_condition(ScalarMetric(1.0, d1), sigma, ScalarMetric(1.0, d2), K)
+
+
+class TestScalarPairCheck:
+    """M1 + Sigma_f/2 = a I and M2 = b I: s is ||K||^2 / (a b), read off
+    the estimate memoized on K."""
+
+    K = np.random.default_rng(31).standard_normal((12, 9))
+
+    def primed(self, tol=1e-10):
+        op = CountingOperator(self.K)
+        est = spectral_norm_sq(op, tol=tol)
+        op.calls = 0
+        return op, est
+
+    def test_a_memo_hit_makes_no_products(self):
+        op, est = self.primed()
+        rep = check_condition(ScalarMetric(2.0, 9), None, ScalarMetric(0.7, 12),
+                              op, tol=1e-10, max_iter=5, seed=3)
+        assert op.calls == 0
+        assert rep.s_hat == est.value / (2.0 * 0.7)  # bitwise
+        assert (rep.converged, rep.iterations) == (est.converged,
+                                                   est.iterations)
+
+    def test_the_estimate_is_the_one_at_the_check_tol(self):
+        K = DenseOperator(self.K)
+        rep = check_condition(ScalarMetric(0.5, 9), None, ScalarMetric(4.0, 12),
+                              K, tol=1e-13)
+        est = spectral_norm_sq(K, tol=1e-13)
+        assert rep.s_hat == est.value / (0.5 * 4.0)
+        assert est.iterations == rep.iterations
+
+    @pytest.mark.parametrize("M1", [ScalarMetric(0.5, 9),
+                                    DiagonalMetric(np.linspace(1.0, 0.6, 9))])
+    def test_a_constant_sigma_folds_into_a(self, M1):
+        # M1 + Sigma_f/2 = I for both
+        sigma = 2.0 * (1.0 - M1.diagonal())
+        op, est = self.primed()
+        rep = check_condition(M1, sigma, ScalarMetric(1.5, 12), op, tol=1e-10)
+        assert op.calls == 0
+        assert rep.s_hat == est.value / (1.0 * 1.5)
+
+    @pytest.mark.parametrize("d1, d2", [
+        (np.linspace(1.0, 2.0, 9), np.ones(12)),
+        (np.ones(9), np.linspace(1.0, 2.0, 12)),
+    ])
+    def test_a_non_constant_diagonal_still_iterates(self, d1, d2):
+        op, _ = self.primed()
+        rep = check_condition(DiagonalMetric(d1), None, DiagonalMetric(d2), op,
+                              tol=1e-12, max_iter=20000)
+        assert op.calls > 0 and rep.converged
+        A = self.K.T @ np.diag(1.0 / d2) @ self.K
+        want = sla.eigh(A, np.diag(d1), eigvals_only=True)[-1]
+        assert rep.s_hat == pytest.approx(want, rel=1e-8)
+
+    def test_an_estimate_at_its_cap_is_not_converged(self):
+        # two singular values 1e-6 apart: the estimate moves by about 1e-6
+        # per iteration and stops at the 2000 of ``spectral_norm_sq``; the
+        # check's own max_iter is not its cap
+        K = DenseOperator(np.diag([1.0, 1.0 - 1e-6]))
+        rep = check_condition(ScalarMetric(1.0, 2), None, ScalarMetric(1.0, 2),
+                              K, tol=1e-15, max_iter=5)
+        assert not rep.converged and rep.iterations == 2000
 
 
 class TestDiagPreconditioner:

@@ -14,6 +14,8 @@ from prepdhg.operators import (BirkhoffConstraint, DenseOperator,
 from prepdhg.problems import (emd, random_balanced_grids,
                               random_sparse_system, tv_least_squares)
 
+from helpers import CountingOperator
+
 
 # The earlier matrix-free forms of the grid operators, kept as references
 # for the CSR products that replaced them.
@@ -188,20 +190,6 @@ def test_grid_divergence_norm_bounded_by_8h2(M, N):
         assert est.value <= 8.0 * h * h * (1 + 1e-9)
 
 
-class CountingOperator(DenseOperator):
-    """A dense operator that counts its products with K and K^T."""
-
-    calls = 0
-
-    def apply(self, x):
-        self.calls += 1
-        return super().apply(x)
-
-    def apply_adjoint(self, y):
-        self.calls += 1
-        return super().apply_adjoint(y)
-
-
 def test_spectral_norm_one_product_each_way_per_iteration():
     rng = np.random.default_rng(5)
     op = CountingOperator(rng.standard_normal((40, 30)))
@@ -305,6 +293,65 @@ def test_stored_sparse_form_survives_its_callers():
         assert op.to_sparse() is S
         assert all(np.array_equal(a, b) for a, b in
                    zip((S.indptr, S.indices, S.data), before))
+
+
+# An operator owns its matrix, so ``spectral_norm_sq`` may memoize its
+# estimate on it.
+
+def test_wrapped_matrices_are_copies_of_their_own():
+    rng = np.random.default_rng(21)
+    A = rng.standard_normal((7, 5))
+    S = sp.random(9, 6, density=0.4, format="csr", random_state=rng)
+    x = rng.standard_normal(5)
+    xs = rng.standard_normal(6)
+    fresh = [spectral_norm_sq(DenseOperator(A.copy())),
+             spectral_norm_sq(SparseOperator(S.copy()))]
+    dense, sparse = DenseOperator(A), SparseOperator(S)
+    want = [(op.apply(v).tobytes(), spectral_norm_sq(op))
+            for op, v in ((dense, x), (sparse, xs))]
+    A *= 3.0
+    S.data *= 3.0
+    for (op, v), (y, est), new in zip(((dense, x), (sparse, xs)), want, fresh):
+        assert op.apply(v).tobytes() == y
+        assert spectral_norm_sq(op) is est
+        assert est == new  # the memo holds what a fresh iteration returns
+
+
+def test_dense_operator_matrix_is_read_only():
+    op = DenseOperator(np.ones((2, 3)))
+    assert not op.A.flags.writeable
+    with pytest.raises(ValueError):
+        op.A[0, 0] = 2.0
+    assert op.to_dense().flags.writeable  # a copy the caller may change
+
+
+def test_spectral_memo_keys_on_tol_and_max_iter():
+    op = CountingOperator(np.random.default_rng(22).standard_normal((20, 15)))
+    keys = [(1e-6, 2000), (1e-12, 2000), (1e-12, 3)]
+    ests, calls = [], []
+    for tol, max_iter in keys:
+        before = op.calls
+        ests.append(spectral_norm_sq(op, tol=tol, max_iter=max_iter))
+        calls.append(op.calls - before)
+    assert all(c > 0 for c in calls)
+    assert ests[0].iterations < ests[1].iterations
+    assert not ests[2].converged and ests[2].iterations == 3
+    before = op.calls
+    assert [spectral_norm_sq(op, tol=t, max_iter=k) for t, k in keys] == ests
+    assert op.calls == before
+
+
+def test_spectral_memo_survives_pickling():
+    op = CountingOperator(np.random.default_rng(23).standard_normal((8, 6)))
+    est = spectral_norm_sq(op)
+    back = pickle.loads(pickle.dumps(op))
+    back.calls = 0
+    assert spectral_norm_sq(back) == est and back.calls == 0
+
+
+def test_spectral_norm_refuses_a_nan_tol():
+    with pytest.raises(ValueError, match="tol must be positive"):
+        spectral_norm_sq(DenseOperator(np.eye(2)), tol=np.nan)
 
 
 # ``csr_matvec`` calls the C kernel behind ``A @ x`` directly; these pin it
