@@ -218,12 +218,11 @@ class SGSMetric(Metric):
 
         M = (D + U) D^{-1} (D + U^T) = Q + U D^{-1} U^T
 
-    without forming it.  ``solve`` runs the block Gauss-Seidel kernel
-    ``BoxQuadBCD`` over the partition, without a box, on Q y = r from y = 0:
-    one backward pass, which leaves w with (D + U) w = r, so r - U w = D w,
-    then one forward pass, which solves (D + U^T) y = D w.  The forward pass
-    skips the first block, whose update would repeat the backward pass's
-    last one bit for bit.  ``apply`` runs two block products around the
+    without forming it.  ``solve`` is the symmetric sweep of its block
+    Gauss-Seidel kernel (``kernel``, a ``BoxQuadBCD`` over the partition,
+    without a box) on Q y = r from y = 0: one backward pass, which leaves w
+    with (D + U) w = r, so r - U w = D w, then one forward pass, which
+    solves (D + U^T) y = D w.  ``apply`` runs two block products around the
     kernel's block solves.
     """
 
@@ -232,25 +231,16 @@ class SGSMetric(Metric):
         if Q.shape[0] != Q.shape[1]:
             raise ConfigurationError("Q must be square")
         self.dim = Q.shape[0]
-        gs = self._gs = BoxQuadBCD(Q, np.inf, 1, blocks)
-        self._backward, self._forward = gs._steps[::-1], gs._steps[1:]
-        self.D = gs.D
-        Qc = Q.tocoo()
-        up = (gs.block_of[Qc.row] < gs.block_of[Qc.col]) & (Qc.data != 0)
-        self.U = sp.csr_matrix((Qc.data[up], (Qc.row[up], Qc.col[up])),
-                               shape=Q.shape)
+        self.kernel = BoxQuadBCD(Q, np.inf, 1, blocks)
+        self.D, self.U = self.kernel.D, self.kernel.upper()
 
     def apply(self, z):
         z = self._check(z)
-        t = self.D @ z + self.U.T @ z
-        for grp, dsolve, _ in self._gs._steps:
-            t[grp] = dsolve(t[grp])
+        t = self.kernel.solve_blocks(self.D @ z + self.U.T @ z)
         return self.D @ t + self.U @ t
 
     def solve(self, r):
-        r = self._check(r)
-        w = self._gs._pass(r, np.zeros_like(r), self._backward)
-        return self._gs._pass(r, w, self._forward)
+        return self.kernel.symmetric_sweep(self._check(r))
 
 
 class BoxQuadBCD:
@@ -258,7 +248,8 @@ class BoxQuadBCD:
 
     ``solve`` minimizes 1/2 ||y - y0||_M^2 - <r, y> over ||y||_inf <= radius
     by cyclic exact coordinate descent; with radius = inf, ``sweep`` is plain
-    block Gauss-Seidel on M y = c.  The blocks are ``blocks`` when given (a
+    block Gauss-Seidel on M y = c, and ``symmetric_sweep`` one backward and
+    one forward pass from y = 0.  The blocks are ``blocks`` when given (a
     partition of the index range, each block's indices in the order given),
     else a greedy coloring of the sparsity graph of M, whose blocks are
     diagonal in M.  A clipped update is exact coordinate descent only on
@@ -270,12 +261,15 @@ class BoxQuadBCD:
     block is built once at construction, as float64, and a pass multiplies
     it by ``csr_matvec``, so a pass does no sparse indexing and no scipy
     operator dispatch; the slices cost one more copy of the off-block
-    nonzeros.
+    nonzeros.  M must be finite: a product of its finite entries with y = 0
+    is exactly +0.0, which ``symmetric_sweep`` relies on.
     """
 
     def __init__(self, M, radius: float, epochs: int = 2, blocks=None):
         M = sp.csr_matrix(M, dtype=float)
         self.M = M
+        if not np.all(np.isfinite(M.data)):
+            raise ConfigurationError("BCD needs a finite matrix")
         self.diag = M.diagonal()
         if np.any(self.diag <= 0):
             raise ConfigurationError("BCD needs positive diagonal entries")
@@ -305,7 +299,7 @@ class BoxQuadBCD:
                 raise ConfigurationError("blocks must partition the index range")
             for c, b in enumerate(blocks):
                 block_of[b] = c
-        self.groups, self.block_of = blocks, block_of
+        self.groups, self._block_of = blocks, block_of
         Mc = M.tocoo()
         inb = block_of[Mc.row] == block_of[Mc.col]
         self.D = sp.csr_matrix((Mc.data[inb], (Mc.row[inb], Mc.col[inb])),
@@ -315,17 +309,23 @@ class BoxQuadBCD:
         coupled = np.bincount(
             block_of[Mc.row[inb & (Mc.row != Mc.col) & (Mc.data != 0)]],
             minlength=len(blocks))
-        self._steps = [(b, spd_solver(self.D[b][:, b], f"diagonal block {c}")
-                        if coupled[c] else (lambda r, d=self.diag[b]: r / d),
-                        off[b, :]) for c, b in enumerate(blocks)]
+        steps = self._steps = [
+            (b, spd_solver(self.D[b][:, b], f"diagonal block {c}")
+             if coupled[c] else (lambda r, d=self.diag[b]: r / d), off[b, :])
+            for c, b in enumerate(blocks)]
+        # the symmetric sweep's blocks, backward then forward (see there)
+        last, *rest = steps[::-1]
+        self._symmetric = [(last[0], last[1], None)] + rest + steps[1:]
 
     def _pass(self, c, y, steps):
         """One pass of y_b <- clip(D_b^{-1} (c - (M - D) y)_b) over ``steps``,
-        a sequence of the blocks' (indices, D_b solve, off-block rows)."""
+        a sequence of the blocks' (indices, D_b solve, off-block rows); a
+        block given None for its rows takes c_b alone."""
         lo, hi = -self.radius, self.radius
         box = hi < np.inf
         for grp, dsolve, rows in steps:
-            v = dsolve(c[grp] - csr_matvec(rows, y))
+            v = dsolve(c[grp] if rows is None
+                       else c[grp] - csr_matvec(rows, y))
             if box:  # np.clip(v, lo, hi) bit for bit, NaN and signed zeros too
                 np.minimum(np.maximum(v, lo, out=v), hi, out=v)
             y[grp] = v
@@ -340,8 +340,33 @@ class BoxQuadBCD:
             self._pass(c, y, self._steps)
         return y
 
+    def symmetric_sweep(self, c: np.ndarray) -> np.ndarray:
+        """One backward pass over the blocks from y = 0, then one forward
+        pass; ``epochs`` plays no part.  Bitwise that of both full passes:
+        the first block skips its off-block product, which from y = 0 is
+        exactly +0.0 (M is finite), and c_b - 0.0 is c_b; the forward pass
+        skips the first block, whose update would repeat the backward
+        pass's last one.
+        """
+        return self._pass(c, np.zeros(c.shape), self._symmetric)
+
     def solve(self, y0: np.ndarray, r: np.ndarray) -> np.ndarray:
         return self.sweep(r + csr_matvec(self.M, y0), y0.copy())
+
+    def solve_blocks(self, t: np.ndarray) -> np.ndarray:
+        """D^{-1} t, block by block, by the passes' block solves; updates t
+        in place and returns it."""
+        for grp, dsolve, _ in self._steps:
+            t[grp] = dsolve(t[grp])
+        return t
+
+    def upper(self) -> sp.csr_matrix:
+        """U, the nonzero entries of M whose row lies in an earlier block
+        than their column."""
+        Mc, block_of = self.M.tocoo(), self._block_of
+        up = (block_of[Mc.row] < block_of[Mc.col]) & (Mc.data != 0)
+        return sp.csr_matrix((Mc.data[up], (Mc.row[up], Mc.col[up])),
+                             shape=self.M.shape)
 
 
 class BlockDiagMetric(Metric):

@@ -132,6 +132,10 @@ class Proximable:
             return z, d * (z - w)
         return prox
 
+    def linear_term(self):
+        """b when the entry is the linear function <b, .>, else None."""
+        return None
+
     def metric_step(self, M):
         """``step`` under a non-diagonal M; raises for an unsupported M."""
         raise ConfigurationError(f"unsupported (h={type(self).__name__}, "
@@ -154,6 +158,9 @@ class Linear(Proximable):
 
     def __call__(self, x):
         return float(np.dot(self.b, self._v(x)))
+
+    def linear_term(self):
+        return self.b
 
     def prox_at(self, d):
         shift = self.b / _as_diag(d, self.dim)
@@ -315,22 +322,31 @@ class L1Norm(Proximable):
         return lambda v: np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
 
+_TINY = np.finfo(float).tiny  # the smallest normal float
+
+
 class GroupL12(Proximable):
     """Sum of Euclidean norms of paired flux components on an M-by-N grid.
 
     The argument stacks two row-major (M, N) components; entry (i, j) of
     each forms one group.  The structural zeros of the grid flux (last row
     of the first component, last column of the second) are part of the
-    domain, and the prox is blockwise vector soft thresholding.
+    domain, and the prox is blockwise vector soft thresholding: the group
+    (a, b) scales by max(0, 1 - 1 / (d * hypot(a, b))), and by 0 where
+    d * hypot(a, b) is 0 or NaN.
     """
 
     def __init__(self, M, N):
         self.M, self.N = int(M), int(N)
         super().__init__(2 * self.M * self.N)
-        mask = np.zeros((2, self.M, self.N), dtype=bool)
-        mask[0, self.M - 1, :] = True
-        mask[1, :, self.N - 1] = True
-        self.zero_mask = mask.reshape(-1)
+        mn = self.M * self.N
+        # the structural zeros: the first component's last row and the
+        # second component's last column
+        self._zero_slices = (slice(mn - self.N, mn), slice(mn + self.N - 1,
+                                                           None, self.N))
+        self.zero_mask = np.zeros(self.dim, dtype=bool)
+        for sl in self._zero_slices:
+            self.zero_mask[sl] = True
 
     def _pairs(self, x):
         mn = self.M * self.N
@@ -351,14 +367,25 @@ class GroupL12(Proximable):
         return lambda v: self._shrink(v, da)
 
     def _shrink(self, v, da):
+        """Bitwise the masked form, scale = max(0, 1 - 1/t) where t = da *
+        norms > 0, else 0, in place on one copy of v.  Any t below the
+        smallest normal float has 1/t > 1 and so scale 0; ``fmax`` lifts
+        such t, and a NaN t, to it, so 1/t is finite and raises no warning.
+        """
         # the structural zeros are fixed, so they take no part in a group norm
-        a, b = self._pairs(np.where(self.zero_mask, 0.0, v))
-        norms = np.hypot(a, b)
-        # 1 / (da * norms) where norms > 0, else inf: a zero scale there
-        inv = np.divide(1.0, da * norms, out=np.full(norms.shape, np.inf),
-                        where=norms > 0)
-        scale = np.maximum(0.0, 1.0 - inv)
-        return np.concatenate([a * scale, b * scale], axis=-1)
+        z = np.array(v, dtype=float)
+        for sl in self._zero_slices:
+            z[..., sl] = 0.0
+        a, b = self._pairs(z)
+        t = np.hypot(a, b)
+        t *= da
+        np.fmax(t, _TINY, out=t)
+        np.divide(1.0, t, out=t)
+        np.subtract(1.0, t, out=t)
+        np.maximum(t, 0.0, out=t)
+        a *= t
+        b *= t
+        return z
 
 
 class SeparableSum(Proximable):

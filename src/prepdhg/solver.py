@@ -45,6 +45,7 @@ GAMMA_MIN = 0.75
 
 #: an iterate entry larger than this in magnitude stops a run as diverged
 BLOWUP = 1e12
+_BLOWUP_SQ = BLOWUP * BLOWUP
 
 #: tolerance and iteration budget of the condition check ``solve`` runs
 CHECK_TOL = 1e-10
@@ -137,7 +138,7 @@ class _Engine:
                 raise ConfigurationError("metric dimensions do not match K")
         self.cfgs = cfgs
         self.keep(range(len(cfgs)))
-        self.b = p.gstar.b if isinstance(p.gstar, Linear) else None
+        self.b = p.gstar.linear_term()
 
     def keep(self, rows):
         """Narrow the block to the configs at positions ``rows`` and build
@@ -331,10 +332,11 @@ def solve_batch(p: SaddleProblem, cfgs) -> list:
                                               Kx_new[0], Kty_new[0]))])
 
         done = stop_res <= tol
-        # written so that a NaN entry, whose comparisons are all false, blows
-        # up; the test of the whole block finds the rows only when one does
-        if rec or done.any() or not (np.abs(x_new).max() <= BLOWUP
-                                     and np.abs(y_new).max() <= BLOWUP):
+        # an entry past BLOWUP, or a NaN or inf one, leaves a sum of squares
+        # of at least BLOWUP**2 (or NaN), and ``vdot`` warns of no overflow;
+        # only then does the exact per-row test run
+        if rec or done.any() or not (np.vdot(x_new, x_new) < _BLOWUP_SQ
+                                     and np.vdot(y_new, y_new) < _BLOWUP_SQ):
             blown = ~(np.maximum(np.abs(x_new).max(axis=1),
                                  np.abs(y_new).max(axis=1)) <= BLOWUP)
             leave = done | blown | (k == last)

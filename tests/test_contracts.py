@@ -8,6 +8,7 @@ and against hand computations.
 """
 
 import gc
+import warnings
 import weakref
 
 import numpy as np
@@ -123,12 +124,66 @@ def test_prox_matches_the_reference_formulas(f, v, d, uniform):
     assert np.array_equal(f.prox_at(d)(v), expect)
 
 
+#: entries of the shrink fuzz: zero, subnormal, tiny, infinite and NaN
+#: values and signed zeros, which make zero, subnormal, infinite and NaN groups
+_SHRINK_SPECIALS = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324,
+                             -5e-324, np.finfo(float).tiny, 1e-300, 1e-160,
+                             0.5, -1.0])
+
+
+@pytest.mark.parametrize("grid", [(1, 1), (1, 3), (3, 1), (2, 2), (4, 5)])
+def test_group_shrink_is_the_masked_form_bit_for_bit(grid):
+    # the shrink runs in place on one copy of v with the scale lifted by
+    # fmax; every output byte must equal the masked reference's, for 1-D
+    # points and (B, n) blocks, and it must raise no warning where the
+    # reference divides by a zero or overflows in 1 / t
+    g = GroupL12(*grid)
+    mn = g.M * g.N
+    rng = np.random.default_rng(70 + mn)
+    for trial in range(300):
+        rows = int(rng.integers(1, 4))
+        # weights from subnormal to huge; the entries stay small enough that
+        # d * hypot(a, b) never overflows from finite values, where both
+        # forms warn alike
+        w_exp = int(rng.choice([-323, -310, -3, 0, 3, 300]))
+        da = 10.0 ** (w_exp + rng.uniform(0.0, 1.0, (rows, mn)))
+        hi = min(300, 300 - w_exp - 2)
+        v = rng.standard_normal((rows, g.dim)) * 10.0 ** rng.integers(
+            -320, hi, (rows, g.dim))
+        pick = rng.random(v.shape) < 0.3
+        v[pick] = rng.choice(_SHRINK_SPECIALS, pick.sum())
+        d = np.concatenate([da, da], axis=1)
+        with np.errstate(all="ignore"):
+            want = np.stack([_group_shrink(g, vi, di) for vi, di in zip(v, d)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = g.prox_at(d)(v)
+            got_rows = [g.prox_at(di)(vi) for vi, di in zip(v, d)]
+        assert got.tobytes() == want.tobytes()
+        assert all(gi.tobytes() == wi.tobytes()
+                   for gi, wi in zip(got_rows, want))
+
+
 def test_entries_implement_only_prox_at():
     entries = [c for c in vars(prox_module).values() if isinstance(c, type)
                and issubclass(c, Proximable) and c is not Proximable]
     assert set(entries) == set(_REFERENCE_PROX)
     assert [c.__name__ for c in entries if "prox" in vars(c)] == []
     assert all("prox_at" in vars(c) for c in entries)
+
+
+def test_linear_term_is_reported_by_the_entry():
+    # the engine takes g*'s linear term b from the entry: b for <b, .> (Zero
+    # included, with b = 0), None for every other entry
+    for f in CATALOG:
+        assert f.linear_term() is (f.b if isinstance(f, Linear) else None)
+    assert np.array_equal(Zero(3).linear_term(), np.zeros(3))
+    K = DenseOperator(np.ones((N, N)))
+    cfg = SolverConfig(M1=ScalarMetric(1.0, N), M2=ScalarMetric(1.0, N))
+    for gstar, b in ((Zero(N), np.zeros(N)), (IndicatorSingleton(np.ones(N)),
+                                              None)):
+        eng = _Engine(SaddleProblem(Zero(N), gstar, K), [cfg])
+        assert (eng.b is None) if b is None else np.array_equal(eng.b, b)
 
 
 @pytest.mark.parametrize("bad", [np.zeros(N), -np.ones(N), np.ones(N - 1),

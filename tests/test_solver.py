@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,10 +8,10 @@ from prepdhg.exceptions import ConfigurationError
 from prepdhg.metrics import DiagonalMetric, GramShiftMetric, ScalarMetric
 from prepdhg.operators import (BirkhoffConstraint, DenseOperator,
                                GridDivergence, VStack)
-from prepdhg.prox import (GroupL12, IndicatorSimplex, L1Norm, Linear,
-                          QuadraticShiftNonneg, Zero)
-from prepdhg.solver import (HistoryRow, SaddleProblem, SolverConfig, _Engine,
-                            configure_ebalm, configure_ebalm_sgs,
+from prepdhg.prox import (GroupL12, IndicatorSimplex, IndicatorSingleton,
+                          L1Norm, Linear, QuadraticShiftNonneg, Zero)
+from prepdhg.solver import (BLOWUP, HistoryRow, SaddleProblem, SolverConfig,
+                            _Engine, configure_ebalm, configure_ebalm_sgs,
                             duality_gap_matrix_game, prepdhg_step, solve,
                             sublinear_diagnostic)
 from prepdhg.problems import game_matrix, matrix_game
@@ -380,6 +382,102 @@ def test_blowup_reported_as_diverged():
     rep = solve(p, cfg)
     assert rep.status == "diverged"
     assert rep.iters < 10**6
+
+
+def test_blowup_found_at_the_same_iteration_between_records():
+    # with no record due, the whole-block test alone decides when to look
+    # for a blown row; the run diverges at the iteration it did when the
+    # block test was the maximum magnitude
+    dyn = ToyDynamics("bilinear", 1.0, 1.35)
+    p, _ = dyn.saddle_problem()
+    cfg = SolverConfig(M1=ScalarMetric(1.0, 1), M2=ScalarMetric(1.0 / 1.35, 1),
+                       tol=0.0, max_iter=10**6, x0=[1.0], y0=[0.0],
+                       override=True, record_every=10**6)
+    rep = solve(p, cfg)
+    assert (rep.status, rep.iters, len(rep.history)) == ("diverged", 754, 1)
+    assert np.abs(rep.y_final).max() > BLOWUP >= np.abs(rep.x_final).max()
+
+
+def _pinned_solve(side, value, weight=1.0):
+    """A solve whose x (or y) iterate is the point c, holding ``value``, at
+    every step: its entry is the indicator of {c}, the other side's is Zero
+    and K = 0, so it converges at iteration 2 unless c blows up at 1."""
+    n = 4
+    c = np.array([1.0, -2.0, value, 0.5])
+    pin, free = IndicatorSingleton(c), Zero(n)
+    f, gstar = (pin, free) if side == "x" else (free, pin)
+    p = SaddleProblem(f=f, gstar=gstar, K=DenseOperator(np.zeros((n, n))))
+    cfg = SolverConfig(M1=ScalarMetric(weight, n), M2=ScalarMetric(weight, n),
+                       tol=0.0, max_iter=100, record_every=100,
+                       override=True)
+    return solve(p, cfg)
+
+
+@pytest.mark.parametrize("side", ["x", "y"])
+@pytest.mark.parametrize("value, status, iters", [
+    (BLOWUP, "converged", 2),
+    (-BLOWUP, "converged", 2),
+    (np.nextafter(BLOWUP, np.inf), "diverged", 1),
+    (-np.nextafter(BLOWUP, np.inf), "diverged", 1),
+    (np.nan, "diverged", 1),
+    (np.inf, "diverged", 1),
+    (-np.inf, "diverged", 1),
+])
+def test_blowup_bound_is_exact_between_records(side, value, status, iters):
+    # an entry of exactly BLOWUP stays; one ulp past it, NaN or inf blows up
+    # at once, though no record is due (0 * inf in K = 0 is NaN)
+    with np.errstate(invalid="ignore"):
+        rep = _pinned_solve(side, value)
+    assert (rep.status, rep.iters) == (status, iters)
+
+
+@pytest.mark.parametrize("side", ["x", "y"])
+def test_blowup_test_overflows_without_a_warning(side):
+    # the whole-block test's sum of squares of 1e200 overflows and must not
+    # warn; the metric weight keeps the residual bounds' norms finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = _pinned_solve(side, 1e200, weight=1e-200)
+    assert (rep.status, rep.iters) == ("diverged", 1)
+
+
+def test_iterates_near_the_blowup_bound_keep_their_trajectory():
+    # scaling b and the start by a power of two scales every iterate, bound
+    # and the tolerance of this linear problem exactly.  Scaled so that x
+    # ends near 9e11 with no entry past BLOWUP on the way, the squares of x
+    # add up past BLOWUP**2, so the steps run the exact per-row test, which
+    # must change nothing
+    rng = np.random.default_rng(17)
+    n = 16
+    A = rng.standard_normal((n, n)) / np.sqrt(n) + 2.0 * np.eye(n)
+    K = DenseOperator(A)
+    L = 1.2 * np.linalg.norm(A, 2)
+    x_star = np.full(n, 1.6)
+    x0 = x_star + 0.05 * rng.standard_normal(n)
+
+    def problem(scale):
+        p = SaddleProblem(f=Zero(n), gstar=Linear(scale * (A @ x_star)), K=K)
+        cfg = SolverConfig(M1=ScalarMetric(L, n), M2=ScalarMetric(L, n),
+                           tol=scale * 1e-9, max_iter=10**4,
+                           record_every=10**4, x0=scale * x0)
+        return p, cfg
+
+    p, cfg = problem(1.0)
+    base = solve(p, cfg)
+    assert base.status == "converged"
+    x, y, peak = x0, np.zeros(n), 0.0
+    for _ in range(base.iters):
+        x, y = prepdhg_step(p, cfg, x, y)
+        peak = max(peak, np.abs(x).max(), np.abs(y).max())
+    assert np.array_equal(x, base.x_final) and np.array_equal(y, base.y_final)
+    scale = 2.0 ** np.floor(np.log2(BLOWUP / peak))
+    rep = solve(*problem(scale))
+    assert np.all((8e11 < np.abs(rep.x_final)) & (np.abs(rep.x_final) < 1e12))
+    assert np.sum(rep.x_final ** 2) >= BLOWUP ** 2
+    assert (rep.status, rep.iters) == ("converged", base.iters)
+    assert np.array_equal(rep.x_final, scale * base.x_final)
+    assert np.array_equal(rep.y_final, scale * base.y_final)
+    assert rep.stop_residual == scale * base.stop_residual
 
 
 def test_nan_start_reported_as_diverged_at_first_iteration():

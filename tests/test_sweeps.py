@@ -8,10 +8,11 @@ order, so the results must be identical, not merely close.
 
 ``BoxQuadBCD`` is the one kernel of three solves: the box update's
 coordinate descent, the inexact Gram-shift solve of ``emd(method="iebalm")``
-and, as one backward and one forward pass over its partition, the solve of
-``SGSMetric``.  The earlier kernels of these, ``bcd_incremental_reference``,
-``two_epoch_solve_reference`` and ``sgs_triangular_reference``, do the same
-updates in another arithmetic and are checked to 1e-12.  The last tests
+and, as its ``symmetric_sweep`` (one backward and one forward pass over its
+partition), the solve of ``SGSMetric``.  The earlier kernels of these,
+``bcd_incremental_reference``, ``two_epoch_solve_reference`` and
+``sgs_triangular_reference``, do the same updates in another arithmetic and
+are checked to 1e-12.  The last tests
 check the sweep against what it computes: the fixed point of the
 box-constrained quadratic, and M y = r without a box.
 """
@@ -20,10 +21,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from prepdhg.exceptions import ConfigurationError
 from prepdhg.metrics import (BoxQuadBCD, GramShiftMetric, SGSMetric,
                              gram_shift_matrix, spd_solver)
 from prepdhg.operators import GridDivergence
-from prepdhg.problems import red_black_partition
+from prepdhg.problems import emd, red_black_partition
 
 from helpers import random_partition
 
@@ -147,9 +149,8 @@ def test_sgs_solve_matches_on_red_black_grid():
             assert rel_err(got, sgs_triangular_reference(Q, blocks, r)) <= 1e-12
         # a diagonal block is inverted entrywise, the arithmetic of the box
         # update's colored blocks
-        for grp, dsolve, _ in M._gs._steps:
-            r = rng.standard_normal(grp.size)
-            assert np.array_equal(dsolve(r), r / d[grp])
+        t = rng.standard_normal(M.dim)
+        assert np.array_equal(M.kernel.solve_blocks(t.copy()), t / d)
 
 
 def test_sgs_single_block_is_the_diagonal_solve():
@@ -175,6 +176,71 @@ def test_sgs_solve_runs_passes_not_the_box_solve(monkeypatch):
                         lambda self, *a: calls.append(a) or real(self, *a))
     M.solve(rng.standard_normal(10))
     assert not calls
+
+
+def test_symmetric_sweep_skips_only_a_product_with_zeros():
+    # the first block of the backward pass takes c_b for c_b - (M - D) 0;
+    # with finite off-block entries, negative ones too, that product is +0.0
+    # and c_b - 0.0 is c_b bit for bit, -0.0 included
+    rng = np.random.default_rng(14)
+    for nblocks in (1, 2, 3, 5):
+        n = 15
+        Q = random_sparse_spd(rng, n)
+        assert (Q.data < 0).any()
+        blocks = random_partition(rng, n, nblocks)
+        M = SGSMetric(Q, blocks)
+        for _ in range(3):
+            r = rng.standard_normal(n)
+            r[rng.random(n) < 0.4] = -0.0
+            r[rng.random(n) < 0.2] = 0.0
+            want = sgs_solve_reference(Q, M, blocks, r)
+            assert M.solve(r).tobytes() == want.tobytes()
+            assert M.kernel.symmetric_sweep(r).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("entry", [(0, 1), (1, 1)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_bcd_refuses_a_non_finite_matrix(entry, bad):
+    # a NaN diagonal passes the positivity test, so finiteness is its own
+    A = np.array([[2.0, 0.5], [0.5, 2.0]])
+    A[entry] = bad
+    with pytest.raises(ConfigurationError, match="finite"):
+        BoxQuadBCD(sp.csr_matrix(A), np.inf, blocks=[[0], [1]])
+
+
+def test_emd_sgs_solve_is_the_reference_sweep_bit_for_bit(monkeypatch):
+    # the symmetric sweep skips the first backward product; swapped for the
+    # per-call reference, which takes every product, an 8x8 emd solve and
+    # the s_hat of its condition check must come out bitwise the same
+    rng = np.random.default_rng(0)
+    r0, r1 = rng.random((8, 8)), rng.random((8, 8))
+    r0, r1 = r0 / r0.sum(), r1 / r1.sum()
+
+    def run():
+        return emd(r0, r1, 7 / 4, 10 ** -1.5, 0.75, method="sgs",
+                   max_iter=3000, record_every=7).solve()
+
+    got = run()
+    calls = []
+
+    def reference(self, c):
+        calls.append(1)
+        return sgs_solve_reference(self.M, self, self.groups, c)
+
+    monkeypatch.setattr(BoxQuadBCD, "symmetric_sweep", reference)
+    want = run()
+    assert len(calls) > want.iters
+    assert got.status == want.status == "converged"
+    assert got.iters == want.iters
+    assert got.x_final.tobytes() == want.x_final.tobytes()
+    assert got.y_final.tobytes() == want.y_final.tobytes()
+    assert got.condition.s_hat.hex() == want.condition.s_hat.hex()
+    assert got.stop_residual.hex() == want.stop_residual.hex()
+
+    def rows(rep):
+        return [(h.k, h.rhat_full.hex(), h.rhat_half.hex())
+                for h in rep.history]
+    assert rows(got) == rows(want)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -205,11 +271,13 @@ def test_diagonal_blocks_solve_as_the_factorized_blocks(seed):
     M = random_sparse_spd(rng, n, density=0.15)
     for bcd in (BoxQuadBCD(M, 0.5),
                 BoxQuadBCD(M, np.inf, blocks=random_partition(rng, n, 3))):
-        for grp, dsolve, _ in bcd._steps:
-            block, r = bcd.D[grp][:, grp], rng.standard_normal(grp.size)
-            assert np.array_equal(dsolve(r), spd_solver(block)(r))
+        t = rng.standard_normal(n)
+        got = bcd.solve_blocks(t.copy())
+        for grp in bcd.groups:
+            block, r = bcd.D[grp][:, grp], t[grp]
+            assert np.array_equal(got[grp], spd_solver(block)(r))
             if (block - sp.diags(bcd.diag[grp])).count_nonzero() == 0:
-                assert np.array_equal(dsolve(r), r / bcd.diag[grp])
+                assert np.array_equal(got[grp], r / bcd.diag[grp])
 
 
 def test_stored_zeros_leave_a_block_diagonal():
@@ -220,10 +288,12 @@ def test_stored_zeros_leave_a_block_diagonal():
     M = sp.csr_matrix((vals, (rows, cols)), shape=(4, 4))
     assert M.nnz == 10
     bcd = BoxQuadBCD(M, np.inf, blocks=[[0, 1], [2, 3]])
-    r = np.array([1.0, -2.0])
-    for grp, dsolve, _ in bcd._steps:
-        assert np.array_equal(dsolve(r), spd_solver(bcd.D[grp][:, grp])(r))
-    assert np.array_equal(bcd._steps[0][1](r), r / np.array([2.0, 3.0]))
+    t = np.array([1.0, -2.0, 1.0, -2.0])  # the same r in both blocks
+    got = bcd.solve_blocks(t.copy())
+    for grp in bcd.groups:
+        assert np.array_equal(got[grp],
+                              spd_solver(bcd.D[grp][:, grp])(t[grp]))
+    assert np.array_equal(got[:2], t[:2] / np.array([2.0, 3.0]))
 
 
 def test_box_pass_clips_as_np_clip_bit_for_bit():
