@@ -243,6 +243,23 @@ class SGSMetric(Metric):
         return self.kernel.symmetric_sweep(self._check(r))
 
 
+def _greedy_coloring(M):
+    """First-fit coloring of the sparsity graph of the square CSR ``M``, in
+    row order: row j takes the least color no earlier neighbour has.  Runs
+    on Python lists, which index far faster than numpy arrays one entry at
+    a time."""
+    indptr, indices = M.indptr.tolist(), M.indices.tolist()
+    color = [-1] * M.shape[0]
+    for j in range(len(color)):
+        used = {color[i] for i in indices[indptr[j]:indptr[j + 1]]
+                if i != j and color[i] >= 0}
+        c = 0
+        while c in used:
+            c += 1
+        color[j] = c
+    return color
+
+
 class BoxQuadBCD:
     """Block Gauss-Seidel sweeps over M, optionally clipped to a box.
 
@@ -280,19 +297,12 @@ class BoxQuadBCD:
         if self.epochs < 1:
             raise ConfigurationError("BCD needs at least one epoch")
         n = M.shape[0]
-        block_of = -np.ones(n, dtype=int)
         if blocks is None:
-            indptr, indices = M.indptr, M.indices
-            for j in range(n):
-                used = {block_of[i] for i in indices[indptr[j]:indptr[j + 1]]
-                        if i != j and block_of[i] >= 0}
-                c = 0
-                while c in used:
-                    c += 1
-                block_of[j] = c
+            block_of = np.array(_greedy_coloring(M), dtype=int)
             blocks = [np.nonzero(block_of == c)[0]
                       for c in range(block_of.max() + 1)]
         else:
+            block_of = -np.ones(n, dtype=int)
             blocks = [np.asarray(b, dtype=int).ravel() for b in blocks]
             if not (blocks and np.array_equal(np.sort(np.concatenate(blocks)),
                                               np.arange(n))):

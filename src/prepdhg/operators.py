@@ -73,7 +73,7 @@ def csr_matvec(A, x):
     """A @ x for a float64 CSR matrix A and a float64 vector x.
 
     Calls the C kernel behind ``A @ x`` (the private
-    ``scipy.sparse._sparsetools.csr_matvec``, present at the scipy>=1.10
+    ``scipy.sparse._sparsetools.csr_matvec``, present at the scipy>=1.13
     floor) on the same zero-filled float64 output, so the result is bitwise
     that of ``A @ x``; it skips only scipy's operator dispatch, which costs
     more than the product itself on the small matrices of a Gauss-Seidel

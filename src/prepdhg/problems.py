@@ -428,19 +428,23 @@ def tv_least_squares(R, b, lam: float, grid, tau: float, gamma: float,
                           GramShiftMetric(1.0, tau, D, theta=theta)])
     saddle = SaddleProblem(f=Zero(n), gstar=gstar, K=K)
 
-    def kkt_residual(x, y, Kx, Kty):
-        # Kx stacks Rx over Dx, so the products come from the solver's loop
+    def kkt_terms(x, y, Kx, Kty):
+        # Kx stacks Rx over Dx, so the products come from the solver's loop;
+        # ||K^T y||, mostly the largest, comes first
+        yield float(np.linalg.norm(Kty))
         y1, y2 = y[:m1], y[m1:]
-        t1 = np.linalg.norm(Kty)
-        t2 = np.linalg.norm(Kx[:m1] - y1 - b)
+        yield float(np.linalg.norm(Kx[:m1] - y1 - b))
         Dx = Kx[m1:]
         btol = 1e-12 * lam
         hi = y2 >= lam - btol
         lo = y2 <= -lam + btol
         dist = np.where(hi, np.maximum(0.0, -Dx),
                         np.where(lo, np.maximum(0.0, Dx), np.abs(Dx)))
-        t3 = np.linalg.norm(dist)
-        return max(float(t1), float(t2), float(t3))
+        yield float(np.linalg.norm(dist))
+
+    def kkt_residual(x, y, Kx, Kty):
+        return max(kkt_terms(x, y, Kx, Kty))
+    kkt_residual.terms = kkt_terms
 
     cfg = SolverConfig(M1=M1, M2=M2, tol=tol, max_iter=max_iter,
                        custom_residual=kkt_residual, record_every=record_every,

@@ -16,7 +16,10 @@ own, by the arithmetic of that row alone.
 ``step(M)`` builds the solver's subproblem argmin_z h(z) + <q, z> +
 1/2 ||z - w||_M^2 once per solve, as ``(w, q) -> (z, M (z - w))``, from the
 first case that fits; four entries implement ``metric_step(M)`` for the
-non-diagonal metrics they have a step for (the last column names the step):
+non-diagonal metrics they have a step for (the last column names the step).
+A step also carries its two halves, ``point(w, q) -> z`` and ``diff(w, q,
+z) -> M (z - w)``, so the solver can form the difference only on the steps
+that read it, by the step's own arithmetic:
 
     M diagonal                     h.prox_at(diag M)                  prox
     h = <b, .>                     z = w - M^{-1} (q + b)             linear
@@ -95,6 +98,19 @@ def project_simplex_weighted(v: np.ndarray, d: np.ndarray) -> np.ndarray:
     return np.maximum(v - lam / d, 0.0)
 
 
+def _step(name, point, diff):
+    """The step ``(w, q) -> (z, M (z - w))`` called ``name``, from its halves
+    ``point(w, q) -> z`` and ``diff(w, q, z) -> M (z - w)``, which it also
+    carries as attributes: a difference formed later from the same inputs is
+    bitwise the one the step returns."""
+    def step(w, q):
+        z = point(w, q)
+        return z, diff(w, q, z)
+    step.__name__ = step.__qualname__ = name
+    step.point, step.diff = point, diff
+    return step
+
+
 class Proximable:
     """Base class; subclasses set ``dim`` and ``sigma`` and implement prox_at."""
 
@@ -117,6 +133,12 @@ class Proximable:
         """
         raise NotImplementedError
 
+    def prox_at_overwrite(self, d):
+        """``prox_at(d)`` for points nobody else holds: its map may overwrite
+        its input and return it.  ``prox_step`` hands it the fresh point it
+        builds; an entry that can save a copy that way overrides this."""
+        return self.prox_at(d)
+
     def step(self, M):
         """The module docstring's subproblem, ``(w, q) -> (z, M (z - w))``."""
         d = M.diagonal()
@@ -125,12 +147,9 @@ class Proximable:
     def prox_step(self, d):
         """``step`` under M = diag(d); with (B, dim) weights it updates a
         (B, dim) block of rows, each under its own row of weights."""
-        hprox, inv_d = self.prox_at(d), 1.0 / d
-
-        def prox(w, q):
-            z = hprox(w - q * inv_d)
-            return z, d * (z - w)
-        return prox
+        hprox, inv_d = self.prox_at_overwrite(d), 1.0 / d
+        return _step("prox", lambda w, q: hprox(w - q * inv_d),
+                     lambda w, q, z: d * (z - w))
 
     def linear_term(self):
         """b when the entry is the linear function <b, .>, else None."""
@@ -168,11 +187,13 @@ class Linear(Proximable):
 
     def metric_step(self, M):
         b = self.b
+        # M (z - w) = -(q + b)
+        return _step("linear", lambda w, q: w - M.solve(q + b),
+                     lambda w, q, z: -(q + b))
 
-        def linear(w, q):
-            s = q + b  # M (z - w) = -s
-            return w - M.solve(s), -s
-        return linear
+
+def _identity(v):
+    return v
 
 
 class Zero(Linear):
@@ -185,6 +206,10 @@ class Zero(Linear):
         # the identity: a copy, with no arithmetic on the (checked) weights
         _as_diag(d, self.dim)
         return np.copy
+
+    def prox_at_overwrite(self, d):
+        _as_diag(d, self.dim)
+        return _identity
 
 
 class QuadraticShift(Proximable):
@@ -208,11 +233,8 @@ class QuadraticShift(Proximable):
         # (M + I) z = M w - q + c
         _, shifted_solve = _shifted_solver(M, 2.0 * np.ones(self.dim))
         c = self.c
-
-        def shifted(w, q):
-            z = shifted_solve(M.apply(w) - q + c)
-            return z, M.apply(z - w)
-        return shifted
+        return _step("shifted", lambda w, q: shifted_solve(M.apply(w) - q + c),
+                     lambda w, q, z: M.apply(z - w))
 
 
 class QuadraticShiftNonneg(Proximable):
@@ -283,11 +305,8 @@ class IndicatorLinfBall(Proximable):
 
     def metric_step(self, M):
         bcd = BoxQuadBCD(M.to_sparse(), self.radius, self.epochs)
-
-        def box(w, q):
-            z = bcd.solve(w, -q)
-            return z, M.apply(z - w)
-        return box
+        return _step("box", lambda w, q: bcd.solve(w, -q),
+                     lambda w, q, z: M.apply(z - w))
 
 
 class IndicatorSingleton(Proximable):
@@ -360,20 +379,28 @@ class GroupL12(Proximable):
         return float(np.sum(np.hypot(a, b)))
 
     def prox_at(self, d):
+        da = self._pair_weights(d)
+        return lambda v: self._shrink(np.array(v, dtype=float), da)
+
+    def prox_at_overwrite(self, d):
+        da = self._pair_weights(d)
+        return lambda v: self._shrink(v, da)
+
+    def _pair_weights(self, d):
         da, db = self._pairs(_as_diag(d, self.dim))
         if not np.array_equal(da, db):
             raise ConfigurationError(
                 "group-l12 prox needs equal metric weights within each pair")
-        return lambda v: self._shrink(v, da)
+        return da
 
-    def _shrink(self, v, da):
+    def _shrink(self, z, da):
         """Bitwise the masked form, scale = max(0, 1 - 1/t) where t = da *
-        norms > 0, else 0, in place on one copy of v.  Any t below the
-        smallest normal float has 1/t > 1 and so scale 0; ``fmax`` lifts
-        such t, and a NaN t, to it, so 1/t is finite and raises no warning.
+        norms > 0, else 0, in place on the float array z, which it returns.
+        Any t below the smallest normal float has 1/t > 1 and so scale 0;
+        ``fmax`` lifts such t, and a NaN t, to it, so 1/t is finite and
+        raises no warning.
         """
         # the structural zeros are fixed, so they take no part in a group norm
-        z = np.array(v, dtype=float)
         for sl in self._zero_slices:
             z[..., sl] = 0.0
         a, b = self._pairs(z)
@@ -420,12 +447,18 @@ class SeparableSum(Proximable):
         parts = [(sl, c.step(m))
                  for c, m, sl in zip(self.children, M.metrics, self._slices)]
 
-        def blockwise(w, q):
-            z, mdz = np.empty_like(w), np.empty_like(w)
+        def point(w, q):
+            z = np.empty_like(w)
             for sl, step in parts:
-                z[sl], mdz[sl] = step(w[sl], q[sl])
-            return z, mdz
-        return blockwise
+                z[sl] = step.point(w[sl], q[sl])
+            return z
+
+        def diff(w, q, z):
+            mdz = np.empty_like(w)
+            for sl, step in parts:
+                mdz[sl] = step.diff(w[sl], q[sl], z[sl])
+            return mdz
+        return _step("blockwise", point, diff)
 
 
 def moreau_conjugate_prox(f: Proximable, x, d) -> np.ndarray:

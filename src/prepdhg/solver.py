@@ -7,14 +7,20 @@ factor 2, both of the form argmin_z h(z) + <q, z> + 1/2 ||z - w||_M^2:
     y+ = argmin_y g*(y) - <K(2 x+ - x_k), y> + 1/2 ||y - y_k||_M2^2
 
 Each side's update is ``h.step(M)`` of its catalog entry, built once per
-solve; it returns z and M (z - w) (see ``prepdhg.prox``).
+solve; it returns z and M (z - w) (see ``prepdhg.prox``).  The loop calls
+its two halves apart: it forms each step's points, and the differences
+M1 dx and M2 dy only on the steps whose stop test or history row reads
+them (``_Move``).
 
 One stopping rule, worked out once per solve from what it is given: the
 problem's own KKT residual when ``custom_residual`` is set; otherwise, when
 g* = <b, .> is linear, the compact bound max(||M1 dx||, ||Kx+ - b||);
 otherwise the full bound.  Both bounds are computable upper bounds of the
 KKT residual built from consecutive iterates (``_residual_bounds``), and
-every recorded history row carries them.
+every recorded history row carries them.  The stop test reads a rule's
+terms in a fixed order and stops reading once every row has a term over
+tol, since such a row cannot stop; the whole residual is formed only when
+a row may stop, records or leaves.
 
 One loop, over row blocks: ``solve_batch`` iterates a (B, n) block, one
 row per config of one problem, and ``solve`` is its one-row case.  Under
@@ -82,7 +88,12 @@ class SolverConfig:
     feas_scale: float = 1.0
     gap_fn: Optional[Callable] = None
     #: the problem's own KKT residual, ``(x, y, Kx, K^T y) -> float`` at the
-    #: new iterates; when set, the solve stops on it instead of a bound
+    #: new iterates; when set, the solve stops on it instead of a bound.  It
+    #: may carry ``terms``, the same signature giving an iterable of floats
+    #: whose Python ``max`` is the residual; the stop test then reads them
+    #: in order and stops reading at the first one over tol, which rules
+    #: the step out, and forms the residual itself only when none is over
+    #: tol, on a recorded step or when the solve ends
     custom_residual: Optional[Callable] = None
 
     def __post_init__(self):
@@ -123,12 +134,12 @@ class _Engine:
     """Validated step executor for a block of configs of one problem.
 
     Iterates are row blocks, one row per config: x of shape (B, K.cols) and
-    y of shape (B, K.rows).  ``xup`` and ``yup`` are the two
-    ``Proximable.step`` updates on such blocks, and ``b`` is the linear term
-    of g* (None unless g* is linear).  One config may take any metric pair
-    its entries have a step for; a block of several needs diagonal metrics,
-    under which each row is updated on its own, by the arithmetic of the
-    single-row step.
+    y of shape (B, K.rows).  ``xpoint``/``xdiff`` and ``ypoint``/``ydiff``
+    are the halves of the two ``Proximable.step`` updates on such blocks
+    (see ``prepdhg.prox``), and ``b`` is the linear term of g* (None unless
+    g* is linear).  One config may take any metric pair its entries have a
+    step for; a block of several needs diagonal metrics, under which each
+    row is updated on its own, by the arithmetic of the single-row step.
     """
 
     def __init__(self, p: SaddleProblem, cfgs):
@@ -146,31 +157,77 @@ class _Engine:
         cfgs = self.cfgs = [self.cfgs[i] for i in rows]
         f, gstar = self.p.f, self.p.gstar
         if len(cfgs) == 1:  # the single-row step, which costs less
-            self.xup = _one_row(f.step(cfgs[0].M1))
-            self.yup = _one_row(gstar.step(cfgs[0].M2))
+            xup = _one_row(f.step(cfgs[0].M1))
+            yup = _one_row(gstar.step(cfgs[0].M2))
         else:
-            self.xup = f.prox_step(_row_weights([cfg.M1 for cfg in cfgs]))
-            self.yup = gstar.prox_step(_row_weights([cfg.M2 for cfg in cfgs]))
+            xup = _halves(f.prox_step(_row_weights([cfg.M1 for cfg in cfgs])))
+            yup = _halves(gstar.prox_step(
+                _row_weights([cfg.M2 for cfg in cfgs])))
+        (self.xpoint, self.xdiff), (self.ypoint, self.ydiff) = xup, yup
 
-    def step(self, x, y, Kx=None, Kty=None):
-        """``(x+, y+, K x+, M1 (x+ - x), M2 (y+ - y))``."""
+    def points(self, x, y, Kx, Kty):
+        """``(x+, y+, K x+, q)``, where q = K x - 2 K x+ is the y-update's
+        linear term."""
+        x_new = self.xpoint(x, Kty)
+        Kx_new = self.K.apply(x_new)
+        q = Kx - 2.0 * Kx_new
+        return x_new, self.ypoint(y, q), Kx_new, q
+
+    def step(self, x, y):
+        """``(x+, y+)`` from x and y alone."""
         K = self.K
-        if Kx is None:
-            Kx = K.apply(x)
-        if Kty is None:
-            Kty = K.apply_adjoint(y)
-        x_new, m1dx = self.xup(x, Kty)
-        Kx_new = K.apply(x_new)
-        y_new, m2dy = self.yup(y, Kx - 2.0 * Kx_new)
-        return x_new, y_new, Kx_new, m1dx, m2dy
+        return self.points(x, y, K.apply(x), K.apply_adjoint(y))[:2]
+
+
+_MOVE_ARRAYS = ("x", "y", "Kx", "Kty", "q", "x_new", "y_new", "Kx_new",
+                "Kty_new")
+
+
+class _Move:
+    """One step's move from (x, y) to (x+, y+), as row blocks, with ``q``
+    the y-update's linear term.  ``m1dx`` = M1 (x+ - x) and ``m2dy`` =
+    M2 (y+ - y) are formed on first read by the engine's ``xdiff`` and
+    ``ydiff``, the steps' own arithmetic, so the loop forms them only on
+    the steps that read them (see ``_residual_bounds``)."""
+
+    __slots__ = ("eng",) + _MOVE_ARRAYS + ("_m1dx", "_m2dy")
+
+    def __init__(self, eng, x, y, Kx, Kty, q, x_new, y_new, Kx_new, Kty_new):
+        self.eng, self.x, self.y, self.Kx, self.Kty, self.q = \
+            eng, x, y, Kx, Kty, q
+        self.x_new, self.y_new, self.Kx_new, self.Kty_new = \
+            x_new, y_new, Kx_new, Kty_new
+        self._m1dx = self._m2dy = None
+
+    @property
+    def m1dx(self):
+        if self._m1dx is None:
+            self._m1dx = self.eng.xdiff(self.x, self.Kty, self.x_new)
+        return self._m1dx
+
+    @property
+    def m2dy(self):
+        if self._m2dy is None:
+            self._m2dy = self.eng.ydiff(self.y, self.q, self.y_new)
+        return self._m2dy
+
+    def rows(self, keep):
+        """The move of the rows at positions ``keep``.  Its differences are
+        formed anew by the engine narrowed to those rows: each row's
+        arithmetic is its own, so they are bitwise the rows' differences."""
+        return _Move(self.eng, *(getattr(self, a)[keep] for a in _MOVE_ARRAYS))
+
+
+def _halves(step):
+    return step.point, step.diff
 
 
 def _one_row(step):
-    """A one-row block's update from the vector update ``step``."""
-    def one_row(w, q):
-        z, mdz = step(w[0], q[0])
-        return z[None], mdz[None]
-    return one_row
+    """The halves of a one-row block's update from the vector update
+    ``step``."""
+    point, diff = _halves(step)
+    return (lambda w, q: point(w[0], q[0])[None],
+            lambda w, q, z: diff(w[0], q[0], z[0])[None])
 
 
 def _row_weights(metrics):
@@ -187,7 +244,7 @@ def prepdhg_step(p: SaddleProblem, cfg: SolverConfig, x, y):
     """One iteration of the preconditioned primal-dual update."""
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
-    x_new, y_new = _Engine(p, [cfg]).step(x[None], y[None])[:2]
+    x_new, y_new = _Engine(p, [cfg]).step(x[None], y[None])
     return x_new[0], y_new[0]
 
 
@@ -205,41 +262,78 @@ def _larger(a, b):
 def _residual_bounds(b, feas_scale):
     """The stopping bound and the two recorded bounds, picked once per solve.
 
-    Returns ``bounds(Kx, Kx_new, Kty, Kty_new, m1dx, m2dy, prev, record)``
-    giving ``(stop, recorded)``, one entry per row of a block, where
-    ``recorded`` is ``(rhat_full, rhat_half)`` when ``record`` is set and
-    None otherwise.  rhat_full and rhat_half are upper bounds of the KKT
-    residual at (x+, y+) and at (x+, y), built from K x, K x+, K^T y,
-    K^T y+, ``m1dx = M1 (x+ - x)``, ``m2dy = M2 (y+ - y)`` and ``prev =
-    (K x_prev, M2 (y - y_prev))`` of the step before (None on the first
-    step); ``feas_scale`` holds one scale per row.  For linear g* = <b, .>
-    the dual part of both bounds is ``||K x+ - b|| / feas_scale`` and the
-    solve stops on rhat_half (the compact bound); otherwise it stops on
-    rhat_full, and rhat_half is nan on the first step.
+    Returns ``(stop, recorded)`` of a ``_Move``, one entry per row of its
+    block.  rhat_full and rhat_half are upper bounds of the KKT residual at
+    (x+, y+) and at (x+, y), built from K x, K x+, K^T y, K^T y+, ``m1dx =
+    M1 (x+ - x)``, ``m2dy = M2 (y+ - y)`` and, for rhat_half of the full
+    bound, the move ``prev`` of the step before (None on the first step,
+    where it is nan); ``feas_scale`` holds one scale per row.  For linear
+    g* = <b, .> the dual part of both bounds is ``||K x+ - b|| /
+    feas_scale`` and the solve stops on rhat_half (the compact bound);
+    otherwise it stops on rhat_full.
+
+    ``recorded(mv, prev)`` is ``(rhat_full, rhat_half)``.  ``stop(mv, tol)``
+    is the stopping bound, or None when every row has a term over ``tol``
+    (one per row), so that no row stops; it reads the terms in order, the
+    compact bound's ``||K x+ - b||`` before ``||m1dx||`` and the full
+    bound's x part before its y part.  That is exact: ``_larger`` of two terms is over
+    tol, or NaN, whenever one of them is over tol.  ``stop(mv, None)`` is
+    the bound itself.
     """
     if b is not None:
-        def compact(Kx, Kx_new, Kty, Kty_new, m1dx, m2dy, prev, record):
-            feas = _nrm(Kx_new - b) / feas_scale
-            rhat_half = _larger(_nrm(m1dx), feas)
-            if not record:
-                return rhat_half, None
-            part_x = _nrm((Kty_new - Kty) - m1dx)
-            return rhat_half, (_larger(part_x, feas), rhat_half)
-        return compact
+        def compact(mv, tol):
+            feas = _nrm(mv.Kx_new - b) / feas_scale
+            if tol is not None and (feas > tol).all():
+                return None
+            return _larger(_nrm(mv.m1dx), feas)
 
-    def full(Kx, Kx_new, Kty, Kty_new, m1dx, m2dy, prev, record):
-        rhat_full = _larger(_nrm((Kty_new - Kty) - m1dx),
-                            _nrm(Kx_new - Kx - m2dy))
-        if not record:
-            return rhat_full, None
+        def compact_recorded(mv, prev):
+            feas = _nrm(mv.Kx_new - b) / feas_scale
+            part_x = _nrm((mv.Kty_new - mv.Kty) - mv.m1dx)
+            return _larger(part_x, feas), _larger(_nrm(mv.m1dx), feas)
+        return compact, compact_recorded
+
+    def full(mv, tol):
+        part_x = _nrm((mv.Kty_new - mv.Kty) - mv.m1dx)
+        if tol is not None and (part_x > tol).all():
+            return None
+        return _larger(part_x, _nrm(mv.Kx_new - mv.Kx - mv.m2dy))
+
+    def full_recorded(mv, prev):
+        rhat_full = full(mv, None)
         if prev is None:
             rhat_half = np.full(rhat_full.shape, np.nan)
         else:
-            Kx_prev, m2dy_prev = prev
-            t = (Kx - Kx_prev) + (Kx - Kx_new) - m2dy_prev
-            rhat_half = _larger(_nrm(t), _nrm(m1dx))
-        return rhat_full, (rhat_full, rhat_half)
-    return full
+            t = (mv.Kx - prev.Kx) + (mv.Kx - mv.Kx_new) - prev.m2dy
+            rhat_half = _larger(_nrm(t), _nrm(mv.m1dx))
+        return rhat_full, rhat_half
+    return full, full_recorded
+
+
+def _custom_stop(custom):
+    """``stop`` of the one-row solve that stops on ``custom``, in the form of
+    ``_residual_bounds``.  A residual that carries ``terms`` is read term by
+    term, up to the first over tol (see ``SolverConfig.custom_residual``)."""
+    terms = getattr(custom, "terms", None)
+
+    def stop(mv, tol):
+        at = mv.x_new[0], mv.y_new[0], mv.Kx_new[0], mv.Kty_new[0]
+        if tol is None or terms is None:
+            return np.array([float(custom(*at))])
+        tol, seen = tol[0], []
+        for t in terms(*at):
+            if t > tol:
+                return None
+            seen.append(t)
+        return np.array([float(max(seen))])
+    return stop
+
+
+def _stopping(b, feas_scale, custom):
+    """``(stop, recorded)``: ``_residual_bounds``, whose stopping bound gives
+    way to ``custom`` when it is set."""
+    stop, recorded = _residual_bounds(b, feas_scale)
+    return (stop if custom is None else _custom_stop(custom)), recorded
 
 
 def _checked_condition(p: SaddleProblem, cfg: SolverConfig):
@@ -312,39 +406,43 @@ def solve_batch(p: SaddleProblem, cfgs) -> list:
     charged = np.zeros(len(cfgs))  # loop seconds charged to each config
 
     prev = None
-    step, Kadj = eng.step, K.apply_adjoint
-    bounds = _residual_bounds(eng.b, feas_scale)
+    points, Kadj = eng.points, K.apply_adjoint
     custom = cfgs[0].custom_residual
+    stop, recorded = _stopping(eng.b, feas_scale, custom)
     next_rec = int(np.minimum(every, last).min())
     k = 0
     t_last = time.perf_counter()
     while True:
         k += 1
-        x_new, y_new, Kx_new, m1dx, m2dy = step(x, y, Kx, Kty)
+        x_new, y_new, Kx_new, q = points(x, y, Kx, Kty)
         Kty_new = Kadj(y_new)
+        mv = _Move(eng, x, y, Kx, Kty, q, x_new, y_new, Kx_new, Kty_new)
         rec = k == next_rec  # some row records this step
-        if custom is None:
-            stop_res, rhat = bounds(Kx, Kx_new, Kty, Kty_new, m1dx, m2dy,
-                                    prev, rec)
-        else:  # the bounds are only recorded: work them out on recorded rows
-            rhat = None
-            stop_res = np.array([float(custom(x_new[0], y_new[0],
-                                              Kx_new[0], Kty_new[0]))])
-
-        done = stop_res <= tol
         # an entry past BLOWUP, or a NaN or inf one, leaves a sum of squares
         # of at least BLOWUP**2 (or NaN), and ``vdot`` warns of no overflow;
-        # only then does the exact per-row test run
-        if rec or done.any() or not (np.vdot(x_new, x_new) < _BLOWUP_SQ
-                                     and np.vdot(y_new, y_new) < _BLOWUP_SQ):
+        # only then does the exact per-row test run, and the residual's
+        # norms, which may overflow to inf, run without a warning
+        calm = (np.vdot(x_new, x_new) < _BLOWUP_SQ
+                and np.vdot(y_new, y_new) < _BLOWUP_SQ)
+        if calm:
+            stop_res = stop(mv, tol)
+        else:
+            with np.errstate(over="ignore"):
+                stop_res = stop(mv, tol)
+        # None: every row has a term of its residual over tol
+        done = None if stop_res is None else stop_res <= tol
+        if rec or not calm or (done is not None and done.any()):
+            if done is None:
+                done = np.zeros(rows.size, dtype=bool)
             blown = ~(np.maximum(np.abs(x_new).max(axis=1),
                                  np.abs(y_new).max(axis=1)) <= BLOWUP)
             leave = done | blown | (k == last)
             show = leave | (k % every == 0) if rec else leave
-            if rhat is None:  # a custom residual, or a stop between records
-                rhat = bounds(Kx, Kx_new, Kty, Kty_new, m1dx, m2dy, prev,
-                              True)[1]
-            rhat_full, rhat_half = rhat
+            with np.errstate(over=None if calm else "ignore"):
+                if stop_res is None and leave.any():  # the exact residual
+                    stop_res = stop(mv, None)
+                if show.any():
+                    rhat_full, rhat_half = recorded(mv, prev)
             now = time.perf_counter()
             charged[rows] += (now - t_last) / rows.size
             t_last = now
@@ -371,14 +469,15 @@ def solve_batch(p: SaddleProblem, cfgs) -> list:
                     return reports
                 rows, tol, every, last, feas_scale = (
                     a[stay] for a in (rows, tol, every, last, feas_scale))
-                x_new, y_new, Kx_new, Kty_new, Kx, m2dy = (
-                    a[stay] for a in (x_new, y_new, Kx_new, Kty_new, Kx, m2dy))
                 eng.keep(stay)
-                bounds = _residual_bounds(eng.b, feas_scale)
+                mv = mv.rows(stay)
+                x_new, y_new, Kx_new, Kty_new = (
+                    mv.x_new, mv.y_new, mv.Kx_new, mv.Kty_new)
+                stop, recorded = _stopping(eng.b, feas_scale, custom)
             if rec or next_rec is None:
                 next_rec = int(np.minimum((k // every + 1) * every,
                                           last).min())
-        prev = (Kx, m2dy)
+        prev = mv
         x, y, Kx, Kty = x_new, y_new, Kx_new, Kty_new
 
 

@@ -155,11 +155,17 @@ def test_group_shrink_is_the_masked_form_bit_for_bit(grid):
         d = np.concatenate([da, da], axis=1)
         with np.errstate(all="ignore"):
             want = np.stack([_group_shrink(g, vi, di) for vi, di in zip(v, d)])
+        v_bytes = v.tobytes()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = g.prox_at(d)(v)
             got_rows = [g.prox_at(di)(vi) for vi, di in zip(v, d)]
+            fresh = v.copy()
+            in_place = g.prox_at_overwrite(d)(fresh)
+        assert v.tobytes() == v_bytes  # prox_at leaves its input alone
+        assert in_place is fresh  # shrunk where it lies
         assert got.tobytes() == want.tobytes()
+        assert in_place.tobytes() == want.tobytes()
         assert all(gi.tobytes() == wi.tobytes()
                    for gi, wi in zip(got_rows, want))
 
@@ -184,6 +190,38 @@ def test_linear_term_is_reported_by_the_entry():
                                               None)):
         eng = _Engine(SaddleProblem(Zero(N), gstar, K), [cfg])
         assert (eng.b is None) if b is None else np.array_equal(eng.b, b)
+
+
+@pytest.mark.parametrize("f", CATALOG, ids=lambda f: type(f).__name__)
+def test_overwriting_prox_is_the_prox(f):
+    # the step's map may take its fresh point over; every entry's gives
+    # prox_at's bytes, and only GroupL12 and Zero save the copy
+    rng = np.random.default_rng(131)
+    d = _weights_for(f, rng.random(N) + 0.5, True)
+    v = rng.standard_normal((2, N))
+    want = f.prox_at(d)(v)
+    fresh = v.copy()
+    got = f.prox_at_overwrite(d)(fresh)
+    assert got.tobytes() == want.tobytes()
+    assert (got is fresh) == isinstance(f, (GroupL12, Zero))
+
+
+@pytest.mark.parametrize("f", [Zero(2 * 3 * 4), GroupL12(3, 4)],
+                         ids=["Zero", "GroupL12"])
+def test_prox_callers_keep_their_input(f):
+    # prox and the Moreau identity go through prox_at, which copies; the
+    # step hands the overwriting map a point of its own, never w or q
+    rng = np.random.default_rng(137)
+    d = np.full(f.dim, 1.5)
+    v, w, q = (rng.standard_normal(f.dim) for _ in range(3))
+    keep = [a.copy() for a in (v, w, q)]
+    p = f.prox(v, d)
+    moreau_conjugate_prox(f, v, d)
+    z, mdz = f.step(ScalarMetric(1.5, f.dim))(w, q)
+    assert all(np.array_equal(a, b) for a, b in zip((v, w, q), keep))
+    assert p is not v and z is not w
+    assert np.array_equal(z, f.prox(w - q * (1.0 / d), d))
+    assert np.array_equal(mdz, 1.5 * (z - w))
 
 
 @pytest.mark.parametrize("bad", [np.zeros(N), -np.ones(N), np.ones(N - 1),
@@ -610,8 +648,13 @@ def test_steps_are_named_by_their_case():
 
 
 def _engine_step(p, cfg, x, y):
-    """One engine step of the one-row block of vectors x and y."""
-    return [a[0] for a in _Engine(p, [cfg]).step(x[None], y[None])]
+    """``(x+, y+, K x+, M1 (x+ - x), M2 (y+ - y))`` of one engine step of
+    the one-row block of vectors x and y."""
+    eng, K, x, y = _Engine(p, [cfg]), p.K, x[None], y[None]
+    Kty = K.apply_adjoint(y)
+    x_new, y_new, Kx_new, q = eng.points(x, y, K.apply(x), Kty)
+    return [a[0] for a in (x_new, y_new, Kx_new, eng.xdiff(x, Kty, x_new),
+                           eng.ydiff(y, q, y_new))]
 
 
 @pytest.mark.parametrize("dense", [False, True])

@@ -441,6 +441,20 @@ def test_blowup_test_overflows_without_a_warning(side):
     assert (rep.status, rep.iters) == ("diverged", 1)
 
 
+@pytest.mark.parametrize("side, rhat_half", [("x", np.inf), ("y", np.nan)])
+def test_blown_up_norms_overflow_without_a_warning(side, rhat_half):
+    # at unit weights the residual's norms of 1e200 overflow to inf: on the
+    # step whose blow-up test fails they run with overflow ignored, and the
+    # row still reports diverged at once with its bounds as inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = _pinned_solve(side, 1e200, weight=1.0)
+    assert (rep.status, rep.iters) == ("diverged", 1)
+    assert rep.stop_residual == np.inf
+    assert [repr(h[:4]) for h in rep.history] == \
+        [repr((1, np.inf, rhat_half, np.nan))]
+
+
 def test_iterates_near_the_blowup_bound_keep_their_trajectory():
     # scaling b and the start by a power of two scales every iterate, bound
     # and the tolerance of this linear problem exactly.  Scaled so that x

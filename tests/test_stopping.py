@@ -1,0 +1,231 @@
+"""The stop test reads only what it needs, and nothing it skips shows.
+
+The solve loop reads a stopping rule's terms in a fixed order and stops
+reading once every live row has a term over tol; it forms the metric
+differences M1 dx and M2 dy only on the steps whose stop test or history
+row reads them.  Each test here runs a solve twice: as it runs, and with
+the loop made eager (``eager``: every term and every difference formed on
+every step, as the loop did before it skipped any), and the two reports
+must be equal bit for bit.
+"""
+
+import numpy as np
+import pytest
+
+from prepdhg import solver
+from prepdhg.metrics import ScalarMetric
+from prepdhg.operators import DenseOperator
+from prepdhg.problems import (emd, game_matrix, matrix_game,
+                              random_balanced_grids, random_sparse_system,
+                              tv_least_squares)
+from prepdhg.prox import IndicatorNonneg, Linear
+from prepdhg.solver import SaddleProblem, SolverConfig, solve, solve_batch
+from test_batch import assert_same_report
+
+
+class _EagerMove(solver._Move):
+    """A move that forms both differences when it is made."""
+
+    __slots__ = ()
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.m1dx, self.m2dy
+
+
+@pytest.fixture
+def eager(monkeypatch):
+    """Run ``fn()`` with every stop term and difference formed eagerly."""
+    def run(fn):
+        with monkeypatch.context() as m:
+            bounds, custom = solver._residual_bounds, solver._custom_stop
+
+            def every_term(stop):
+                return lambda mv, tol: stop(mv, None)
+
+            def eager_bounds(*args):
+                stop, recorded = bounds(*args)
+                return every_term(stop), recorded
+            m.setattr(solver, "_residual_bounds", eager_bounds)
+            m.setattr(solver, "_custom_stop",
+                      lambda c: every_term(custom(c)))
+            m.setattr(solver, "_Move", _EagerMove)
+            return fn()
+    return run
+
+
+def _tvls(tau, size=8, **kw):
+    n = size * size
+    R = random_sparse_system(n // 2, n, 0.2, 3)
+    b = R.apply(np.random.default_rng(5).random(n))
+    return tv_least_squares(R, b, 1.0, (size, size), tau, 0.75, **kw)
+
+
+def _counting_moves(monkeypatch):
+    """Patch in a move that logs each difference it forms; return the log."""
+    formed, base = [], solver._Move
+
+    class Counting(base):
+        __slots__ = ()
+
+        @property
+        def m1dx(self):
+            if self._m1dx is None:
+                formed.append("m1dx")
+            return base.m1dx.fget(self)
+
+        @property
+        def m2dy(self):
+            if self._m2dy is None:
+                formed.append("m2dy")
+            return base.m2dy.fget(self)
+
+    monkeypatch.setattr(solver, "_Move", Counting)
+    return formed
+
+
+@pytest.mark.parametrize("tau", [0.01, 0.03, 0.1])
+def test_tvls_solve_is_the_eager_solve(eager, tau):
+    inst = _tvls(tau, record_every=7)
+    got = inst.solve()
+    assert got.status == "converged" and got.iters % 7  # between records
+    assert_same_report(got, eager(inst.solve))
+
+
+def test_tvls_forms_differences_only_next_to_a_history_row(monkeypatch):
+    # each history row reads M2 dy of its own step and of the step before,
+    # and M1 dx of its own; ||K^T y|| rules out all other steps
+    inst = _tvls(0.03, record_every=7)
+    formed = _counting_moves(monkeypatch)
+    rep = inst.solve()
+    rows = len(rep.history)
+    assert rep.iters > 7 * (rows - 1)
+    assert formed.count("m1dx") == rows
+    assert formed.count("m2dy") == 2 * rows
+
+
+def test_emd_sgs_solve_is_the_eager_solve(eager, monkeypatch):
+    rng = np.random.default_rng(0)
+    r0, r1 = rng.random((8, 8)), rng.random((8, 8))
+    r0, r1 = r0 / r0.sum(), r1 / r1.sum()
+    inst = emd(r0, r1, 7 / 4, 10 ** -1.5, 0.75, method="sgs",
+               max_iter=3000, record_every=7)
+    want = eager(inst.solve)
+    formed = _counting_moves(monkeypatch)
+    got = inst.solve()
+    assert got.status == "converged" and got.iters % 7
+    assert_same_report(got, want)
+    # the compact bound never reads M2 dy, and M1 dx only where the
+    # feasibility term is not over tol or a row is recorded
+    assert "m2dy" not in formed
+    assert len(got.history) <= formed.count("m1dx") < got.iters // 2
+
+
+def test_mixed_stop_game_block_is_the_eager_block(eager):
+    # rows leave converged, at their own max_iter between records, and
+    # diverged, at different steps
+    K = game_matrix(1, 0, 30, 30, centered=True)
+    insts = [matrix_game(K, t, g, tol=1e-4, record_every=25,
+                         record_gap=True)
+             for g in (1.0, 0.751) for t in (0.3, 0.5, 0.8)]
+    cfgs = [inst.config for inst in insts]
+    cfgs[1].max_iter = 137
+    cfgs[4].x0 = np.full(30, np.nan)
+    cfgs[4].override = True
+    p = insts[0].saddle
+    with np.errstate(invalid="ignore"):
+        got = solve_batch(p, cfgs)
+        want = eager(lambda: solve_batch(p, cfgs))
+    assert {r.status for r in got} == {"converged", "max-iter", "diverged"}
+    assert len({r.iters for r in got}) > 3
+    for g, w in zip(got, want):
+        assert_same_report(g, w)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _tvls(0.03, record_every=1),
+    lambda: matrix_game(game_matrix(1, 0, 20, 20, centered=True), 0.5, 0.751,
+                        tol=1e-4, record_every=1)],
+    ids=["tvls", "game"])
+def test_recording_every_step_is_the_eager_solve(eager, make):
+    inst = make()
+    got = inst.solve()
+    assert len(got.history) == got.iters
+    assert_same_report(got, eager(inst.solve))
+
+
+def test_tvls_stopped_between_records_reports_its_exact_residual(eager):
+    inst = _tvls(0.01, max_iter=37, record_every=10)
+    got = inst.solve()
+    assert (got.status, got.iters) == ("max-iter", 37)
+    assert [h.k for h in got.history] == [10, 20, 30, 37]
+    K = inst.saddle.K
+    x, y = got.x_final, got.y_final
+    want = inst.meta["kkt_residual"](x, y, K.apply(x), K.apply_adjoint(y))
+    assert got.stop_residual == want > inst.config.tol
+    assert_same_report(got, eager(inst.solve))
+
+
+def test_kkt_residual_is_the_max_of_its_terms():
+    inst = _tvls(0.03, max_iter=5)
+    rep = inst.solve()
+    K, res = inst.saddle.K, inst.meta["kkt_residual"]
+    args = (rep.x_final, rep.y_final, K.apply(rep.x_final),
+            K.apply_adjoint(rep.y_final))
+    terms = list(res.terms(*args))
+    assert len(terms) == 3 and all(type(t) is float for t in terms)
+    assert res(*args) == max(terms)
+
+
+def _lp(tol, first, max_iter=500):
+    """A small LP whose custom residual has ``first`` as its first term and
+    the norm of the primal move's image as its second."""
+    rng = np.random.default_rng(11)
+    K = DenseOperator(rng.standard_normal((3, 5)))
+    p = SaddleProblem(f=IndicatorNonneg(5),
+                      gstar=Linear(K.apply(rng.random(5))), K=K)
+    reads = []
+
+    def terms(x, y, Kx, Kty):
+        reads.append(1)
+        yield first(x)
+        reads.append(2)
+        yield float(np.linalg.norm(Kx - p.gstar.b))
+
+    def residual(x, y, Kx, Kty):
+        return max(terms(x, y, Kx, Kty))
+    residual.terms = terms
+    cfg = SolverConfig(M1=ScalarMetric(4.0, 5), M2=ScalarMetric(4.0, 3),
+                       tol=tol, max_iter=max_iter, record_every=7,
+                       custom_residual=residual)
+    return p, cfg, reads
+
+
+@pytest.mark.parametrize("first, status", [
+    (lambda x: np.nan, "max-iter"),  # max keeps a NaN first term
+    (lambda x: 1e-3, "converged"),  # exactly tol, which stops
+    (lambda x: 1.0 + float(x.sum()), "max-iter"),  # over tol throughout
+    (lambda x: 0.0, "converged")])
+def test_custom_residual_read_term_by_term_is_the_eager_solve(
+        eager, first, status):
+    p, cfg, reads = _lp(1e-3, first)
+    got = solve(p, cfg)
+    assert got.status == status
+    if status == "max-iter":
+        assert got.iters == cfg.max_iter
+    want = eager(lambda: solve(p, cfg))
+    assert_same_report(got, want)
+    # the second term is read on every step unless the first is over tol
+    p, cfg, reads = _lp(1e-3, first)
+    solve(p, cfg)
+    over = first(np.ones(5)) > 1e-3
+    assert reads.count(2) == (1 if over else got.iters)
+
+
+def test_a_four_argument_custom_residual_keeps_working(eager):
+    p, cfg, _ = _lp(1e-3, lambda x: 0.0)
+    cfg.custom_residual = lambda x, y, Kx, Kty: float(
+        np.linalg.norm(Kx - p.gstar.b))
+    got = solve(p, cfg)
+    assert got.status == "converged"
+    assert_same_report(got, eager(lambda: solve(p, cfg)))

@@ -24,7 +24,7 @@ import scipy.sparse as sp
 from prepdhg.exceptions import ConfigurationError
 from prepdhg.metrics import (BoxQuadBCD, GramShiftMetric, SGSMetric,
                              gram_shift_matrix, spd_solver)
-from prepdhg.operators import GridDivergence
+from prepdhg.operators import GridDivergence, Transpose
 from prepdhg.problems import emd, red_black_partition
 
 from helpers import random_partition
@@ -338,6 +338,46 @@ def test_gram_shift_coloring_is_red_black(grid):
         groups = BoxQuadBCD(gram_shift_matrix(K, scale, theta), np.inf, 1).groups
         assert len(groups) == len(want)
         assert all(np.array_equal(g, w) for g, w in zip(groups, want))
+
+
+def greedy_coloring_reference(M):
+    """The first-fit coloring by numpy scalar indexing, as ``BoxQuadBCD``
+    ran it before it ran on Python lists: the partition it gives."""
+    M = sp.csr_matrix(M)
+    n = M.shape[0]
+    block_of = -np.ones(n, dtype=int)
+    indptr, indices = M.indptr, M.indices
+    for j in range(n):
+        used = {block_of[i] for i in indices[indptr[j]:indptr[j + 1]]
+                if i != j and block_of[i] >= 0}
+        c = 0
+        while c in used:
+            c += 1
+        block_of[j] = c
+    return [np.nonzero(block_of == c)[0] for c in range(block_of.max() + 1)]
+
+
+def _random_spd(n, density, seed):
+    rng = np.random.default_rng(seed)
+    A = sp.random(n, n, density=density, random_state=rng, format="csr")
+    return (A @ A.T + n * sp.eye(n)).tocsr()
+
+
+@pytest.mark.parametrize("matrix", [
+    lambda: gram_shift_matrix(Transpose(GridDivergence(16, 16, 1.0)),
+                              0.01, 1e-3),
+    lambda: gram_shift_matrix(Transpose(GridDivergence(8, 8, 1.0)),
+                              0.05, 1e-3),
+    lambda: _random_spd(120, 0.03, 5)], ids=["tvls16", "tvls8", "random"])
+def test_greedy_coloring_is_the_earlier_partition(matrix):
+    # the tvls box update's dual Gram shifts (the gradient's) and a random
+    # sparse SPD matrix: the same blocks, in the same order
+    M = matrix()
+    want = greedy_coloring_reference(M)
+    got = BoxQuadBCD(M, 1.0).groups
+    assert len(want) > 1 and len(got) == len(want)
+    assert all(g.dtype == w.dtype and np.array_equal(g, w)
+               for g, w in zip(got, want))
 
 
 @pytest.mark.parametrize("seed", range(4))
