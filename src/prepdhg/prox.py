@@ -14,12 +14,12 @@ per row of a (B, dim) block of points; the map then treats each row on its
 own, by the arithmetic of that row alone.
 
 ``step(M)`` builds the solver's subproblem argmin_z h(z) + <q, z> +
-1/2 ||z - w||_M^2 once per solve, as ``(w, q) -> (z, M (z - w))``, from the
-first case that fits; four entries implement ``metric_step(M)`` for the
-non-diagonal metrics they have a step for (the last column names the step).
-A step also carries its two halves, ``point(w, q) -> z`` and ``diff(w, q,
-z) -> M (z - w)``, so the solver can form the difference only on the steps
-that read it, by the step's own arithmetic:
+1/2 ||z - w||_M^2 once per solve, as a ``Step`` named after the first case
+below that fits (the last column).  A step holds two halves, ``point(w, q)
+-> z`` and ``diff(w, q, z) -> M (z - w)``, so the solver can form the
+difference only on the steps that read it, by the step's own arithmetic;
+calling it returns ``(z, M (z - w))``.  Four entries implement
+``metric_step(M)`` for the non-diagonal metrics they have a step for:
 
     M diagonal                     h.prox_at(diag M)                  prox
     h = <b, .>                     z = w - M^{-1} (q + b)             linear
@@ -30,6 +30,8 @@ that read it, by the step's own arithmetic:
 ``sigma`` is the strong-convexity diagonal of the entry (all zeros unless
 the function has a quadratic part).
 """
+
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -98,17 +100,18 @@ def project_simplex_weighted(v: np.ndarray, d: np.ndarray) -> np.ndarray:
     return np.maximum(v - lam / d, 0.0)
 
 
-def _step(name, point, diff):
-    """The step ``(w, q) -> (z, M (z - w))`` called ``name``, from its halves
-    ``point(w, q) -> z`` and ``diff(w, q, z) -> M (z - w)``, which it also
-    carries as attributes: a difference formed later from the same inputs is
-    bitwise the one the step returns."""
-    def step(w, q):
-        z = point(w, q)
-        return z, diff(w, q, z)
-    step.__name__ = step.__qualname__ = name
-    step.point, step.diff = point, diff
-    return step
+class Step(NamedTuple):
+    """The subproblem update ``name`` as its halves ``point(w, q) -> z`` and
+    ``diff(w, q, z) -> M (z - w)``.  Calling it returns ``(z, M (z - w))``;
+    the halves called apart on the same inputs give the same bits."""
+
+    name: str
+    point: Callable
+    diff: Callable
+
+    def __call__(self, w, q):
+        z = self.point(w, q)
+        return z, self.diff(w, q, z)
 
 
 class Proximable:
@@ -140,7 +143,7 @@ class Proximable:
         return self.prox_at(d)
 
     def step(self, M):
-        """The module docstring's subproblem, ``(w, q) -> (z, M (z - w))``."""
+        """The module docstring's subproblem, as a ``Step``."""
         d = M.diagonal()
         return self.metric_step(M) if d is None else self.prox_step(d)
 
@@ -148,8 +151,8 @@ class Proximable:
         """``step`` under M = diag(d); with (B, dim) weights it updates a
         (B, dim) block of rows, each under its own row of weights."""
         hprox, inv_d = self.prox_at_overwrite(d), 1.0 / d
-        return _step("prox", lambda w, q: hprox(w - q * inv_d),
-                     lambda w, q, z: d * (z - w))
+        return Step("prox", lambda w, q: hprox(w - q * inv_d),
+                    lambda w, q, z: d * (z - w))
 
     def linear_term(self):
         """b when the entry is the linear function <b, .>, else None."""
@@ -188,8 +191,8 @@ class Linear(Proximable):
     def metric_step(self, M):
         b = self.b
         # M (z - w) = -(q + b)
-        return _step("linear", lambda w, q: w - M.solve(q + b),
-                     lambda w, q, z: -(q + b))
+        return Step("linear", lambda w, q: w - M.solve(q + b),
+                    lambda w, q, z: -(q + b))
 
 
 def _identity(v):
@@ -233,8 +236,8 @@ class QuadraticShift(Proximable):
         # (M + I) z = M w - q + c
         _, shifted_solve = _shifted_solver(M, 2.0 * np.ones(self.dim))
         c = self.c
-        return _step("shifted", lambda w, q: shifted_solve(M.apply(w) - q + c),
-                     lambda w, q, z: M.apply(z - w))
+        return Step("shifted", lambda w, q: shifted_solve(M.apply(w) - q + c),
+                    lambda w, q, z: M.apply(z - w))
 
 
 class QuadraticShiftNonneg(Proximable):
@@ -284,6 +287,7 @@ class IndicatorNonneg(Proximable):
         return 0.0 if np.all(self._v(x) >= 0) else np.inf
 
     def prox_at(self, d):
+        _as_diag(d, self.dim)
         return lambda v: np.maximum(v, 0.0)
 
 
@@ -301,12 +305,13 @@ class IndicatorLinfBall(Proximable):
         return 0.0 if np.max(np.abs(self._v(x))) <= self.radius else np.inf
 
     def prox_at(self, d):
+        _as_diag(d, self.dim)
         return lambda v: np.clip(v, -self.radius, self.radius)
 
     def metric_step(self, M):
         bcd = BoxQuadBCD(M.to_sparse(), self.radius, self.epochs)
-        return _step("box", lambda w, q: bcd.solve(w, -q),
-                     lambda w, q, z: M.apply(z - w))
+        return Step("box", lambda w, q: bcd.solve(w, -q),
+                    lambda w, q, z: M.apply(z - w))
 
 
 class IndicatorSingleton(Proximable):
@@ -321,6 +326,7 @@ class IndicatorSingleton(Proximable):
         return 0.0 if np.array_equal(self._v(x), self.b) else np.inf
 
     def prox_at(self, d):
+        _as_diag(d, self.dim)
         return lambda v: np.broadcast_to(self.b, v.shape).copy()
 
 
@@ -458,7 +464,7 @@ class SeparableSum(Proximable):
             for sl, step in parts:
                 mdz[sl] = step.diff(w[sl], q[sl], z[sl])
             return mdz
-        return _step("blockwise", point, diff)
+        return Step("blockwise", point, diff)
 
 
 def moreau_conjugate_prox(f: Proximable, x, d) -> np.ndarray:

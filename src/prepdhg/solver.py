@@ -6,21 +6,21 @@ factor 2, both of the form argmin_z h(z) + <q, z> + 1/2 ||z - w||_M^2:
     x+ = argmin_x f(x) + <Kx, y>  + 1/2 ||x - x_k||_M1^2
     y+ = argmin_y g*(y) - <K(2 x+ - x_k), y> + 1/2 ||y - y_k||_M2^2
 
-Each side's update is ``h.step(M)`` of its catalog entry, built once per
-solve; it returns z and M (z - w) (see ``prepdhg.prox``).  The loop calls
-its two halves apart: it forms each step's points, and the differences
-M1 dx and M2 dy only on the steps whose stop test or history row reads
-them (``_Move``).
+Each side's update is ``h.step(M)`` of its catalog entry, a ``Step``
+built once per solve (see ``prepdhg.prox``).  The loop calls its two
+halves apart: it forms each step's points, and the differences M1 dx and
+M2 dy only on the steps whose stop test or history row reads them
+(``_Move``).
 
-One stopping rule, worked out once per solve from what it is given: the
-problem's own KKT residual when ``custom_residual`` is set; otherwise, when
-g* = <b, .> is linear, the compact bound max(||M1 dx||, ||Kx+ - b||);
-otherwise the full bound.  Both bounds are computable upper bounds of the
-KKT residual built from consecutive iterates (``_residual_bounds``), and
-every recorded history row carries them.  The stop test reads a rule's
-terms in a fixed order and stops reading once every row has a term over
-tol, since such a row cannot stop; the whole residual is formed only when
-a row may stop, records or leaves.
+One stopping rule (``_rule``), worked out once per solve from what it is
+given: the problem's own KKT residual when ``custom_residual`` is set;
+otherwise, when g* = <b, .> is linear, the compact bound max(||M1 dx||,
+||Kx+ - b||); otherwise the full bound.  Both bounds are computable upper
+bounds of the KKT residual built from consecutive iterates, and every
+recorded history row carries them.  One routine, ``_stop_residual``,
+reads any rule's terms in its fixed order: it stops reading at a term
+over tol in every row, since no such row can stop, and forms the whole
+residual only when a row may stop or leaves.
 
 One loop, over row blocks: ``solve_batch`` iterates a (B, n) block, one
 row per config of one problem, and ``solve`` is its one-row case.  Under
@@ -34,6 +34,7 @@ symmetric Gauss-Seidel block sweep).
 
 import math
 import time
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -45,7 +46,7 @@ from .metrics import (GramShiftMetric, Metric, ScalarMetric, SGSMetric,
 # solver uses no BoxQuadBCD itself; perfbench/trace.py finds it here to wrap
 from .metrics import BoxQuadBCD  # noqa: F401
 from .operators import LinearOperator
-from .prox import Linear, Proximable, project_simplex
+from .prox import Linear, Proximable, Step, project_simplex
 
 GAMMA_MIN = 0.75
 
@@ -90,19 +91,18 @@ class SolverConfig:
     #: the problem's own KKT residual, ``(x, y, Kx, K^T y) -> float`` at the
     #: new iterates; when set, the solve stops on it instead of a bound.  It
     #: may carry ``terms``, the same signature giving an iterable of floats
-    #: whose Python ``max`` is the residual; the stop test then reads them
-    #: in order and stops reading at the first one over tol, which rules
-    #: the step out, and forms the residual itself only when none is over
-    #: tol, on a recorded step or when the solve ends
+    #: whose Python ``max`` is the residual; the solve then reads only the
+    #: terms, in order: up to the first one over tol, which rules the step
+    #: out, and all of them when none is over tol or the solve ends
     custom_residual: Optional[Callable] = None
 
     def __post_init__(self):
         if not self.tol >= 0:  # NaN would never stop the loop
             raise ConfigurationError("tol must be nonnegative")
-        if self.max_iter < 1:
-            raise ConfigurationError("max_iter must be positive")
-        if self.record_every < 1:
-            raise ConfigurationError("record_every must be positive")
+        for name in ("max_iter", "record_every"):  # step counts
+            n = getattr(self, name)
+            if not isinstance(n, (int, np.integer)) or n < 1:
+                raise ConfigurationError(f"{name} must be a positive integer")
         if not 0 < self.feas_scale < math.inf:
             raise ConfigurationError("feas_scale must be positive and finite")
 
@@ -131,15 +131,19 @@ class SolveReport:
 
 
 class _Engine:
-    """Validated step executor for a block of configs of one problem.
+    """Validated step executor for the live rows of a block of configs of
+    one problem.
 
-    Iterates are row blocks, one row per config: x of shape (B, K.cols) and
-    y of shape (B, K.rows).  ``xpoint``/``xdiff`` and ``ypoint``/``ydiff``
-    are the halves of the two ``Proximable.step`` updates on such blocks
-    (see ``prepdhg.prox``), and ``b`` is the linear term of g* (None unless
-    g* is linear).  One config may take any metric pair its entries have a
-    step for; a block of several needs diagonal metrics, under which each
-    row is updated on its own, by the arithmetic of the single-row step.
+    Iterates are row blocks, one row per live config: x of shape (B,
+    K.cols) and y of shape (B, K.rows).  ``xpoint``/``xdiff`` and
+    ``ypoint``/``ydiff`` are the halves of the two ``Proximable.step``
+    updates on such blocks, ``b`` is the linear term of g* (None unless g*
+    is linear), ``rows`` maps each live row to its config, and ``tol``,
+    ``every``, ``last`` and ``rule`` are the live rows' tolerances, record
+    intervals, iteration budgets and stopping rule.  One config may take any
+    metric pair its entries have a step for; a block of several needs
+    diagonal metrics, under which each row is updated on its own, by the
+    arithmetic of the single-row step.
     """
 
     def __init__(self, p: SaddleProblem, cfgs):
@@ -147,23 +151,29 @@ class _Engine:
         for cfg in cfgs:
             if cfg.M1.dim != p.K.cols or cfg.M2.dim != p.K.rows:
                 raise ConfigurationError("metric dimensions do not match K")
-        self.cfgs = cfgs
-        self.keep(range(len(cfgs)))
-        self.b = p.gstar.linear_term()
+        self.cfgs, self.b = cfgs, p.gstar.linear_term()
+        self.rows = np.arange(len(cfgs))
+        self.keep(self.rows)
 
-    def keep(self, rows):
-        """Narrow the block to the configs at positions ``rows`` and build
-        the updates of what is left."""
-        cfgs = self.cfgs = [self.cfgs[i] for i in rows]
+    def keep(self, stay):
+        """Narrow the live rows to those at positions ``stay`` and build the
+        updates, settings and stopping rule of what is left."""
+        self.rows = self.rows[stay]
+        cfgs = [self.cfgs[j] for j in self.rows]
         f, gstar = self.p.f, self.p.gstar
         if len(cfgs) == 1:  # the single-row step, which costs less
-            xup = _one_row(f.step(cfgs[0].M1))
-            yup = _one_row(gstar.step(cfgs[0].M2))
+            cfg = cfgs[0]
+            xs, ys = _one_row(f.step(cfg.M1)), _one_row(gstar.step(cfg.M2))
         else:
-            xup = _halves(f.prox_step(_row_weights([cfg.M1 for cfg in cfgs])))
-            yup = _halves(gstar.prox_step(
-                _row_weights([cfg.M2 for cfg in cfgs])))
-        (self.xpoint, self.xdiff), (self.ypoint, self.ydiff) = xup, yup
+            xs = f.prox_step(_row_weights([cfg.M1 for cfg in cfgs]))
+            ys = gstar.prox_step(_row_weights([cfg.M2 for cfg in cfgs]))
+        self.xpoint, self.xdiff, self.ypoint, self.ydiff = \
+            xs.point, xs.diff, ys.point, ys.diff
+
+        self.tol, self.every, self.last, feas_scale = (
+            np.array([getattr(cfg, a) for cfg in cfgs])
+            for a in ("tol", "record_every", "max_iter", "feas_scale"))
+        self.rule = _rule(self.b, feas_scale, cfgs[0].custom_residual)
 
     def points(self, x, y, Kx, Kty):
         """``(x+, y+, K x+, q)``, where q = K x - 2 K x+ is the y-update's
@@ -188,7 +198,7 @@ class _Move:
     the y-update's linear term.  ``m1dx`` = M1 (x+ - x) and ``m2dy`` =
     M2 (y+ - y) are formed on first read by the engine's ``xdiff`` and
     ``ydiff``, the steps' own arithmetic, so the loop forms them only on
-    the steps that read them (see ``_residual_bounds``)."""
+    the steps that read them (see ``_rule``)."""
 
     __slots__ = ("eng",) + _MOVE_ARRAYS + ("_m1dx", "_m2dy")
 
@@ -218,16 +228,11 @@ class _Move:
         return _Move(self.eng, *(getattr(self, a)[keep] for a in _MOVE_ARRAYS))
 
 
-def _halves(step):
-    return step.point, step.diff
-
-
 def _one_row(step):
-    """The halves of a one-row block's update from the vector update
-    ``step``."""
-    point, diff = _halves(step)
-    return (lambda w, q: point(w[0], q[0])[None],
-            lambda w, q, z: diff(w[0], q[0], z[0])[None])
+    """The vector ``step`` as a step of one-row blocks."""
+    point, diff = step.point, step.diff
+    return Step(step.name, lambda w, q: point(w[0], q[0])[None],
+                lambda w, q, z: diff(w[0], q[0], z[0])[None])
 
 
 def _row_weights(metrics):
@@ -259,81 +264,75 @@ def _larger(a, b):
     return np.where(a > b, a, b)
 
 
-def _residual_bounds(b, feas_scale):
-    """The stopping bound and the two recorded bounds, picked once per solve.
+#: a stopping rule (see ``_rule``)
+_Rule = namedtuple("_Rule", "terms size whole recorded")
 
-    Returns ``(stop, recorded)`` of a ``_Move``, one entry per row of its
-    block.  rhat_full and rhat_half are upper bounds of the KKT residual at
-    (x+, y+) and at (x+, y), built from K x, K x+, K^T y, K^T y+, ``m1dx =
-    M1 (x+ - x)``, ``m2dy = M2 (y+ - y)`` and, for rhat_half of the full
-    bound, the move ``prev`` of the step before (None on the first step,
-    where it is nan); ``feas_scale`` holds one scale per row.  For linear
-    g* = <b, .> the dual part of both bounds is ``||K x+ - b|| /
-    feas_scale`` and the solve stops on rhat_half (the compact bound);
-    otherwise it stops on rhat_full.
 
-    ``recorded(mv, prev)`` is ``(rhat_full, rhat_half)``.  ``stop(mv, tol)``
-    is the stopping bound, or None when every row has a term over ``tol``
-    (one per row), so that no row stops; it reads the terms in order, the
-    compact bound's ``||K x+ - b||`` before ``||m1dx||`` and the full
-    bound's x part before its y part.  That is exact: ``_larger`` of two terms is over
-    tol, or NaN, whenever one of them is over tol.  ``stop(mv, None)`` is
-    the bound itself.
+def _rule(b, feas_scale, custom):
+    """The stopping rule of a block's live rows: ``terms(mv)`` gives the
+    stopping residual's terms of a ``_Move``, one entry per row, in the
+    order the stop test reads them, ``size`` terms (None: as many as the
+    custom ``terms`` give), ``whole(*terms)`` the residual they make, and
+    ``recorded(mv, prev)`` a history row's ``(rhat_full, rhat_half)``,
+    bounds of the KKT residual at (x+, y+) and at (x+, y); rhat_half of the
+    full bound reads the move ``prev`` of the step before and is nan on the
+    first step, where that is None.  For linear g* = <b, .> the dual part of
+    both is ``||K x+ - b|| / feas_scale`` and the rule stops on rhat_half,
+    the compact bound, read feasibility first; otherwise on rhat_full, the
+    full bound, read x part first.  A one-row ``custom`` residual stops in
+    their place: its ``terms`` if it has them, else its value as one term.
+    ``whole`` keeps each rule's NaN order: ``_larger(||m1dx||, feas)``,
+    ``_larger(part_x, part_y)`` and Python ``max`` of the custom terms.
     """
     if b is not None:
-        def compact(mv, tol):
-            feas = _nrm(mv.Kx_new - b) / feas_scale
-            if tol is not None and (feas > tol).all():
-                return None
-            return _larger(_nrm(mv.m1dx), feas)
+        def terms(mv):
+            yield _nrm(mv.Kx_new - b) / feas_scale
+            yield _nrm(mv.m1dx)
 
-        def compact_recorded(mv, prev):
-            feas = _nrm(mv.Kx_new - b) / feas_scale
+        def whole(feas, m1):
+            return _larger(m1, feas)
+
+        def recorded(mv, prev):
+            feas, m1 = terms(mv)
             part_x = _nrm((mv.Kty_new - mv.Kty) - mv.m1dx)
-            return _larger(part_x, feas), _larger(_nrm(mv.m1dx), feas)
-        return compact, compact_recorded
+            return _larger(part_x, feas), whole(feas, m1)
+    else:
+        def terms(mv):
+            yield _nrm((mv.Kty_new - mv.Kty) - mv.m1dx)
+            yield _nrm(mv.Kx_new - mv.Kx - mv.m2dy)
+        whole = _larger
 
-    def full(mv, tol):
-        part_x = _nrm((mv.Kty_new - mv.Kty) - mv.m1dx)
-        if tol is not None and (part_x > tol).all():
-            return None
-        return _larger(part_x, _nrm(mv.Kx_new - mv.Kx - mv.m2dy))
+        def recorded(mv, prev):
+            rhat_full = _larger(*terms(mv))
+            if prev is None:
+                rhat_half = np.full(rhat_full.shape, np.nan)
+            else:
+                t = (mv.Kx - prev.Kx) + (mv.Kx - mv.Kx_new) - prev.m2dy
+                rhat_half = _larger(_nrm(t), _nrm(mv.m1dx))
+            return rhat_full, rhat_half
+    if custom is None:
+        return _Rule(terms, 2, whole, recorded)
+    custom_terms = getattr(custom, "terms", None)
 
-    def full_recorded(mv, prev):
-        rhat_full = full(mv, None)
-        if prev is None:
-            rhat_half = np.full(rhat_full.shape, np.nan)
-        else:
-            t = (mv.Kx - prev.Kx) + (mv.Kx - mv.Kx_new) - prev.m2dy
-            rhat_half = _larger(_nrm(t), _nrm(mv.m1dx))
-        return rhat_full, rhat_half
-    return full, full_recorded
-
-
-def _custom_stop(custom):
-    """``stop`` of the one-row solve that stops on ``custom``, in the form of
-    ``_residual_bounds``.  A residual that carries ``terms`` is read term by
-    term, up to the first over tol (see ``SolverConfig.custom_residual``)."""
-    terms = getattr(custom, "terms", None)
-
-    def stop(mv, tol):
+    def at_terms(mv):
         at = mv.x_new[0], mv.y_new[0], mv.Kx_new[0], mv.Kty_new[0]
-        if tol is None or terms is None:
-            return np.array([float(custom(*at))])
-        tol, seen = tol[0], []
-        for t in terms(*at):
-            if t > tol:
-                return None
-            seen.append(t)
-        return np.array([float(max(seen))])
-    return stop
+        return (custom(*at),) if custom_terms is None else custom_terms(*at)
+    return _Rule(at_terms, 1 if custom_terms is None else None,
+                 lambda *seen: np.array([float(max(seen))]), recorded)
 
 
-def _stopping(b, feas_scale, custom):
-    """``(stop, recorded)``: ``_residual_bounds``, whose stopping bound gives
-    way to ``custom`` when it is set."""
-    stop, recorded = _residual_bounds(b, feas_scale)
-    return (stop if custom is None else _custom_stop(custom)), recorded
+def _stop_residual(rule, mv, tol=None):
+    """The stopping residual of ``rule`` for each row of ``mv``, or None
+    when no row stops: reading the terms in order ends at one over ``tol``
+    (one per row) in every row, unless it is the last (``tol=None`` reads
+    them all).  That is exact, since under ``whole`` a term over tol leaves
+    the residual over tol or NaN."""
+    seen = []
+    for t in rule.terms(mv):
+        seen.append(t)
+        if tol is not None and len(seen) != rule.size and all(t > tol):
+            return None
+    return rule.whole(*seen)
 
 
 def _checked_condition(p: SaddleProblem, cfg: SolverConfig):
@@ -347,8 +346,11 @@ def _checked_condition(p: SaddleProblem, cfg: SolverConfig):
     return report
 
 
-def _start(v0, n):
-    return np.zeros(n) if v0 is None else np.asarray(v0, dtype=float).ravel()
+def _start(v0, n, name):
+    v = np.zeros(n) if v0 is None else np.asarray(v0, dtype=float).ravel()
+    if v.size != n:
+        raise ConfigurationError(f"{name} has {v.size} entries, expected {n}")
+    return v
 
 
 def solve(p: SaddleProblem, cfg: SolverConfig) -> SolveReport:
@@ -383,23 +385,14 @@ def solve_batch(p: SaddleProblem, cfgs) -> list:
         raise ConfigurationError(
             "a block of several configs takes no custom_residual")
     eng = _Engine(p, cfgs)
+    K = p.K
+    x = np.stack([_start(cfg.x0, K.cols, "x0") for cfg in cfgs])
+    y = np.stack([_start(cfg.y0, K.rows, "y0") for cfg in cfgs])
     conditions = [None if cfg.override else _checked_condition(p, cfg)
                   for cfg in cfgs]
-
-    K = p.K
-    x = np.stack([_start(cfg.x0, K.cols) for cfg in cfgs])
-    y = np.stack([_start(cfg.y0, K.rows) for cfg in cfgs])
     Kx = K.apply(x)
     Kty = K.apply_adjoint(y)
 
-    def per_row(name):
-        return np.array([getattr(cfg, name) for cfg in cfgs])
-
-    # live-row state; ``rows`` maps each live row to its config
-    rows = np.arange(len(cfgs))
-    tol, every, last = per_row("tol"), per_row("record_every"), \
-        per_row("max_iter")
-    feas_scale = per_row("feas_scale")
     gap_fns = [cfg.gap_fn for cfg in cfgs]
     histories = [[] for _ in cfgs]
     reports = [None] * len(cfgs)
@@ -407,9 +400,7 @@ def solve_batch(p: SaddleProblem, cfgs) -> list:
 
     prev = None
     points, Kadj = eng.points, K.apply_adjoint
-    custom = cfgs[0].custom_residual
-    stop, recorded = _stopping(eng.b, feas_scale, custom)
-    next_rec = int(np.minimum(every, last).min())
+    next_rec = int(np.minimum(eng.every, eng.last).min())
     k = 0
     t_last = time.perf_counter()
     while True:
@@ -424,25 +415,27 @@ def solve_batch(p: SaddleProblem, cfgs) -> list:
         # norms, which may overflow to inf, run without a warning
         calm = (np.vdot(x_new, x_new) < _BLOWUP_SQ
                 and np.vdot(y_new, y_new) < _BLOWUP_SQ)
+        tol = eng.tol
         if calm:
-            stop_res = stop(mv, tol)
+            stop_res = _stop_residual(eng.rule, mv, tol)
         else:
             with np.errstate(over="ignore"):
-                stop_res = stop(mv, tol)
+                stop_res = _stop_residual(eng.rule, mv, tol)
         # None: every row has a term of its residual over tol
         done = None if stop_res is None else stop_res <= tol
         if rec or not calm or (done is not None and done.any()):
+            rows, every = eng.rows, eng.every
             if done is None:
                 done = np.zeros(rows.size, dtype=bool)
             blown = ~(np.maximum(np.abs(x_new).max(axis=1),
                                  np.abs(y_new).max(axis=1)) <= BLOWUP)
-            leave = done | blown | (k == last)
+            leave = done | blown | (k == eng.last)
             show = leave | (k % every == 0) if rec else leave
             with np.errstate(over=None if calm else "ignore"):
                 if stop_res is None and leave.any():  # the exact residual
-                    stop_res = stop(mv, None)
+                    stop_res = _stop_residual(eng.rule, mv)
                 if show.any():
-                    rhat_full, rhat_half = recorded(mv, prev)
+                    rhat_full, rhat_half = eng.rule.recorded(mv, prev)
             now = time.perf_counter()
             charged[rows] += (now - t_last) / rows.size
             t_last = now
@@ -467,16 +460,13 @@ def solve_batch(p: SaddleProblem, cfgs) -> list:
                 stay = np.flatnonzero(~leave)
                 if not stay.size:
                     return reports
-                rows, tol, every, last, feas_scale = (
-                    a[stay] for a in (rows, tol, every, last, feas_scale))
                 eng.keep(stay)
                 mv = mv.rows(stay)
                 x_new, y_new, Kx_new, Kty_new = (
                     mv.x_new, mv.y_new, mv.Kx_new, mv.Kty_new)
-                stop, recorded = _stopping(eng.b, feas_scale, custom)
             if rec or next_rec is None:
-                next_rec = int(np.minimum((k // every + 1) * every,
-                                          last).min())
+                next_rec = int(np.minimum((k // eng.every + 1) * eng.every,
+                                          eng.last).min())
         prev = mv
         x, y, Kx, Kty = x_new, y_new, Kx_new, Kty_new
 

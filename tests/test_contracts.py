@@ -224,13 +224,14 @@ def test_prox_callers_keep_their_input(f):
     assert np.array_equal(mdz, 1.5 * (z - w))
 
 
+@pytest.mark.parametrize("f", CATALOG, ids=lambda f: type(f).__name__)
 @pytest.mark.parametrize("bad", [np.zeros(N), -np.ones(N), np.ones(N - 1),
                                  np.full(N, np.nan)])
-def test_zero_prox_checks_its_weights(bad):
+def test_prox_checks_its_weights(f, bad):
     with pytest.raises(ValueError):
-        Zero(N).prox(np.ones(N), bad)
+        f.prox(np.ones(N), bad)
     with pytest.raises(ValueError):
-        Zero(N).prox_at(bad)
+        f.prox_at(bad)
 
 
 @pytest.mark.parametrize("f", CATALOG, ids=lambda f: type(f).__name__)
@@ -644,7 +645,7 @@ def test_steps_are_named_by_their_case():
               "blockwise"),
              (IndicatorLinfBall(4, 0.3), gram, "box")]
     for h, M, name in cases:
-        assert h.step(M).__name__ == name
+        assert h.step(M).name == name
 
 
 def _engine_step(p, cfg, x, y):

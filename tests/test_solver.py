@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from prepdhg import solver
 from prepdhg.counterexamples import ToyDynamics
 from prepdhg.exceptions import ConfigurationError
 from prepdhg.metrics import DiagonalMetric, GramShiftMetric, ScalarMetric
@@ -15,6 +16,7 @@ from prepdhg.solver import (BLOWUP, HistoryRow, SaddleProblem, SolverConfig,
                             duality_gap_matrix_game, prepdhg_step, solve,
                             sublinear_diagnostic)
 from prepdhg.problems import game_matrix, matrix_game
+from test_batch import assert_same_report
 
 
 class TestStep:
@@ -155,6 +157,53 @@ def test_feas_scale_must_be_positive_and_finite(feas_scale):
     with pytest.raises(ConfigurationError, match="feas_scale"):
         SolverConfig(M1=ScalarMetric(1.0, 1), M2=ScalarMetric(1.0, 1),
                      feas_scale=feas_scale)
+
+
+@pytest.mark.parametrize("name", ["max_iter", "record_every"])
+@pytest.mark.parametrize("value", [2.5, 3.0, np.nan, np.inf, "3", 0, -2,
+                                   np.int64(0)])
+def test_loop_settings_must_be_positive_integers(name, value):
+    # max_iter = 2.5 never equals the step count, so a solve ran past it
+    with pytest.raises(ConfigurationError, match=name):
+        SolverConfig(M1=ScalarMetric(1.0, 1), M2=ScalarMetric(1.0, 1),
+                     **{name: value})
+
+
+@pytest.mark.parametrize("value", [3, np.int64(3), np.int32(3)])
+def test_loop_settings_take_python_and_numpy_integers(value):
+    p = SaddleProblem(f=L1Norm(1), gstar=Linear([1.0]),
+                      K=DenseOperator([[1.0]]))
+    cfg = SolverConfig(M1=ScalarMetric(2.0, 1), M2=ScalarMetric(2.0, 1),
+                       tol=0.0, max_iter=value, record_every=value, x0=[1.0])
+    rep = solve(p, cfg)
+    assert (rep.status, rep.iters) == ("max-iter", 3)
+    assert [h.k for h in rep.history] == [3]
+
+
+@pytest.mark.parametrize("side, start", [("x0", np.ones(7)),
+                                         ("y0", np.ones(11)),
+                                         ("x0", np.ones((2, 10)))])
+def test_start_of_the_wrong_length_is_refused_at_setup(side, start,
+                                                       monkeypatch):
+    inst = matrix_game(game_matrix(1, 0, 10, 10, centered=True), 0.3, 1.0,
+                       max_iter=30)
+    setattr(inst.config, side, start)
+    checked = []
+    monkeypatch.setattr(solver, "_checked_condition",
+                        lambda p, cfg: checked.append(cfg))
+    with pytest.raises(ConfigurationError, match=side):
+        inst.solve()
+    assert not checked  # refused before the condition check
+
+
+def test_start_of_column_shape_keeps_working():
+    K = game_matrix(1, 0, 10, 10, centered=True)
+    want = matrix_game(K, 0.3, 1.0, max_iter=30).solve()
+    inst = matrix_game(K, 0.3, 1.0, max_iter=30)
+    inst.config.x0 = np.full((10, 1), 0.1)
+    inst.config.y0 = np.full(10, 0.1)
+    got = inst.solve()
+    assert_same_report(got, want)
 
 
 @pytest.mark.parametrize("tol", [-1e-8, np.nan])

@@ -3,10 +3,11 @@
 The solve loop reads a stopping rule's terms in a fixed order and stops
 reading once every live row has a term over tol; it forms the metric
 differences M1 dx and M2 dy only on the steps whose stop test or history
-row reads them.  Each test here runs a solve twice: as it runs, and with
+row reads them.  Most tests here run a solve twice: as it runs, and with
 the loop made eager (``eager``: every term and every difference formed on
 every step, as the loop did before it skipped any), and the two reports
-must be equal bit for bit.
+must be equal bit for bit.  The last ones build moves by hand and pin how
+each stopping rule combines a NaN or inf term.
 """
 
 import numpy as np
@@ -38,17 +39,9 @@ def eager(monkeypatch):
     """Run ``fn()`` with every stop term and difference formed eagerly."""
     def run(fn):
         with monkeypatch.context() as m:
-            bounds, custom = solver._residual_bounds, solver._custom_stop
-
-            def every_term(stop):
-                return lambda mv, tol: stop(mv, None)
-
-            def eager_bounds(*args):
-                stop, recorded = bounds(*args)
-                return every_term(stop), recorded
-            m.setattr(solver, "_residual_bounds", eager_bounds)
-            m.setattr(solver, "_custom_stop",
-                      lambda c: every_term(custom(c)))
+            stop = solver._stop_residual
+            m.setattr(solver, "_stop_residual",
+                      lambda rule, mv, tol=None: stop(rule, mv))
             m.setattr(solver, "_Move", _EagerMove)
             return fn()
     return run
@@ -229,3 +222,134 @@ def test_a_four_argument_custom_residual_keeps_working(eager):
     got = solve(p, cfg)
     assert got.status == "converged"
     assert_same_report(got, eager(lambda: solve(p, cfg)))
+
+
+def test_a_four_argument_custom_residual_is_called_once_a_step():
+    # its value is its one term, read whole: a value over tol to the end
+    # is not formed again when the row leaves
+    p, cfg, _ = _lp(1e-3, lambda x: 0.0, max_iter=50)
+    calls = []
+
+    def residual(x, y, Kx, Kty):
+        calls.append(1)
+        return 1.0
+    cfg.custom_residual = residual
+    rep = solve(p, cfg)
+    assert (rep.status, rep.iters, rep.stop_residual) == ("max-iter", 50, 1.0)
+    assert len(calls) == 50
+
+
+# -- NaN and inf terms -------------------------------------------------------
+#
+# Each rule combines its terms in its own order, and a NaN term keeps or
+# loses its NaN by that order: the compact bound is ``_larger(||M1 dx||,
+# feas)``, Python ``max`` order with feas read first; the full bound is
+# ``_larger(part_x, part_y)``, the reverse; a custom residual is Python
+# ``max`` of its terms in the order read.  The moves below are built by hand
+# so that one term of a row is NaN or inf.
+
+nan, inf = np.nan, np.inf
+
+
+def _move(m1dx, m2dy, Kx_new, Kty_new=None, Kx=None):
+    """A hand-made move of rows of one x and one y entry; K x, K^T y and
+    K^T y+ are zero unless given, and the differences are the given ones."""
+    col = [np.array(v, dtype=float)[:, None] for v in (m1dx, m2dy, Kx_new)]
+    m1dx, m2dy, Kx_new = col
+    zero = np.zeros_like(Kx_new)
+    eng = type("Eng", (), {"xdiff": staticmethod(lambda w, q, z: m1dx),
+                           "ydiff": staticmethod(lambda w, q, z: m2dy)})()
+    Kty_new = zero if Kty_new is None else np.array(Kty_new)[:, None]
+    Kx = zero if Kx is None else np.array(Kx)[:, None]
+    return solver._Move(eng, zero, zero, Kx, zero, zero, zero, zero, Kx_new,
+                        Kty_new)
+
+
+def _rule(b, feas_scale, custom=None):
+    """``(stop, recorded)`` of the rule the loop would pick, with ``stop(mv,
+    tol)`` the stop routine under that rule."""
+    rule = solver._rule(b, np.asarray(feas_scale, dtype=float), custom)
+    return (lambda mv, tol: solver._stop_residual(rule, mv, tol),
+            rule.recorded)
+
+
+def _same(got, want):
+    return got is not None and np.array_equal(
+        np.asarray(got, dtype=float), np.array(want, dtype=float),
+        equal_nan=True)
+
+
+def test_compact_bound_keeps_its_nan_order():
+    # rows: (feas, ||M1 dx||) = (nan, 1), (1, nan), (inf, nan), (nan, inf),
+    # (1e-9, 2e-9); part_x = ||M1 dx|| as K^T y+ = K^T y
+    mv = _move(m1dx=[1.0, nan, nan, inf, 2e-9], m2dy=[0.0] * 5,
+               Kx_new=[nan, 1.0, inf, nan, 1e-9])
+    stop, recorded = _rule(np.zeros(1), np.ones(5))
+    want = [nan, 1.0, inf, nan, 2e-9]
+    assert _same(stop(mv, None), want)
+    assert _same(stop(mv, np.full(5, 1e-6)), want)
+    rhat_full, rhat_half = recorded(mv, None)
+    assert _same(rhat_full, want) and _same(rhat_half, want)
+    # every row's feasibility term over tol: no row stops
+    mv = _move(m1dx=[nan, 1.0], m2dy=[0.0, 0.0], Kx_new=[1.0, inf])
+    stop, _ = _rule(np.zeros(1), np.ones(2))
+    assert stop(mv, np.full(2, 1e-6)) is None
+    assert _same(stop(mv, None), [1.0, inf])
+
+
+def test_full_bound_keeps_its_nan_order():
+    # rows: (part_x, part_y) = (nan, inf), (inf, nan), (1, nan), (nan, 1),
+    # (1e-9, 2e-9); part_x = ||M1 dx||, part_y = ||K x+||
+    m1dx = [nan, inf, 1.0, nan, 2e-9]
+    mv = _move(m1dx=[-v for v in m1dx], m2dy=[0.0] * 5,
+               Kx_new=[inf, nan, nan, 1.0, 1e-9])
+    stop, recorded = _rule(None, np.ones(5))
+    want = [inf, nan, nan, 1.0, 2e-9]
+    assert _same(stop(mv, None), want)
+    assert _same(stop(mv, np.full(5, 1e-6)), want)
+    # rhat_half is _larger(||(K x - K x_prev) + (K x - K x+) - M2 dy_prev||,
+    # ||M1 dx||), here _larger(||K x+ + M2 dy_prev||, ||M1 dx||)
+    prev = _move(m1dx=[0.0] * 5, m2dy=[-1.0, -inf, nan, 0.0, 0.0],
+                 Kx_new=[0.0] * 5)
+    rhat_full, rhat_half = recorded(mv, prev)
+    assert _same(rhat_full, want)
+    assert _same(rhat_half, [nan, inf, 1.0, nan, 2e-9])
+    rhat_full, rhat_half = recorded(mv, None)
+    assert _same(rhat_full, want) and _same(rhat_half, [nan] * 5)
+    # every row's x part over tol: no row stops
+    mv = _move(m1dx=[inf, -1.0], m2dy=[0.0, 0.0], Kx_new=[nan, 0.5])
+    stop, _ = _rule(None, np.ones(2))
+    assert stop(mv, np.full(2, 1e-6)) is None
+    assert _same(stop(mv, None), [nan, 1.0])
+
+
+@pytest.mark.parametrize("terms, tol, want", [
+    ((nan, 1.0), None, nan),
+    ((1.0, nan), None, 1.0),
+    ((inf, nan), None, inf),
+    ((nan, inf), None, nan),
+    ((nan, 1.0), 2.0, nan),
+    ((1.0, nan), 2.0, 1.0),
+    ((nan, 1.0), 0.5, None),
+    ((nan, nan), 0.5, nan),
+    ((inf, nan), 0.5, None)])
+def test_custom_terms_keep_their_nan_order(terms, tol, want):
+    def custom_terms(x, y, Kx, Kty):
+        yield from terms
+
+    def custom(x, y, Kx, Kty):
+        return max(custom_terms(x, y, Kx, Kty))
+    custom.terms = custom_terms
+    stop, recorded = _rule(np.zeros(1), np.ones(1), custom)
+    mv = _move(m1dx=[nan], m2dy=[0.0], Kx_new=[1.0])
+    got = stop(mv, None if tol is None else np.array([tol]))
+    assert got is None if want is None else _same(got, [want])
+    # the recorded pair is the compact bound's, whatever the custom terms
+    assert _same(recorded(mv, None)[0], [1.0])
+
+
+@pytest.mark.parametrize("value", [nan, inf, 0.25])
+def test_four_argument_custom_residual_is_its_own_value(value):
+    stop, _ = _rule(None, np.ones(1), lambda x, y, Kx, Kty: value)
+    mv = _move(m1dx=[0.0], m2dy=[0.0], Kx_new=[0.0])
+    assert _same(stop(mv, None), [value])
