@@ -478,6 +478,7 @@ def run_check(args):
     print(f"margin = {report.margin:.12g}")
     print(f"verdict = {report.verdict}")
     print(f"converged = {report.converged}")
+    print(f"iterations = {report.iterations}")
     return 0
 
 

@@ -7,6 +7,7 @@ matrix game, Dykstra projection for the doubly-stochastic projection, and a
 polyhedral LP relaxation for the flux/transport problem.
 """
 
+import math
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Optional
@@ -430,17 +431,19 @@ def tv_least_squares(R, b, lam: float, grid, tau: float, gamma: float,
 
     def kkt_terms(x, y, Kx, Kty):
         # Kx stacks Rx over Dx, so the products come from the solver's loop;
-        # ||K^T y||, mostly the largest, comes first
-        yield float(np.linalg.norm(Kty))
+        # ||K^T y||, mostly the largest, comes first; each norm is
+        # sqrt(v . v), numpy's own formula for a real vector's norm
+        yield math.sqrt(Kty.dot(Kty))
         y1, y2 = y[:m1], y[m1:]
-        yield float(np.linalg.norm(Kx[:m1] - y1 - b))
+        r = Kx[:m1] - y1 - b
+        yield math.sqrt(r.dot(r))
         Dx = Kx[m1:]
         btol = 1e-12 * lam
         hi = y2 >= lam - btol
         lo = y2 <= -lam + btol
         dist = np.where(hi, np.maximum(0.0, -Dx),
                         np.where(lo, np.maximum(0.0, Dx), np.abs(Dx)))
-        yield float(np.linalg.norm(dist))
+        yield math.sqrt(dist.dot(dist))
 
     def kkt_residual(x, y, Kx, Kty):
         return max(kkt_terms(x, y, Kx, Kty))

@@ -326,11 +326,13 @@ def _stop_residual(rule, mv, tol=None):
     when no row stops: reading the terms in order ends at one over ``tol``
     (one per row) in every row, unless it is the last (``tol=None`` reads
     them all).  That is exact, since under ``whole`` a term over tol leaves
-    the residual over tol or NaN."""
+    the residual over tol or NaN.  A custom rule's term is a Python float
+    of its one row and is compared with that row's tol as a float."""
     seen = []
     for t in rule.terms(mv):
         seen.append(t)
-        if tol is not None and len(seen) != rule.size and all(t > tol):
+        if tol is not None and len(seen) != rule.size and (
+                t > tol[0] if type(t) is float else all(t > tol)):
             return None
     return rule.whole(*seen)
 

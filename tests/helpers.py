@@ -44,3 +44,33 @@ def random_partition(rng, n, nblocks):
     perm = rng.permutation(n)
     cuts = np.sort(rng.choice(np.arange(1, n), size=nblocks - 1, replace=False))
     return np.split(perm, cuts)
+
+
+def generalized_power(K, M2, a_apply, a_solve, tol, max_iter, seed):
+    """(s, converged, iterations) of the generalized power iteration
+    z <- A^{-1} K^T M2^{-1} K z with Rayleigh quotients in the A inner
+    product: the condition check's estimator before Lanczos replaced it,
+    kept as the reference the Lanczos estimate must not fall below."""
+    def big_c(z):
+        return K.apply_adjoint(M2.solve(K.apply(z)))
+
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(K.cols)
+    z /= np.linalg.norm(z)
+    s = 0.0
+    for it in range(1, max_iter + 1):
+        cz = big_c(z)
+        num = float(np.dot(z, cz))
+        den = float(np.dot(z, a_apply(z)))
+        s_new = num / den
+        if num <= 0:
+            return s, True, it
+        if it > 1 and abs(s_new - s) <= tol * max(abs(s_new), 1e-300):
+            return s_new, True, it
+        s = s_new
+        z = a_solve(cz)
+        nz = np.linalg.norm(z)
+        if nz == 0:
+            return 0.0, True, it
+        z /= nz
+    return s, False, max_iter

@@ -112,7 +112,7 @@ class TestGameSweep:
         power = operators._power_iteration
         monkeypatch.setattr(operators, "_power_iteration",
                             lambda *a: runs.append(a) or power(*a))
-        monkeypatch.setattr(metrics, "_generalized_power",
+        monkeypatch.setattr(metrics, "_generalized_lanczos",
                             lambda *a: pytest.fail("the check iterated"))
         code, one = self.run_small(tmp_path, "one")
         assert code == 0 and len(runs) == 2  # --seeds 2, --workers 1
@@ -287,6 +287,25 @@ class TestCheckCommand:
                      "--k", str(tmp_path / "K.mtx")])
         assert code == 0
         assert "verdict" in capsys.readouterr().out
+
+    def test_reports_the_operator_applications(self, tmp_path, capsys):
+        # a non-constant diagonal takes the generalized estimate; its
+        # iterations, the applications of K^T M2^{-1} K, follow converged
+        K = np.random.default_rng(4).standard_normal((5, 4))
+        m1, m2 = np.linspace(1.0, 2.0, 4), np.full(5, 3.0)
+        for name, a in (("K", K), ("m1", m1), ("m2", m2)):
+            np.savetxt(tmp_path / f"{name}.txt", a)
+        code = main(["check", "--m1", str(tmp_path / "m1.txt"),
+                     "--m2", str(tmp_path / "m2.txt"),
+                     "--k", str(tmp_path / "K.txt")])
+        assert code == 0
+        rep = metrics.check_condition(metrics.DiagonalMetric(m1), None,
+                                      metrics.DiagonalMetric(m2),
+                                      operators.DenseOperator(K))
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2:] == [f"converged = {rep.converged}",
+                              f"iterations = {rep.iterations}"]
+        assert rep.converged and 1 <= rep.iterations <= 4
 
 
 def test_diverging_run_exit_code(tmp_path):

@@ -6,14 +6,18 @@ import scipy.sparse as sp
 from prepdhg.exceptions import ConfigurationError
 from prepdhg.metrics import (BlockDiagMetric, DenseMetric, DiagonalMetric,
                              GramShiftMetric, ScalarMetric, SGSMetric,
+                             _shifted_solver, _sigma,
                              build_diag_preconditioner, check_condition,
                              dense_sqrt, gram_shift_matrix)
 from prepdhg.operators import (BirkhoffConstraint, DenseOperator, GridDivergence,
                                SparseOperator, Transpose, VStack,
                                spectral_norm_sq)
+from prepdhg.problems import (birkhoff_projection, emd, random_balanced_grids,
+                              random_sparse_system, tv_least_squares)
+from prepdhg.solver import CHECK_MAX_ITER, CHECK_TOL
 
-
-from helpers import CountingOperator, random_partition, sgs_dense_oracle
+from helpers import (CountingOperator, generalized_power, random_partition,
+                     sgs_dense_oracle)
 
 
 class TestBasicMetrics:
@@ -261,6 +265,97 @@ class TestCheckCondition:
         K = DenseOperator(np.ones((3, 2)))
         with pytest.raises(ConfigurationError, match=match):
             check_condition(ScalarMetric(1.0, d1), sigma, ScalarMetric(1.0, d2), K)
+
+
+class TestLanczosCheck:
+    """The generalized estimate is Lanczos on A^{-1} K^T M2^{-1} K."""
+
+    @staticmethod
+    def both(M1, sigma, M2, K, tol=CHECK_TOL, max_iter=CHECK_MAX_ITER):
+        """The check's report and the retired power iteration's estimate at
+        the same seed and budget."""
+        rep = check_condition(M1, sigma, M2, K, tol=tol, max_iter=max_iter)
+        a_apply, a_solve = _shifted_solver(M1, _sigma(M1, sigma))
+        power = generalized_power(K, M2, a_apply, a_solve, tol, max_iter, 0)
+        return rep, power[0]
+
+    @staticmethod
+    def instance(name):
+        if name.startswith("emd"):
+            n = int(name[3:])
+            rho0, rho1 = random_balanced_grids(n, n, 0)
+            return emd(rho0, rho1, (n - 1) / 4.0, 10 ** -1.5, 0.75,
+                       theta=1e-6, method="sgs")
+        if name == "tvls16":
+            R = random_sparse_system(128, 256, 0.05, 0)
+            b = R.apply(np.random.default_rng(1).random(256))
+            return tv_least_squares(R, b, 1.0, (16, 16), 10 ** -2.0, 0.75)
+        tau = 0.6
+        return birkhoff_projection(np.random.default_rng(2).random((8, 8)),
+                                   tau=tau, gamma=0.75 / (1 + tau / 2))
+
+    @pytest.mark.parametrize("name", ["emd8", "emd16", "emd32", "tvls16",
+                                      "birkhoff8"])
+    def test_no_lower_than_power_iteration_on_the_problems(self, name):
+        inst = self.instance(name)
+        rep, power = self.both(inst.config.M1, inst.saddle.f.sigma,
+                               inst.config.M2, inst.saddle.K)
+        assert rep.s_hat >= power - 1e-12 * rep.s_hat
+        assert rep.passed and rep.iterations <= CHECK_MAX_ITER
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_no_lower_than_power_iteration_on_diagonal_pencils(self, seed):
+        rng = np.random.default_rng(seed)
+        m, n = rng.integers(5, 60, size=2)
+        K = DenseOperator(rng.standard_normal((m, n)))
+        d1, d2 = rng.random(n) + 0.1, rng.random(m) + 0.1
+        sigma = rng.random(n) if seed % 2 else None
+        rep, power = self.both(DiagonalMetric(d1), sigma, DiagonalMetric(d2), K)
+        assert rep.s_hat >= power - 1e-12 * rep.s_hat
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_dense_eigh_with_a_dense_primal_metric(self, seed):
+        # A = M1 + Sigma_f/2 with a dense M1 and sigma_f != 0 is not diagonal
+        rng = np.random.default_rng(100 + seed)
+        m, n = rng.integers(2, 41, size=2)
+        K = rng.standard_normal((m, n))
+        B1, B2 = rng.standard_normal((n, n)), rng.standard_normal((m, m))
+        P1, P2 = B1 @ B1.T + 0.5 * np.eye(n), B2 @ B2.T + 0.5 * np.eye(m)
+        sigma = rng.random(n)
+        rep = check_condition(DenseMetric(P1), sigma, DenseMetric(P2),
+                              DenseOperator(K))
+        want = sla.eigh(K.T @ np.linalg.solve(P2, K), P1 + np.diag(sigma / 2),
+                        eigvals_only=True)[-1]
+        assert rep.converged
+        assert rep.s_hat == pytest.approx(want, rel=1e-8)
+
+    def test_nan_in_k_fails_unconverged(self):
+        K = DenseOperator([[1.0, np.nan], [0.5, -1.0]])
+        rep = check_condition(DiagonalMetric([1.0, 2.0]), None,
+                              ScalarMetric(1.0, 2), K)
+        assert np.isnan(rep.s_hat) and not rep.converged
+        assert rep.verdict == "fail" and not rep.passed
+
+    def test_zero_k_is_zero_and_converged(self):
+        K = DenseOperator(np.zeros((3, 2)))
+        rep = check_condition(DiagonalMetric([1.0, 2.0]), None,
+                              ScalarMetric(1.0, 3), K)
+        assert rep.s_hat == 0.0 and rep.converged and rep.iterations == 1
+        assert rep.verdict == "pass-unit"
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_an_exhausted_krylov_space_is_converged(self, n):
+        # no reading before k = dim could stall at tol 1e-300; a
+        # non-constant M2 keeps even n = 1 off the scalar-pair path
+        rng = np.random.default_rng(n)
+        K = rng.standard_normal((4, n))
+        d1, d2 = rng.random(n) + 0.5, np.linspace(1.0, 2.0, 4)
+        rep = check_condition(DiagonalMetric(d1), None, DiagonalMetric(d2),
+                              DenseOperator(K), tol=1e-300)
+        assert rep.converged and rep.iterations == n
+        want = sla.eigh(K.T @ np.diag(1.0 / d2) @ K, np.diag(d1),
+                        eigvals_only=True)[-1]
+        assert rep.s_hat == pytest.approx(want, rel=1e-12)
 
 
 class TestScalarPairCheck:
