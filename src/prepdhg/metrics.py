@@ -534,9 +534,10 @@ def _generalized_lanczos(K, M2, a_apply, a_solve, tol, max_iter, seed):
 
     with w_k kept unscaled (the next coefficients divide by beta_k).  The
     estimate, the top eigenvalue of the tridiagonal of the alphas and
-    betas, is read every ``RITZ_EVERY`` = 25 steps (a reading costs O(k);
-    a stall must hold over 25 steps, which a plateau passes less often),
-    at breakdown (beta_k = 0), at k = dim and at ``max_iter``.  It is
+    betas (``_top_eigenvalue``), is read every ``RITZ_EVERY`` = 25 steps
+    (a reading costs O(k); a stall must hold over 25 steps, which a
+    plateau passes less often), at breakdown (beta_k = 0), at k = dim and
+    at ``max_iter``.  It is
     converged when two readings differ by at most ``tol`` relative, or
     when the Krylov space runs out.  ``iterations`` counts the products
     with C; a non-finite coefficient returns NaN, unconverged.
@@ -563,9 +564,7 @@ def _generalized_lanczos(K, M2, a_apply, a_solve, tol, max_iter, seed):
         alpha[k - 1] = a
         exhausted = bb <= 0.0 or k == n
         if exhausted or k % RITZ_EVERY == 0 or k == size:
-            s_new = float(sla.eigvalsh_tridiagonal(
-                alpha[:k], beta[:k - 1], select="i", select_range=(k - 1, k - 1),
-                check_finite=False)[0])
+            s_new = a if k == 1 else _top_eigenvalue(alpha[:k], beta[:k - 1])
             if exhausted or (s is not None and abs(s_new - s)
                              <= tol * max(abs(s_new), 1e-300)):
                 return s_new, True, k
@@ -575,6 +574,19 @@ def _generalized_lanczos(K, M2, a_apply, a_solve, tol, max_iter, seed):
         w_prev, w, v = w, cv, p
         v *= 1.0 / b
     return s, False, size
+
+
+def _top_eigenvalue(d, e):
+    """The largest eigenvalue of the symmetric tridiagonal matrix with
+    diagonal d and off-diagonal e (len(d) >= 2), by the LAPACK bisection
+    ``scipy.linalg.eigvalsh_tridiagonal(select="i")`` runs, called directly:
+    inside the Lanczos loop that function's argument checks cost a third of
+    a reading."""
+    k = d.size  # range 2: the k-th of k eigenvalues by index
+    _, w, _, _, info = sla.lapack.dstebz(d, e, 2, 0.0, 0.0, k, k, 0.0, "E")
+    if info:
+        raise np.linalg.LinAlgError(f"tridiagonal bisection failed ({info})")
+    return float(w[0])
 
 
 def build_diag_preconditioner(K: LinearOperator, alpha: float, delta: float,
