@@ -434,8 +434,8 @@ def _sigma(M1: Metric, sigma):
         raise ConfigurationError(f"sigma_f has length {sigma.size}, not {M1.dim}")
     if not np.any(sigma):
         return None
-    if np.any(sigma < 0):
-        raise ConfigurationError("sigma must be nonnegative")
+    if not np.all((sigma >= 0) & (sigma < np.inf)):  # NaN fails both
+        raise ConfigurationError("sigma must be nonnegative and finite")
     return sigma
 
 
@@ -503,11 +503,7 @@ def check_condition(M1: Metric, sigma_f, M2: Metric, K: LinearOperator,
         est = spectral_norm_sq(K, tol=tol)
         s, converged, it = est.value / ab, est.converged, est.iterations
     else:
-        if dA is None:
-            a_apply, a_solve = _shifted_solver(M1, sigma)
-        else:  # a diagonal A solves by a product with its reciprocal
-            dA_inv = 1.0 / dA
-            a_apply, a_solve = (lambda z: dA * z), (lambda r: r * dA_inv)
+        a_apply, a_solve = _shifted_solver(M1, sigma)
         s, converged, it = _generalized_lanczos(K, M2, a_apply, a_solve, tol,
                                                 max_iter, seed)
     if not s < CONDITION_THRESHOLD - CHECKER_SLACK:  # a NaN estimate fails

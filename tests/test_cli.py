@@ -486,6 +486,17 @@ class TestInputFiles:
         assert err.startswith("configuration error: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("text", ["nan\n1\n", "inf\n1\n", "-1\n1\n"])
+    def test_check_sigma_f_must_be_nonnegative_and_finite(self, files, capsys,
+                                                          text):
+        (files / "s.txt").write_text(text)
+        assert main(["check", "--m1", str(files / "m.txt"), "--m2",
+                     str(files / "m.txt"), "--k", str(files / "k.txt"),
+                     "--sigma-f", str(files / "s.txt")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: sigma must be")
+        assert "Traceback" not in err
+
 
 def _summary_at_workers(argv, out):
     """summary.csv bytes of ``argv`` at one and at two workers; every cell

@@ -266,6 +266,14 @@ class TestCheckCondition:
         with pytest.raises(ConfigurationError, match=match):
             check_condition(ScalarMetric(1.0, d1), sigma, ScalarMetric(1.0, d2), K)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    @pytest.mark.parametrize("M1", [DiagonalMetric([1.0, 2.0]),
+                                    DenseMetric([[2.0, 1.0], [1.0, 2.0]])])
+    def test_sigma_f_must_be_nonnegative_and_finite(self, M1, bad):
+        K = DenseOperator(np.ones((3, 2)))
+        with pytest.raises(ConfigurationError, match="sigma must be"):
+            check_condition(M1, np.array([1.0, bad]), DiagonalMetric([1.0, 2.0, 3.0]), K)
+
 
 class TestLanczosCheck:
     """The generalized estimate is Lanczos on A^{-1} K^T M2^{-1} K."""
