@@ -4,8 +4,9 @@ Subcommands: game | birkhoff | emd | tvls | counterexample | check.
 argparse parses every value and reads every input file once, before any
 work: a bad value or file exits 1 with one line naming it, and so does a
 value that a problem builder would refuse from the arguments alone (a grid
-dimension or row count below 1, an emd grid of one node, grid files of two
-shapes, a one-pixel tvls grid without a row count).  Sweeps run
+dimension or row count below 1, a grid step not positive and finite, an emd
+grid of one node, or of one column without --h, grid files of two shapes, a
+one-pixel tvls grid without a row count).  Sweeps run
 over seeds x gamma x tau cells on a worker pool; a cell is ``cell(args,
 seed, gamma, tau)`` on the parsed arguments and, for birkhoff, emd and
 tvls, one solve.  The game sweep builds K once per seed and deals that
@@ -105,6 +106,15 @@ def parse_flux_grid_size(text: str):
         raise argparse.ArgumentTypeError(
             f"grid must have at least two nodes, got {text!r}")
     return M, N
+
+
+def parse_grid_step(text: str) -> float:
+    """A grid step: a positive, finite number."""
+    h = parse_number(text)
+    if not 0.0 < h < float("inf"):  # NaN fails too
+        raise argparse.ArgumentTypeError(
+            f"grid step must be positive and finite, got {text!r}")
+    return h
 
 
 def load_vector(path):
@@ -375,10 +385,9 @@ def _birkhoff_cell(args, seed, gamma, tau_tilde):
 
 
 def _emd_cell(args, seed, gamma, tau):
-    M, N = args.size
-    rho0, rho1 = (random_balanced_grids(M, N, seed) if args.rho0 is None
+    rho0, rho1 = (random_balanced_grids(*args.size, seed) if args.rho0 is None
                   else (args.rho0, args.rho1))
-    h = (N - 1) / 4.0 if args.h is None else args.h
+    h = (rho0.shape[1] - 1) / 4.0 if args.h is None else args.h
     inst = emd(rho0, rho1, h, tau, gamma, theta=args.theta,
                method=args.method, bcd_epochs=args.bcd_epochs,
                override=args.allow_diverge, **_stop(args))
@@ -420,6 +429,10 @@ def run_sweep(args):
             and args.size[0] * args.size[1] < 2:
         raise ConfigurationError("a one-pixel --size has no default row "
                                  "count; give --m-rows or --r")
+    if args.cell is _emd_cell and args.h is None \
+            and (args.size if rho0 is None else rho0.shape)[1] == 1:
+        raise ConfigurationError("a one-column grid has no default step "
+                                 "((N - 1)/4 is 0); give --h")
     taus = getattr(args, "taus", None) or args.tau_exp
     grid = [(g, t) for g in args.gamma for t in taus]
     if not grid:
@@ -532,7 +545,8 @@ def build_parser():
     _add_common(em)
     em.add_argument("--size", type=parse_flux_grid_size, default="16,16",
                     help="grid M,N")
-    em.add_argument("--h", type=parse_number, help="grid step (default (N-1)/4)")
+    em.add_argument("--h", type=parse_grid_step,
+                    help="grid step (default (N-1)/4, N the grid's columns)")
     em.add_argument("--rho0", type=load_grid, help="source grid file")
     em.add_argument("--rho1", type=load_grid, help="target grid file")
     em.add_argument("--method", choices=["sgs", "iebalm"], default="sgs")

@@ -172,11 +172,15 @@ class GramShiftMetric(Metric):
     """M = gamma * tau * K K^T + theta * I.
 
     The solve is the operator's closed-form inverse when it offers one
-    (``gram_shift_solver``), else a factorization of ``gram_shift_matrix``;
-    either is set up at construction.  Given ``epochs``, the solve is
-    instead that many Gauss-Seidel sweeps from zero (``BoxQuadBCD.sweep``
-    without a box): an inexact solve that factorizes nothing, so it also
-    builds where K K^T is singular and theta = 0.
+    (``gram_shift_solver`` at the shift theta / (gamma * tau) > 0: the
+    row/column-sum operator, the grid divergence and the transpose of
+    either, such as the TV gradient), else a factorization of
+    ``gram_shift_matrix`` by ``spd_solver`` (always at theta = 0); either is
+    set up at construction, and a closed form assembles and factorizes
+    nothing.  Given ``epochs``, the solve is instead that many Gauss-Seidel
+    sweeps from zero (``BoxQuadBCD.sweep`` without a box): an inexact solve
+    that factorizes nothing, so it also builds where K K^T is singular and
+    theta = 0.
     """
 
     def __init__(self, gamma: float, tau: float, op: LinearOperator,

@@ -11,9 +11,14 @@ one vector by scipy's CSR kernel directly (``csr_matvec``).  The 2D grid
 divergence, vertical stacking and the transpose are sparse operators: each
 assembles its CSR matrix once and applies it.  The
 doubly-stochastic (row-sum/column-sum) constraint operator stays
-matrix-free, with a closed-form Gram-shift inverse.
+matrix-free.  Three operators solve with their Gram shift K K^T + s I in
+closed form (``gram_shift_solver``), so that no Gram shift over them is
+factorized: the row/column-sum operator by two rank-one corrections, the
+grid divergence by the 2D discrete cosine transform that diagonalizes its
+Gram matrix, and the transpose of either through its child's solve.
 """
 
+import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -65,7 +70,14 @@ class LinearOperator:
         return sp.csr_matrix(self.to_dense())
 
     def gram_shift_solver(self, shift: float):
-        """``r -> (K K^T + shift*I)^{-1} r`` in closed form, or None."""
+        """``r -> (K K^T + shift*I)^{-1} r`` in closed form, or None.
+
+        None when K has no closed form or when shift <= 0 (K K^T may be
+        singular; ``GramShiftMetric`` then factorizes the Gram shift, which
+        refuses it when its LU is not positive definite).
+        ``BirkhoffConstraint``, whose K K^T is always singular, raises
+        ``ConfigurationError`` for shift <= 0 instead.
+        """
         return None
 
 
@@ -164,12 +176,25 @@ class GridDivergence(SparseOperator):
     with zero outside the grid.  The structural zeros m1[M-1, :] and
     m2[:, N-1] are empty columns of the assembled matrix, so they are ignored
     on input and the adjoint (the negative discrete gradient) produces zeros
-    in those slots.
+    in those slots.  The step h must be positive and finite: at h = 0 the
+    operator is zero.
+
+    K K^T = h^2 (L_M x I_N + I_M x L_N), with L_n the n-node path
+    Laplacian, L_n = C_n^T diag(lambda) C_n for the orthonormal DCT-II
+    matrix C_n and lambda_k = 4 sin^2(pi k / 2n) (2 - 2 cos(pi k / n)
+    without its cancellation at small k).  So, R the row-major (M, N)
+    reshape of r, ``gram_shift_solver`` computes in four small products
+
+        (K K^T + s I)^{-1} r = C_M^T [(C_M R C_N^T) / (h^2 (lambda_i +
+                               lambda_j) + s)] C_N.
     """
 
     def __init__(self, M: int, N: int, h: float = 1.0):
         if M < 1 or N < 1:
             raise ValueError("grid dimensions must be positive")
+        if not 0.0 < h < math.inf:  # NaN fails too
+            raise ConfigurationError(
+                f"grid step h must be positive and finite, got {h}")
         self.M, self.N, self.h = int(M), int(N), float(h)
         M, N, h = self.M, self.N, self.h
         idx = np.arange(M * N).reshape(M, N)
@@ -200,6 +225,30 @@ class GridDivergence(SparseOperator):
         m1[M - 1, :] = True
         m2[:, N - 1] = True
         return np.concatenate([m1.ravel(), m2.ravel()])
+
+    def gram_shift_solver(self, shift):
+        """(K K^T + shift*I)^{-1} by the 2D DCT; None for shift <= 0."""
+        if not shift > 0:
+            return None
+        M, N = self.M, self.N
+        (CM, lm), (CN, ln) = _dct(M), _dct(N)
+        denom = self.h * self.h * np.add.outer(lm, ln) + shift
+
+        def solve(r):
+            Y = CM @ r.reshape(M, N) @ CN.T
+            Y /= denom
+            return (CM.T @ Y @ CN).ravel()
+        return solve
+
+
+def _dct(n):
+    """The orthonormal DCT-II matrix of order n, C[k, j] = c_k cos(pi k
+    (2j+1) / 2n), whose rows are eigenvectors of the n-node path Laplacian,
+    and their eigenvalues."""
+    C = np.cos(np.outer(np.arange(n), np.arange(0.5, n)) * (math.pi / n))
+    C *= math.sqrt(2.0 / n)
+    C[0] *= math.sqrt(0.5)
+    return C, 4.0 * np.sin(np.arange(n) * (math.pi / (2 * n))) ** 2
 
 
 class BirkhoffConstraint(LinearOperator):
@@ -268,6 +317,23 @@ class Transpose(SparseOperator):
         self.op = op
         super().__init__(op.to_sparse().T)
 
+    def gram_shift_solver(self, shift):
+        """With A = K^T, (A A^T + s I)^{-1} r = (r - A (K K^T + s I)^{-1}
+        A^T r) / s through K's closed form; None for s <= 0 or when K has
+        none."""
+        if not shift > 0:
+            return None
+        inner = self.op.gram_shift_solver(shift)
+        if inner is None:
+            return None
+        A, AT = self.A, self._AT
+
+        def solve(r):
+            out = r - csr_matvec(A, inner(csr_matvec(AT, r)))
+            out /= shift
+            return out
+        return solve
+
 
 class SpectralEstimate(NamedTuple):
     value: float
@@ -302,7 +368,8 @@ def spectral_norm_sq(op: LinearOperator, tol: float = 1e-10,
 def _power_iteration(op, tol, max_iter):
     rng = np.random.default_rng(POWER_SEED)
     v = rng.standard_normal(op.cols)
-    nv = np.linalg.norm(v)
+    # each norm is sqrt(v . v), numpy's own formula for a real vector's norm
+    nv = math.sqrt(v.dot(v))
     if nv == 0 or op.cols == 0:
         return SpectralEstimate(0.0, True, 0)
     v /= nv
@@ -310,7 +377,7 @@ def _power_iteration(op, tol, max_iter):
     lam = float(np.dot(u, u))
     for it in range(1, max_iter + 1):
         w = op.apply_adjoint(u)
-        nw = np.linalg.norm(w)
+        nw = math.sqrt(w.dot(w))
         if nw == 0.0:
             return SpectralEstimate(0.0, True, it)
         u = op.apply(w / nw)

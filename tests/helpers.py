@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from prepdhg.operators import DenseOperator
+from prepdhg.metrics import GramShiftMetric, spd_solver
+from prepdhg.operators import POWER_SEED, DenseOperator, SpectralEstimate
 
 
 class CountingOperator(DenseOperator):
@@ -74,3 +75,38 @@ def generalized_power(K, M2, a_apply, a_solve, tol, max_iter, seed):
             return 0.0, True, it
         z /= nz
     return s, False, max_iter
+
+
+def power_iteration_reference(op, tol, max_iter):
+    """``operators._power_iteration`` with its norms by ``np.linalg.norm``,
+    as before they became ``math.sqrt(v.dot(v))``: the reference its
+    estimates must equal bitwise."""
+    rng = np.random.default_rng(POWER_SEED)
+    v = rng.standard_normal(op.cols)
+    nv = np.linalg.norm(v)
+    if nv == 0 or op.cols == 0:
+        return SpectralEstimate(0.0, True, 0)
+    v /= nv
+    u = op.apply(v)
+    lam = float(np.dot(u, u))
+    for it in range(1, max_iter + 1):
+        w = op.apply_adjoint(u)
+        nw = np.linalg.norm(w)
+        if nw == 0.0:
+            return SpectralEstimate(0.0, True, it)
+        u = op.apply(w / nw)
+        lam_new = float(np.dot(u, u))
+        if abs(lam_new - lam) <= tol * max(lam_new, 1e-300):
+            return SpectralEstimate(lam_new, True, it)
+        lam = lam_new
+    return SpectralEstimate(lam, False, max_iter)
+
+
+class FactorizedGramShift(GramShiftMetric):
+    """A ``GramShiftMetric`` that solves by a sparse LU of its assembled
+    matrix (``spd_solver``) even where its operator has a closed form: the
+    solve of a grid Gram shift before the closed forms replaced it."""
+
+    def __init__(self, gamma, tau, op, theta):
+        super().__init__(gamma, tau, op, theta)
+        self._solve = spd_solver(self.to_sparse(), "gram-shift metric")

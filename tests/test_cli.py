@@ -386,6 +386,18 @@ def test_malformed_value_exits_one_naming_the_flag(tmp_path, capsys, argv,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("h", [["--h", "0"], ["--h", "-1"], ["--h", "nan"],
+                               ["--h", "inf"], ["--h=-inf"], ["--h", "0/4"]])
+def test_a_bad_grid_step_exits_one_naming_h(tmp_path, capsys, h):
+    # h = 0 made the divergence zero: each cell ran to --max-iter at
+    # residual 1 and the sweep exited 0
+    out = tmp_path / "o"
+    assert main(["emd"] + h + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "argument --h: grid step must be positive and finite" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 @pytest.mark.parametrize("rng, reason", [("-1:1", "range must be a:step:b"),
                                          ("-1:0:1", "range step must be positive")])
 def test_bad_log_range_keeps_its_reason(tmp_path, capsys, rng, reason):
@@ -393,6 +405,10 @@ def test_bad_log_range_keeps_its_reason(tmp_path, capsys, rng, reason):
     assert main(["game", f"--tau-exp={rng}", "--out", str(out)]) == 1
     assert f"argument --tau-exp: {reason}" in capsys.readouterr().err
     assert not out.exists()
+
+
+_NO_STEP = ("configuration error: a one-column grid has no default step "
+            "((N - 1)/4 is 0); give --h")
 
 
 @pytest.mark.parametrize("argv, reason", [
@@ -405,15 +421,20 @@ def test_bad_log_range_keeps_its_reason(tmp_path, capsys, rng, reason):
     (["tvls", "--size", "1,1"],
      "configuration error: a one-pixel --size has no default row count; "
      "give --m-rows or --r"),
+    (["emd", "--size", "5,1"], _NO_STEP),
+    (["emd", "--rho0", "{d}/column.npy", "--rho1", "{d}/column.npy"], _NO_STEP),
 ])
 def test_builder_errors_surface_before_any_cell(tmp_path, capsys, monkeypatch,
                                                 argv, reason):
-    # each of these was refused by the problem builder, inside a cell
+    # each of these was refused by the problem builder, inside a cell, but
+    # a one-column emd grid without --h: its default step was 0, and its
+    # cells ran to --max-iter
     cells = []
     for name in ("_emd_cell", "_tvls_cell"):
         monkeypatch.setattr(cli, name, lambda *a: cells.append(a))
     (tmp_path / "square.txt").write_text("1 2\n3 4\n")
     (tmp_path / "row.txt").write_text("1 2 3 4\n")
+    np.save(tmp_path / "column.npy", np.full((5, 1), 0.2))
     out = tmp_path / "o"
     argv = [a.format(d=tmp_path) for a in argv]
     assert main(argv + ["--taus", "0.03", "--workers", "1",
@@ -421,6 +442,27 @@ def test_builder_errors_surface_before_any_cell(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert reason in err and "Traceback" not in err
     assert not cells and not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--size", "5,1", "--h", "0.25"],
+    ["--rho0", "{d}/col0.npy", "--rho1", "{d}/col1.npy", "--h", "0.25"],
+    ["--size", "5,1", "--rho0", "{d}/row0.npy", "--rho1", "{d}/row1.npy"],
+])
+def test_a_one_column_emd_grid_runs_with_a_step(tmp_path, argv):
+    # the default step reads the columns of the grid solved: files' over
+    # --size's
+    rng = np.random.default_rng(4)
+    for i in (0, 1):
+        col = rng.random((5, 1))
+        np.save(tmp_path / f"col{i}.npy", col / col.sum())
+        np.save(tmp_path / f"row{i}.npy", (col / col.sum()).T)
+    out = tmp_path / "o"
+    argv = [a.format(d=tmp_path) for a in argv]
+    assert main(["emd"] + argv + ["--taus", "0.1", "--gamma", "1.0",
+                                  "--max-iter", "20000", "--workers", "1",
+                                  "--out", str(out)]) == 0
+    assert "converged" in read(out / "summary.csv").decode()
 
 
 def test_a_one_node_tvls_grid_is_accepted():

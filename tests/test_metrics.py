@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+from prepdhg import metrics
 from prepdhg.exceptions import ConfigurationError
 from prepdhg.metrics import (BlockDiagMetric, DenseMetric, DiagonalMetric,
                              GramShiftMetric, ScalarMetric, SGSMetric,
@@ -16,8 +17,8 @@ from prepdhg.problems import (birkhoff_projection, emd, random_balanced_grids,
                               random_sparse_system, tv_least_squares)
 from prepdhg.solver import CHECK_MAX_ITER, CHECK_TOL
 
-from helpers import (CountingOperator, generalized_power, random_partition,
-                     sgs_dense_oracle)
+from helpers import (CountingOperator, FactorizedGramShift, generalized_power,
+                     random_partition, sgs_dense_oracle)
 
 
 class TestBasicMetrics:
@@ -120,6 +121,103 @@ class TestGramShift:
             z = rng.standard_normal(5)
             q = np.dot(z, M.apply(z)) / np.dot(z, z)
             assert q >= theta * (1.0 - 1e-12)
+
+    # The closed forms against a dense solve.  Both are backward stable up
+    # to the conditioning of K K^T + s I, so each errs by about
+    # eps * cond relative, cond = (||K||^2 + s) / s, and so does the
+    # push-through form of the transpose, whose r - A (...) A^T r cancels
+    # to that size.  The factor 100 covers the sums of up to 512 terms in
+    # the grid's transforms and products (the 16x16 cases err by at most
+    # 8 eps * cond).
+    @staticmethod
+    def assert_closed_form_solves(K, shift):
+        A = K.to_dense()
+        norm_sq = np.linalg.norm(A, 2) ** 2
+        r = np.random.default_rng(6).standard_normal(K.rows)
+        want = np.linalg.solve(A @ A.T + shift * np.eye(K.rows), r)
+        got = K.gram_shift_solver(shift)(r)
+        rtol = 100 * np.finfo(float).eps * (norm_sq + shift) / shift
+        assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("grid", [(1, 5), (5, 1), (3, 4), (16, 16)])
+    @pytest.mark.parametrize("h", [0.5, 1.0, 3.75])
+    @pytest.mark.parametrize("shift", [1e-6, 1e-3, 0.1, 10.0])
+    @pytest.mark.parametrize("transpose", [False, True],
+                             ids=["divergence", "gradient"])
+    def test_grid_closed_form_matches_dense(self, grid, h, shift, transpose):
+        K = GridDivergence(*grid, h)
+        self.assert_closed_form_solves(Transpose(K) if transpose else K,
+                                       shift)
+
+    @pytest.mark.parametrize("shift", [1e-6, 1e-3, 0.1, 10.0])
+    def test_transposed_birkhoff_closed_form_matches_dense(self, shift):
+        self.assert_closed_form_solves(Transpose(BirkhoffConstraint(3)), shift)
+
+    @pytest.mark.parametrize("K", [GridDivergence(3, 4, 0.5),
+                                   Transpose(GridDivergence(3, 4, 0.5)),
+                                   Transpose(BirkhoffConstraint(3))],
+                             ids=["divergence", "gradient", "birkhoff-t"])
+    def test_no_closed_form_without_a_positive_shift(self, K):
+        for shift in (0.0, -1.0, np.nan):
+            assert K.gram_shift_solver(shift) is None
+        assert Transpose(DenseOperator(np.eye(3))).gram_shift_solver(1.0) \
+            is None
+
+    @pytest.mark.parametrize("K", [GridDivergence(8, 8, 1.0),
+                                   Transpose(GridDivergence(3, 4, 0.5))],
+                             ids=["divergence", "gradient"])
+    def test_singular_grid_gram_is_still_refused(self, K):
+        # theta = 0 reaches the factorization, which refuses these singular
+        # Gram matrices (constants span the divergence's Gram null space)
+        with pytest.raises(ConfigurationError, match="not positive definite"):
+            GramShiftMetric(1.0, 0.5, K, theta=0.0)
+
+    @pytest.mark.parametrize("K", [GridDivergence(4, 5, 2.0),
+                                   Transpose(GridDivergence(4, 4, 1.0))],
+                             ids=["divergence", "gradient"])
+    def test_grid_metric_factorizes_nothing(self, K, monkeypatch):
+        monkeypatch.setattr(metrics, "spd_solver", None)
+        M = GramShiftMetric(0.8, 0.3, K, theta=1e-3)
+        z = np.random.default_rng(7).standard_normal(K.rows)
+        assert np.allclose(M.apply(M.solve(z)), z, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("grid", [(8, 8), (16, 16)])
+    def test_tvls_check_matches_the_factorized_solve(self, grid):
+        # the tvls condition estimate through the closed form, against the
+        # same check with the Gram shift solved by a sparse LU
+        M, N = grid
+        n = M * N
+        R = random_sparse_system(n // 2, n, 0.05, 3)
+        b = R.apply(np.random.default_rng(3).random(n))
+        for tau in (10 ** -2.25, 10 ** -1.75):
+            inst = tv_least_squares(R, b, 1.0, grid, tau, 0.75)
+            cfg, K = inst.config, inst.saddle.K
+            scalar, gram = cfg.M2.metrics
+            ref = BlockDiagMetric([scalar, FactorizedGramShift(
+                gram.gamma, gram.tau, gram.op, gram.theta)])
+            got, want = (check_condition(cfg.M1, None, M2, K, tol=CHECK_TOL,
+                                         max_iter=CHECK_MAX_ITER)
+                         for M2 in (cfg.M2, ref))
+            assert got.iterations == want.iterations
+            assert got.verdict == want.verdict
+            assert got.s_hat == pytest.approx(want.s_hat, rel=1e-10, abs=0)
+
+    def test_tvls_set_up_makes_no_lu(self, monkeypatch):
+        # the Gram shift over the TV gradient was the one LU of a tvls
+        # solve (128 x 128 here), used only by the condition check
+        shapes = []
+        splu = metrics.spla.splu
+
+        def spy(A, *args, **kwargs):
+            shapes.append(A.shape)
+            return splu(A, *args, **kwargs)
+        monkeypatch.setattr(metrics.spla, "splu", spy)
+        R = random_sparse_system(32, 64, 0.05, 11)
+        b = R.apply(np.random.default_rng(11).random(64))
+        rep = tv_least_squares(R, b, 1.0, (8, 8), 10 ** -2.0, 0.75,
+                               max_iter=5).solve()
+        assert rep.iters == 5 and rep.condition.passed
+        assert shapes == []
 
 
 class TestSGS:

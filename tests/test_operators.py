@@ -6,15 +6,16 @@ import scipy.sparse as sp
 from scipy.io import mmwrite
 
 from prepdhg import metrics, operators
+from prepdhg.exceptions import ConfigurationError
 from prepdhg.metrics import build_diag_preconditioner, gram_shift_matrix
 from prepdhg.operators import (BirkhoffConstraint, DenseOperator,
                                GridDivergence, SparseOperator, Transpose,
                                VStack, csr_matvec, load_dense, load_sparse,
                                spectral_norm_sq)
-from prepdhg.problems import (emd, random_balanced_grids,
+from prepdhg.problems import (emd, game_matrix, random_balanced_grids,
                               random_sparse_system, tv_least_squares)
 
-from helpers import CountingOperator
+from helpers import CountingOperator, power_iteration_reference
 
 
 # The earlier matrix-free forms of the grid operators, kept as references
@@ -188,6 +189,30 @@ def test_grid_divergence_norm_bounded_by_8h2(M, N):
     for h in (1.0, 0.5):
         est = spectral_norm_sq(GridDivergence(M, N, h), tol=1e-10)
         assert est.value <= 8.0 * h * h * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("h", [0.0, -1.0, np.nan, np.inf, -np.inf])
+def test_grid_divergence_refuses_a_bad_step(h):
+    # at h = 0 the divergence is zero and every emd solve runs to max_iter
+    with pytest.raises(ConfigurationError, match="grid step h"):
+        GridDivergence(4, 4, h)
+
+
+@pytest.mark.parametrize("op", [
+    game_matrix(1, 0, 100, 100, centered=True),  # the game-sweep benchmark's K
+    GridDivergence(16, 16, 3.75),
+    BirkhoffConstraint(7),
+    VStack([SparseOperator(sp.random(20, 32, density=0.2, random_state=3)),
+            Transpose(GridDivergence(4, 8, 1.0))]),
+], ids=["game", "divergence", "birkhoff", "vstack"])
+@pytest.mark.parametrize("tol, max_iter", [(1e-10, 2000), (1e-12, 7)])
+def test_power_iteration_is_bitwise_the_norm_loop(op, tol, max_iter):
+    # the norms are sqrt(v . v), numpy's own formula for a real vector's
+    # norm, so each estimate is the earlier np.linalg.norm loop's bitwise
+    got = operators._power_iteration(op, tol, max_iter)
+    want = power_iteration_reference(op, tol, max_iter)
+    assert got.value.hex() == want.value.hex()
+    assert got[1:] == want[1:]
 
 
 def test_spectral_norm_one_product_each_way_per_iteration():

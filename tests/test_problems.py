@@ -169,6 +169,14 @@ class TestEMD:
         with pytest.raises(ConfigurationError):
             emd([[1.0, 0.0]], [[0.0, 0.9]], 1.0, 0.5, 1.0)
 
+    @pytest.mark.parametrize("h", [0.0, -0.5, np.nan, np.inf])
+    def test_bad_grid_step_rejected(self, h):
+        # a one-column grid's default step (N - 1)/4 is 0, which made the
+        # divergence zero: each solve then ran to max_iter at residual 1
+        r0, r1 = random_balanced_grids(5, 1, 0)
+        with pytest.raises(ConfigurationError, match="grid step h"):
+            emd(r0, r1, h, 0.1, 0.75)
+
     def test_equal_masses_zero_flux(self):
         rng = np.random.default_rng(6)
         r = rng.random((3, 3))
