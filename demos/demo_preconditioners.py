@@ -1,8 +1,9 @@
 """Metric selection: diagonal preconditioners and the condition checker.
 
-The checker estimates s = ||M2^{-1/2} K (M1 + Sigma_f/2)^{-1/2}||^2 by power
-iteration on the equivalent generalized eigenproblem and compares it against
-the 4/3 threshold.  Row/column-sum diagonal preconditioners guarantee
+The checker estimates s = ||M2^{-1/2} K (M1 + Sigma_f/2)^{-1/2}||^2 by Lanczos
+on the equivalent generalized eigenproblem (for a scalar pair, from the
+operator's estimate of ||K||^2) and compares it against the 4/3 threshold.
+Row/column-sum diagonal preconditioners guarantee
 s <= 1/(gamma1*gamma2), so the product gamma1*gamma2 = 3/4 is exactly the
 edge of the admissible region.
 """

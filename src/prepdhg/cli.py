@@ -4,9 +4,10 @@ Subcommands: game | birkhoff | emd | tvls | counterexample | check.
 argparse parses every value and reads every input file once, before any
 work: a bad value or file exits 1 with one line naming it, and so does a
 value that a problem builder would refuse from the arguments alone (a grid
-dimension or row count below 1, a grid step not positive and finite, an emd
-grid of one node, or of one column without --h, grid files of two shapes, a
-one-pixel tvls grid without a row count).  Sweeps run
+dimension, game size or row count below 1, a grid step or tvls lam not
+positive and finite, a tvls density outside (0, 1], an emd grid of one node,
+or of one column without --h, grid files of two shapes, a one-pixel tvls
+grid without a row count).  Sweeps run
 over seeds x gamma x tau cells on a worker pool; a cell is ``cell(args,
 seed, gamma, tau)`` on the parsed arguments and, for birkhoff, emd and
 tvls, one solve.  The game sweep builds K once per seed and deals that
@@ -108,13 +109,30 @@ def parse_flux_grid_size(text: str):
     return M, N
 
 
-def parse_grid_step(text: str) -> float:
-    """A grid step: a positive, finite number."""
-    h = parse_number(text)
-    if not 0.0 < h < float("inf"):  # NaN fails too
+def _positive_finite(text: str, what: str) -> float:
+    """A positive, finite number; ``what`` names it in the error."""
+    value = parse_number(text)
+    if not 0.0 < value < float("inf"):  # NaN fails too
         raise argparse.ArgumentTypeError(
-            f"grid step must be positive and finite, got {text!r}")
-    return h
+            f"{what} must be positive and finite, got {text!r}")
+    return value
+
+
+def parse_grid_step(text: str) -> float:
+    return _positive_finite(text, "grid step")
+
+
+def parse_lam(text: str) -> float:
+    return _positive_finite(text, "lam")
+
+
+def parse_density(text: str) -> float:
+    """A sparse matrix's density: a number in (0, 1]."""
+    density = float(text)
+    if not 0.0 < density <= 1.0:  # NaN fails too
+        raise argparse.ArgumentTypeError(
+            f"density must lie in (0, 1], got {text!r}")
+    return density
 
 
 def load_vector(path):
@@ -425,6 +443,9 @@ def run_sweep(args):
     if rho0 is not None and rho0.shape != rho1.shape:
         raise ConfigurationError(f"--rho0 and --rho1 differ in shape: "
                                  f"{rho0.shape} and {rho1.shape}")
+    if rho0 is not None and rho0.size < 2:  # as parse_flux_grid_size
+        raise ConfigurationError(f"grid must have at least two nodes, got "
+                                 f"{rho0.shape}")
     if args.cell is _tvls_cell and args.r is None and args.m_rows is None \
             and args.size[0] * args.size[1] < 2:
         raise ConfigurationError("a one-pixel --size has no default row "
@@ -522,8 +543,8 @@ def build_parser():
     g = sub.add_parser("game", help="matrix game sweep")
     _add_common(g)
     g.add_argument("--test", type=int, default=1, help="generator recipe 1-4")
-    g.add_argument("--m", type=int)
-    g.add_argument("--n", type=int)
+    g.add_argument("--m", type=parse_positive_int)
+    g.add_argument("--n", type=parse_positive_int)
     g.add_argument("--centered", action="store_true",
                    help="zero-mean uniform for recipe 1")
     g.add_argument("--gamma", type=parse_number_list, default="1.0,0.751")
@@ -533,7 +554,7 @@ def build_parser():
 
     bk = sub.add_parser("birkhoff", help="doubly-stochastic projection sweep")
     _add_common(bk)
-    bk.add_argument("--n", type=int, default=50)
+    bk.add_argument("--n", type=parse_positive_int, default=50)
     bk.add_argument("--method", choices=["ebalm", "pdhg"], default="ebalm")
     bk.add_argument("--gamma", type=parse_gamma_rules, default="1.0,tight",
                     help="comma list of values or 'tight' (= 0.751/(1+tau/2))")
@@ -562,9 +583,9 @@ def build_parser():
     tv.add_argument("--size", type=parse_grid_size, default="16,16",
                     help="pixel grid M,N")
     tv.add_argument("--m-rows", type=parse_positive_int)
-    tv.add_argument("--density", type=float, default=0.05)
+    tv.add_argument("--density", type=parse_density, default=0.05)
     tv.add_argument("--r", type=load_sparse, help="system matrix .mtx")
-    tv.add_argument("--lam", type=float, default=1.0)
+    tv.add_argument("--lam", type=parse_lam, default=1.0)
     tv.add_argument("--gamma", type=parse_number_list, default="1.0,0.75")
     tv.add_argument("--taus", type=parse_number_list)
     tv.add_argument("--tau-exp", type=parse_log_range, default="-2.5:0.25:-1.5")

@@ -52,6 +52,14 @@ _FACTOR_CAP = 4096
 SQRT_CAP = 64  # largest metric dimension ``dense_sqrt`` takes a root of
 
 
+def as_vector(z, dim: int) -> np.ndarray:
+    """z raveled as a float vector of length dim, else ValueError."""
+    z = np.asarray(z, dtype=float).ravel()
+    if z.size != dim:
+        raise ValueError(f"expected length {dim}, got {z.size}")
+    return z
+
+
 def gram_shift_matrix(K: LinearOperator, scale: float, shift: float):
     """scale * K K^T + shift * I in CSR form, from ``K.to_sparse()``."""
     A = K.to_sparse()
@@ -66,8 +74,9 @@ def spd_solver(A, name: str = "matrix"):
     A may be dense or sparse.  A diagonal A is inverted entrywise.  Any other
     A gets one sparse LU in symmetric mode with diagonal pivots only, which
     is its LDL^T factorization: A is positive definite exactly when no row
-    was interchanged and every pivot is positive.  Raises
-    ``ConfigurationError`` otherwise.
+    was interchanged and every pivot is positive; a pivot at most n * eps
+    times the largest (A of order n) counts as zero, since rounding alone
+    decides its sign.  Raises ``ConfigurationError`` otherwise.
     """
     A = sp.csc_matrix(A, dtype=float)
     d = A.diagonal()
@@ -80,7 +89,9 @@ def spd_solver(A, name: str = "matrix"):
                        options={"SymmetricMode": True})
     except RuntimeError:  # an exactly zero pivot
         raise ConfigurationError(f"{name} not positive definite") from None
-    if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0)):
+    pivots = lu.U.diagonal()
+    floor = A.shape[0] * np.finfo(float).eps * pivots.max()
+    if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(pivots > floor)):
         raise ConfigurationError(f"{name} not positive definite")
     return lu.solve
 
@@ -99,12 +110,6 @@ class Metric:
     def diagonal(self):
         """The diagonal of M when M is diagonal, else None."""
         return None
-
-    def _check(self, z):
-        z = np.asarray(z, dtype=float).ravel()
-        if z.size != self.dim:
-            raise ValueError(f"expected length {self.dim}, got {z.size}")
-        return z
 
     def to_dense(self) -> np.ndarray:
         if self.dim > _FACTOR_CAP:
@@ -128,10 +133,10 @@ class DiagonalMetric(Metric):
         self.dim = d.size
 
     def apply(self, z):
-        return self.d * self._check(z)
+        return self.d * as_vector(z, self.dim)
 
     def solve(self, r):
-        return self._check(r) / self.d
+        return as_vector(r, self.dim) / self.d
 
     def diagonal(self):
         return self.d
@@ -162,10 +167,10 @@ class DenseMetric(Metric):
         self._solve = spd_solver(self.A, "dense metric")
 
     def apply(self, z):
-        return self.A @ self._check(z)
+        return self.A @ as_vector(z, self.dim)
 
     def solve(self, r):
-        return self._solve(self._check(r))
+        return self._solve(as_vector(r, self.dim))
 
 
 class GramShiftMetric(Metric):
@@ -205,13 +210,13 @@ class GramShiftMetric(Metric):
             self._solve = lambda r: inner(r) / gt
 
     def apply(self, z):
-        z = self._check(z)
+        z = as_vector(z, self.dim)
         out = self._gt * self.op.apply(self.op.apply_adjoint(z))
         out += self.theta * z
         return out
 
     def solve(self, r):
-        return self._solve(self._check(r))
+        return self._solve(as_vector(r, self.dim))
 
     def to_sparse(self) -> sp.csr_matrix:
         """M in CSR form, by ``gram_shift_matrix``."""
@@ -244,12 +249,12 @@ class SGSMetric(Metric):
         self.D, self.U = self.kernel.D, self.kernel.upper()
 
     def apply(self, z):
-        z = self._check(z)
+        z = as_vector(z, self.dim)
         t = self.kernel.solve_blocks(self.D @ z + self.U.T @ z)
         return self.D @ t + self.U @ t
 
     def solve(self, r):
-        return self.kernel.symmetric_sweep(self._check(r))
+        return self.kernel.symmetric_sweep(as_vector(r, self.dim))
 
 
 def _greedy_coloring(M):
@@ -400,11 +405,11 @@ class BlockDiagMetric(Metric):
         return [z[lo:hi] for lo, hi in zip(self._offsets[:-1], self._offsets[1:])]
 
     def apply(self, z):
-        z = self._check(z)
+        z = as_vector(z, self.dim)
         return np.concatenate([m.apply(b) for m, b in zip(self.metrics, self._blocks(z))])
 
     def solve(self, r):
-        r = self._check(r)
+        r = as_vector(r, self.dim)
         return np.concatenate([m.solve(b) for m, b in zip(self.metrics, self._blocks(r))])
 
 
@@ -444,8 +449,7 @@ def _sigma(M1: Metric, sigma):
 
 
 def _shifted_solver(M1: Metric, sigma):
-    """Return functions applying and solving with A = M1 + diag(sigma)/2."""
-    sigma = _sigma(M1, sigma)
+    """Apply and solve with A = M1 + diag(sigma)/2, sigma from ``_sigma``."""
     if sigma is None:
         return M1.apply, M1.solve
     A = M1.to_sparse() + sp.diags(0.5 * sigma)

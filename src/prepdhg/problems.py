@@ -152,6 +152,9 @@ def matrix_game_equilibrium(K):
     raise RuntimeError("no equilibrium found; the game should always have one")
 
 
+_GAME_SIZES = {1: (100, 100), 2: (100, 100), 3: (500, 100), 4: (1000, 2000)}
+
+
 def game_matrix(test: int, seed: int, m: int = None, n: int = None,
                 centered: bool = False):
     """Seeded generators mirroring the four benchmark recipes.
@@ -161,24 +164,25 @@ def game_matrix(test: int, seed: int, m: int = None, n: int = None,
     (1000x2000).  ``centered`` shifts the uniform recipe to [-1, 1]; the
     one-sided uniform game is dominated by its rank-one mean and converges an
     order of magnitude slower, which swamps desk-scale speedup comparisons.
+    ``m`` and ``n``, when given, replace the size and must be at least 1.
     """
+    if test not in _GAME_SIZES:
+        raise ConfigurationError(f"unknown test id {test}")
+    m = _GAME_SIZES[test][0] if m is None else m
+    n = _GAME_SIZES[test][1] if n is None else n
+    if m < 1 or n < 1:
+        raise ConfigurationError(f"game size must be positive, got {m}x{n}")
     rng = np.random.default_rng(seed)
     if test == 1:
-        m, n = m or 100, n or 100
         A = rng.random((m, n))
         return DenseOperator(2.0 * A - 1.0 if centered else A)
     if test == 2:
-        m, n = m or 100, n or 100
         return DenseOperator(rng.standard_normal((m, n)))
     if test == 3:
-        m, n = m or 500, n or 100
         return DenseOperator(10.0 * rng.standard_normal((m, n)))
-    if test == 4:
-        m, n = m or 1000, n or 2000
-        A = sp.random(m, n, density=0.1, random_state=rng,
-                      data_rvs=rng.random, format="csr")
-        return SparseOperator(A)
-    raise ConfigurationError(f"unknown test id {test}")
+    A = sp.random(m, n, density=0.1, random_state=rng, data_rvs=rng.random,
+                  format="csr")
+    return SparseOperator(A)
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +415,7 @@ def tv_least_squares(R, b, lam: float, grid, tau: float, gamma: float,
     b = np.asarray(b, dtype=float).ravel()
     if b.size != Rop.rows:
         raise ConfigurationError("b length must equal R rows")
-    if lam <= 0 or tau <= 0 or theta <= 0:
+    if not (lam > 0 and tau > 0 and theta > 0):  # NaN fails too
         raise ConfigurationError("lam, tau, theta must be positive")
     if gamma < GAMMA_MIN - 1e-15 and not override:
         raise ConfigurationError(f"gamma = {gamma} below the 3/4 bound")

@@ -34,9 +34,10 @@ the function has a quadratic part).
 from typing import Callable, NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from .exceptions import ConfigurationError
-from .metrics import BlockDiagMetric, BoxQuadBCD, _shifted_solver
+from .metrics import BlockDiagMetric, BoxQuadBCD, as_vector, spd_solver
 
 
 def _as_diag(d, dim):
@@ -127,20 +128,12 @@ class Proximable:
         raise NotImplementedError
 
     def prox(self, v: np.ndarray, d) -> np.ndarray:
-        return self.prox_at(d)(self._v(v))
+        return self.prox_at(d)(as_vector(v, self.dim))
 
     def prox_at(self, d):
-        """``v -> prox(v, d)`` for weights ``d`` fixed for a whole solve.
-
-        Raises on bad weights here, once; the returned map does no checks.
-        """
+        """``v -> prox(v, d)`` for weights ``d`` fixed for a whole solve; raises
+        on bad weights here, once, and the map checks nothing and keeps v."""
         raise NotImplementedError
-
-    def prox_at_overwrite(self, d):
-        """``prox_at(d)`` for points nobody else holds: its map may overwrite
-        its input and return it.  ``prox_step`` hands it the fresh point it
-        builds; an entry that can save a copy that way overrides this."""
-        return self.prox_at(d)
 
     def step(self, M):
         """The module docstring's subproblem, as a ``Step``."""
@@ -148,9 +141,9 @@ class Proximable:
         return self.metric_step(M) if d is None else self.prox_step(d)
 
     def prox_step(self, d):
-        """``step`` under M = diag(d); with (B, dim) weights it updates a
-        (B, dim) block of rows, each under its own row of weights."""
-        hprox, inv_d = self.prox_at_overwrite(d), 1.0 / d
+        """``step`` under M = diag(d), by ``prox_at(d)`` at w - q * (1/d); with
+        (B, dim) weights it updates rows, each under its own row of weights."""
+        hprox, inv_d = self.prox_at(d), 1.0 / d
         return Step("prox", lambda w, q: hprox(w - q * inv_d),
                     lambda w, q, z: d * (z - w))
 
@@ -163,12 +156,6 @@ class Proximable:
         raise ConfigurationError(f"unsupported (h={type(self).__name__}, "
                                  f"M={type(M).__name__}) pair")
 
-    def _v(self, v):
-        v = np.asarray(v, dtype=float).ravel()
-        if v.size != self.dim:
-            raise ValueError(f"expected length {self.dim}, got {v.size}")
-        return v
-
 
 class Linear(Proximable):
     """f(x) = <b, x>."""
@@ -179,7 +166,7 @@ class Linear(Proximable):
         self.b = b
 
     def __call__(self, x):
-        return float(np.dot(self.b, self._v(x)))
+        return float(np.dot(self.b, as_vector(x, self.dim)))
 
     def linear_term(self):
         return self.b
@@ -195,10 +182,6 @@ class Linear(Proximable):
                     lambda w, q, z: -(q + b))
 
 
-def _identity(v):
-    return v
-
-
 class Zero(Linear):
     """f = 0, the linear function with b = 0."""
 
@@ -209,10 +192,6 @@ class Zero(Linear):
         # the identity: a copy, with no arithmetic on the (checked) weights
         _as_diag(d, self.dim)
         return np.copy
-
-    def prox_at_overwrite(self, d):
-        _as_diag(d, self.dim)
-        return _identity
 
 
 class QuadraticShift(Proximable):
@@ -225,7 +204,7 @@ class QuadraticShift(Proximable):
         self.sigma = np.ones(self.dim)
 
     def __call__(self, x):
-        return 0.5 * float(np.sum((self._v(x) - self.c) ** 2))
+        return 0.5 * float(np.sum((as_vector(x, self.dim) - self.c) ** 2))
 
     def prox_at(self, d):
         d = _as_diag(d, self.dim)
@@ -234,7 +213,7 @@ class QuadraticShift(Proximable):
 
     def metric_step(self, M):
         # (M + I) z = M w - q + c
-        _, shifted_solve = _shifted_solver(M, 2.0 * np.ones(self.dim))
+        shifted_solve = spd_solver(M.to_sparse() + sp.identity(self.dim))
         c = self.c
         return Step("shifted", lambda w, q: shifted_solve(M.apply(w) - q + c),
                     lambda w, q, z: M.apply(z - w))
@@ -250,7 +229,7 @@ class QuadraticShiftNonneg(Proximable):
         self.sigma = np.ones(self.dim)
 
     def __call__(self, x):
-        x = self._v(x)
+        x = as_vector(x, self.dim)
         if np.any(x < 0):
             return np.inf
         return 0.5 * float(np.sum((x - self.c) ** 2))
@@ -265,7 +244,7 @@ class IndicatorSimplex(Proximable):
     """Indicator of the probability simplex."""
 
     def __call__(self, x):
-        x = self._v(x)
+        x = as_vector(x, self.dim)
         if np.any(x < -1e-12) or abs(x.sum() - 1.0) > 1e-9:
             return np.inf
         return 0.0
@@ -284,7 +263,7 @@ class IndicatorNonneg(Proximable):
     """Indicator of the nonnegative orthant."""
 
     def __call__(self, x):
-        return 0.0 if np.all(self._v(x) >= 0) else np.inf
+        return 0.0 if np.all(as_vector(x, self.dim) >= 0) else np.inf
 
     def prox_at(self, d):
         _as_diag(d, self.dim)
@@ -302,7 +281,8 @@ class IndicatorLinfBall(Proximable):
         self.epochs = epochs  # of metric_step's clipped sweeps
 
     def __call__(self, x):
-        return 0.0 if np.max(np.abs(self._v(x))) <= self.radius else np.inf
+        x = as_vector(x, self.dim)
+        return 0.0 if np.max(np.abs(x)) <= self.radius else np.inf
 
     def prox_at(self, d):
         _as_diag(d, self.dim)
@@ -323,7 +303,7 @@ class IndicatorSingleton(Proximable):
         self.b = b
 
     def __call__(self, x):
-        return 0.0 if np.array_equal(self._v(x), self.b) else np.inf
+        return 0.0 if np.array_equal(as_vector(x, self.dim), self.b) else np.inf
 
     def prox_at(self, d):
         _as_diag(d, self.dim)
@@ -340,7 +320,7 @@ class L1Norm(Proximable):
         self.weight = float(weight)
 
     def __call__(self, x):
-        return self.weight * float(np.sum(np.abs(self._v(x))))
+        return self.weight * float(np.sum(np.abs(as_vector(x, self.dim))))
 
     def prox_at(self, d):
         t = self.weight / _as_diag(d, self.dim)
@@ -378,34 +358,24 @@ class GroupL12(Proximable):
         return x[..., :mn], x[..., mn:]
 
     def __call__(self, x):
-        x = self._v(x)
+        x = as_vector(x, self.dim)
         if np.any(x[self.zero_mask] != 0.0):
             return np.inf
         a, b = self._pairs(x)
         return float(np.sum(np.hypot(a, b)))
 
     def prox_at(self, d):
-        da = self._pair_weights(d)
-        return lambda v: self._shrink(np.array(v, dtype=float), da)
-
-    def prox_at_overwrite(self, d):
-        da = self._pair_weights(d)
-        return lambda v: self._shrink(v, da)
-
-    def _pair_weights(self, d):
         da, db = self._pairs(_as_diag(d, self.dim))
         if not np.array_equal(da, db):
             raise ConfigurationError(
                 "group-l12 prox needs equal metric weights within each pair")
-        return da
+        return lambda v: self._shrink(np.array(v, dtype=float), da)
 
     def _shrink(self, z, da):
-        """Bitwise the masked form, scale = max(0, 1 - 1/t) where t = da *
-        norms > 0, else 0, in place on the float array z, which it returns.
-        Any t below the smallest normal float has 1/t > 1 and so scale 0;
-        ``fmax`` lifts such t, and a NaN t, to it, so 1/t is finite and
-        raises no warning.
-        """
+        """The masked form bit for bit, in place on the float array z, which
+        it returns: scale = max(0, 1 - 1/t), t = da * norms, with t lifted to
+        the smallest normal float by ``fmax`` (a NaN t too), where 1/t > 1
+        and the scale is 0 as well, so 1/t is finite and raises no warning."""
         # the structural zeros are fixed, so they take no part in a group norm
         for sl in self._zero_slices:
             z[..., sl] = 0.0
@@ -432,7 +402,7 @@ class SeparableSum(Proximable):
         self.sigma = np.concatenate([c.sigma for c in self.children])
 
     def blocks(self, x):
-        x = self._v(x)
+        x = as_vector(x, self.dim)
         return [x[sl] for sl in self._slices]
 
     def __call__(self, x):
@@ -473,6 +443,6 @@ def moreau_conjugate_prox(f: Proximable, x, d) -> np.ndarray:
     Computed through the generalized Moreau identity, so that
     x = prox_f^D(x) + D^{-1} * result holds by construction.
     """
-    x = np.asarray(x, dtype=float).ravel()
+    x = as_vector(x, f.dim)
     d = _as_diag(d, f.dim)
     return d * (x - f.prox(x, d))

@@ -376,6 +376,15 @@ def test_birkhoff_empty_gamma_list_rejected(tmp_path, capsys):
     (["counterexample", "--taus", "abc"], "--taus"),
     (["counterexample", "--tau", "abc"], "--tau"),
     (["counterexample", "--rho3", "abc"], "--rho3"),
+    (["game", "--m", "0", "--n", "3"], "--m"),
+    (["game", "--n", "-2"], "--n"),
+    (["birkhoff", "--n", "0"], "--n"),
+    (["tvls", "--density", "2"], "--density"),
+    (["tvls", "--density", "0"], "--density"),
+    (["tvls", "--density", "nan"], "--density"),
+    (["tvls", "--lam", "nan"], "--lam"),
+    (["tvls", "--lam", "0"], "--lam"),
+    (["tvls", "--lam", "inf"], "--lam"),
 ])
 def test_malformed_value_exits_one_naming_the_flag(tmp_path, capsys, argv,
                                                    flag):
@@ -423,6 +432,8 @@ _NO_STEP = ("configuration error: a one-column grid has no default step "
      "give --m-rows or --r"),
     (["emd", "--size", "5,1"], _NO_STEP),
     (["emd", "--rho0", "{d}/column.npy", "--rho1", "{d}/column.npy"], _NO_STEP),
+    (["emd", "--rho0", "{d}/one.txt", "--rho1", "{d}/one.txt", "--h", "1"],
+     "configuration error: grid must have at least two nodes"),
 ])
 def test_builder_errors_surface_before_any_cell(tmp_path, capsys, monkeypatch,
                                                 argv, reason):
@@ -434,6 +445,7 @@ def test_builder_errors_surface_before_any_cell(tmp_path, capsys, monkeypatch,
         monkeypatch.setattr(cli, name, lambda *a: cells.append(a))
     (tmp_path / "square.txt").write_text("1 2\n3 4\n")
     (tmp_path / "row.txt").write_text("1 2 3 4\n")
+    (tmp_path / "one.txt").write_text("1\n")
     np.save(tmp_path / "column.npy", np.full((5, 1), 0.2))
     out = tmp_path / "o"
     argv = [a.format(d=tmp_path) for a in argv]

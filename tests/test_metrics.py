@@ -164,11 +164,16 @@ class TestGramShift:
             is None
 
     @pytest.mark.parametrize("K", [GridDivergence(8, 8, 1.0),
-                                   Transpose(GridDivergence(3, 4, 0.5))],
-                             ids=["divergence", "gradient"])
+                                   Transpose(GridDivergence(3, 4, 0.5)),
+                                   GridDivergence(3, 4, 0.5),
+                                   GridDivergence(16, 16, 3.75)],
+                             ids=["divergence", "gradient", "divergence-3x4",
+                                  "divergence-16x16"])
     def test_singular_grid_gram_is_still_refused(self, K):
         # theta = 0 reaches the factorization, which refuses these singular
-        # Gram matrices (constants span the divergence's Gram null space)
+        # Gram matrices (constants span the divergence's Gram null space),
+        # also where the last pivot rounds to a tiny positive number (3x4:
+        # 8.3e-17 against 0.44; 16x16: 2.0e-14 against 28.1)
         with pytest.raises(ConfigurationError, match="not positive definite"):
             GramShiftMetric(1.0, 0.5, K, theta=0.0)
 

@@ -77,6 +77,14 @@ class TestMatrixGame:
         sp4 = game_matrix(4, 0, 30, 40)
         assert sp4.shape == (30, 40)
 
+    def test_generator_refuses_a_size_below_one(self):
+        # a size of 0 was read as "the recipe's default" and gave 100x3
+        with pytest.raises(ConfigurationError, match="size must be positive"):
+            game_matrix(1, 0, 0, 3)
+        with pytest.raises(ConfigurationError, match="unknown test id"):
+            game_matrix(5, 0)
+        assert game_matrix(3, 0, n=7).shape == (500, 7)
+
 
 class TestBirkhoff:
     def test_projection_of_e11(self):
@@ -312,6 +320,15 @@ class TestTVLS:
         R = random_sparse_system(8, 16, 0.4, 14)
         with pytest.raises(ConfigurationError):
             tv_least_squares(R, np.zeros(8), 1.0, (4, 4), tau=0.1, gamma=0.74)
+
+    @pytest.mark.parametrize("bad", ["lam", "tau", "theta"])
+    def test_nan_weights_refused(self, bad):
+        # NaN passed the old "<= 0" bounds; lam then failed in the box prox
+        R = random_sparse_system(8, 16, 0.4, 14)
+        kw = dict(lam=1.0, tau=0.1, theta=1e-3)
+        kw[bad] = np.nan
+        with pytest.raises(ConfigurationError, match="must be positive"):
+            tv_least_squares(R, np.zeros(8), grid=(4, 4), gamma=1.0, **kw)
 
     def test_exact_residual_consistent_with_stop(self):
         rng = np.random.default_rng(15)
