@@ -2,22 +2,19 @@
 
 Subcommands: game | birkhoff | emd | tvls | counterexample | check.
 argparse parses every value and reads every input file once, before any
-work: a bad value or file exits 1 with one line naming it, and so does a
-value that a problem builder would refuse from the arguments alone (a grid
-dimension, game size or row count below 1, a grid step or tvls lam not
-positive and finite, a tvls density outside (0, 1], an emd grid of one node,
-or of one column without --h, grid files of two shapes, a one-pixel tvls
-grid without a row count).  Sweeps run
-over seeds x gamma x tau cells on a worker pool; a cell is ``cell(args,
-seed, gamma, tau)`` on the parsed arguments and, for birkhoff, emd and
-tvls, one solve.  The game sweep builds K once per seed and deals that
-seed's cells out, interleaved, into one batch per worker; a batch is one
-row-block solve (``solver.solve_batch``), equal cell for cell to the
-serial solves, and its cells share one estimate of ||K||^2, memoized on
-K by ``spectral_norm_sq``.  A summary CSV (byte-stable across reruns of
-the same seeded config, and across worker counts), per-run residual CSVs, a
-saved-iteration ratio table against the gamma = 1 baseline, and optional
-SVG convergence plots are written under the output directory.
+work: a bad value or file exits 1 with one line naming it.  A sweep then
+builds every seed x gamma x tau cell before any solve and before a worker
+pool starts, so a value that a problem builder refuses exits 1 the same
+way.  A builder makes its seed's shared inputs once (the game's K,
+birkhoff's C, emd's grids, tvls's R and b).  Each seed deals its cells out,
+interleaved, into tasks: one per worker for the game, whose cells share K
+and one estimate of ||K||^2 (memoized on K by ``spectral_norm_sq``), one
+per cell otherwise.  A task is one row-block solve (``solver.solve_batch``),
+equal cell for cell to the serial solves.  A summary CSV (byte-stable
+across reruns of the same seeded config, and across worker counts),
+per-run residual CSVs, a saved-iteration ratio table against the gamma = 1
+baseline, and optional SVG convergence plots are written under the output
+directory.
 """
 
 import argparse
@@ -209,14 +206,10 @@ class CellResult:
     final_full: float
     final_half: float
     history: list
-    has_gap: bool = False
-    #: gamma as configured, when it names a rule rather than the value
-    #: (birkhoff's "tight" resolves to a different gamma at each tau)
-    gamma_spec: str = None
-
-    @property
-    def gamma_config(self):
-        return self.gamma if self.gamma_spec is None else self.gamma_spec
+    has_gap: bool
+    #: gamma as configured: the value, or a rule (birkhoff's "tight"
+    #: resolves to a different gamma at each tau)
+    gamma_config: object
 
 
 def _write_csv(path, header, rows):
@@ -320,15 +313,6 @@ def _write_ratio(outdir, results):
     return rows
 
 
-def _run_cells(fn, tasks, workers):
-    """``fn(*task)`` of every task, on a pool of at most one process per task."""
-    workers = min(workers, len(tasks))
-    if workers <= 1:
-        return [fn(*t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, *zip(*tasks), chunksize=1))
-
-
 def _finish_sweep(args, results, emit):
     results.sort(key=lambda r: (r.seed, r.gamma, r.tau))
     os.makedirs(args.out, exist_ok=True)
@@ -350,82 +334,109 @@ def _finish_sweep(args, results, emit):
 
 # -- sweeps: game | birkhoff | emd | tvls -----------------------------------
 
-def _cell_result(rep, seed, gamma, tau, **extra):
-    """One cell's report, kept as its last residuals and its history."""
-    last = rep.history[-1]
-    return CellResult(seed, gamma, tau, rep.iters, rep.status,
-                      last.rhat_full, last.rhat_half, rep.history, **extra)
-
-
 def _stop(args):
     """The stopping and recording settings every sweep's solves share."""
     return dict(tol=args.tol, max_iter=args.max_iter,
                 record_every=args.record_every)
 
 
-def _game_batch(args, seed, cells):
-    """Solve one batch of one seed's game cells as one row block."""
+def _game_cells(args, seed, cells):
     K = game_matrix(args.test, seed, args.m, args.n, centered=args.centered)
-    insts = [matrix_game(K, tau_tilde, gamma, record_gap=True, **_stop(args))
-             for gamma, tau_tilde in cells]
-    reps = solve_batch(insts[0].saddle, [inst.config for inst in insts])
-    return [_cell_result(rep, seed, gamma, tau_tilde, has_gap=True)
-            for rep, (gamma, tau_tilde) in zip(reps, cells)]
+    return [matrix_game(K, tau_tilde, gamma, record_gap=True, **_stop(args))
+            for gamma, tau_tilde in cells]
 
 
-def game_sweep_cells(args, cells):
-    """Every seed's game ``cells`` ((gamma, tau_tilde) pairs), solved.
-
-    Each of the ``args.seeds`` seeds deals its cells out in turn into
-    ``min(args.workers, len(cells))`` batches, so that every batch holds a
-    like mix of the grid, and each batch is one task of the pool.
-    """
-    nb = min(args.workers, len(cells))
-    batches = [(seed, cells[i::nb]) for seed in range(args.seeds)
-               for i in range(nb)]
-    return [res for batch in _run_cells(partial(_game_batch, args), batches,
-                                        args.workers)
-            for res in batch]
-
-
-def _birkhoff_cell(args, seed, gamma, tau_tilde):
-    rng = np.random.default_rng(seed)
-    C = rng.random((args.n, args.n))
+def _birkhoff_cells(args, seed, cells):
+    C = np.random.default_rng(seed).random((args.n, args.n))
     C = 0.5 * (C + C.T)
-    tau = tau_tilde / np.sqrt(2.0 * args.n)
-    gamma_spec = None
-    if gamma == "tight":
-        gamma, gamma_spec = 0.751 / (1.0 + tau / 2.0), gamma
-    inst = birkhoff_projection(C, tau, gamma, theta=args.theta,
-                               method=args.method, **_stop(args))
-    return _cell_result(inst.solve(), seed, gamma, tau_tilde,
-                        gamma_spec=gamma_spec)
+    insts = []
+    for gamma, tau_tilde in cells:
+        tau = tau_tilde / np.sqrt(2.0 * args.n)
+        if gamma == "tight":
+            gamma = 0.751 / (1.0 + tau / 2.0)
+        insts.append(birkhoff_projection(C, tau, gamma, theta=args.theta,
+                                         method=args.method, **_stop(args)))
+    return insts
 
 
-def _emd_cell(args, seed, gamma, tau):
+def _emd_cells(args, seed, cells):
+    if (args.rho0 is None) != (args.rho1 is None):
+        raise ConfigurationError("--rho0 and --rho1 must be given together")
     rho0, rho1 = (random_balanced_grids(*args.size, seed) if args.rho0 is None
                   else (args.rho0, args.rho1))
+    if rho0.shape != rho1.shape:
+        raise ConfigurationError(f"--rho0 and --rho1 differ in shape: "
+                                 f"{rho0.shape} and {rho1.shape}")
+    if args.h is None and rho0.shape[1] == 1:
+        raise ConfigurationError("a one-column grid has no default step "
+                                 "((N - 1)/4 is 0); give --h")
     h = (rho0.shape[1] - 1) / 4.0 if args.h is None else args.h
-    inst = emd(rho0, rho1, h, tau, gamma, theta=args.theta,
-               method=args.method, bcd_epochs=args.bcd_epochs,
-               override=args.allow_diverge, **_stop(args))
-    return _cell_result(inst.solve(), seed, gamma, tau)
+    return [emd(rho0, rho1, h, tau, gamma, theta=args.theta,
+                method=args.method, bcd_epochs=args.bcd_epochs,
+                override=args.allow_diverge, **_stop(args))
+            for gamma, tau in cells]
 
 
-def _tvls_cell(args, seed, gamma, tau):
+def _tvls_cells(args, seed, cells):
     M, N = args.size
     n = M * N
     R = args.r
     if R is None:
+        if args.m_rows is None and n < 2:
+            raise ConfigurationError("a one-pixel --size has no default row "
+                                     "count; give --m-rows or --r")
         R = random_sparse_system(n // 2 if args.m_rows is None else args.m_rows,
                                  n, args.density, seed)
-    rng = np.random.default_rng(seed + 7919)
-    x_true = rng.random(n)
-    b = R.apply(x_true)
-    inst = tv_least_squares(R, b, args.lam, (M, N), tau, gamma,
-                            theta=args.theta, bcd_epochs=args.bcd_epochs,
-                            **_stop(args))
-    return _cell_result(inst.solve(), seed, gamma, tau)
+    elif R.cols != n:
+        raise ConfigurationError(f"--r has {R.cols} columns, but --size has "
+                                 f"{n} pixels")
+    b = R.apply(np.random.default_rng(seed + 7919).random(n))
+    return [tv_least_squares(R, b, args.lam, (M, N), tau, gamma,
+                             theta=args.theta, bcd_epochs=args.bcd_epochs,
+                             **_stop(args))
+            for gamma, tau in cells]
+
+
+def _solve_cells(seed, cells, insts):
+    """The results of one seed's ``cells`` from their instances, solved as
+    one row block by ``solve_batch``."""
+    reps = solve_batch(insts[0].saddle, [inst.config for inst in insts])
+    return [CellResult(seed, inst.meta["gamma"], tau, rep.iters, rep.status,
+                       rep.history[-1].rhat_full, rep.history[-1].rhat_half,
+                       rep.history, inst.config.gap_fn is not None, gamma)
+            for (gamma, tau), inst, rep in zip(cells, insts, reps)]
+
+
+def _build_and_solve(args, seed, cells):
+    return _solve_cells(seed, cells, args.build(args, seed, cells))
+
+
+def sweep_cells(args, cells):
+    """Every seed's ``cells`` ((gamma, tau) pairs), solved.
+
+    ``args.build(args, seed, cells)``, the sweep's ``_<problem>_cells``,
+    makes a seed's shared inputs once and returns one ProblemInstance per
+    cell.  Every seed's cells are built first, here, so a builder's refusal
+    ends the sweep before any solve and before a pool starts.  Each seed
+    then deals its cells out in turn into tasks, so that every task holds a
+    like mix of the grid: ``min(args.workers, len(cells))`` tasks when the
+    cells share one row block (``args.row_blocks``, the game), else one per
+    cell.  With one worker the instances built here are solved; a pool's
+    workers rebuild their own tasks, since instances hold closures.
+    """
+    nb = min(args.workers, len(cells)) if args.row_blocks else len(cells)
+    built = [args.build(args, seed, cells) for seed in range(args.seeds)]
+    tasks = [(seed, cells[i::nb]) for seed in range(args.seeds)
+             for i in range(nb)]
+    workers = min(args.workers, len(tasks))
+    if workers <= 1:
+        return [res for seed, insts in enumerate(built) for i in range(nb)
+                for res in _solve_cells(seed, cells[i::nb], insts[i::nb])]
+    del built
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return [res for task in pool.map(partial(_build_and_solve, args),
+                                         *zip(*tasks), chunksize=1)
+                for res in task]
 
 
 def run_sweep(args):
@@ -437,34 +448,11 @@ def run_sweep(args):
     emit = args.emit.split(",")
     if not set(emit) <= {"csv", "ratio", "svg"}:
         raise ConfigurationError(f"--emit takes csv, ratio and svg, not {args.emit!r}")
-    rho0, rho1 = getattr(args, "rho0", None), getattr(args, "rho1", None)
-    if (rho0 is None) != (rho1 is None):
-        raise ConfigurationError("--rho0 and --rho1 must be given together")
-    if rho0 is not None and rho0.shape != rho1.shape:
-        raise ConfigurationError(f"--rho0 and --rho1 differ in shape: "
-                                 f"{rho0.shape} and {rho1.shape}")
-    if rho0 is not None and rho0.size < 2:  # as parse_flux_grid_size
-        raise ConfigurationError(f"grid must have at least two nodes, got "
-                                 f"{rho0.shape}")
-    if args.cell is _tvls_cell and args.r is None and args.m_rows is None \
-            and args.size[0] * args.size[1] < 2:
-        raise ConfigurationError("a one-pixel --size has no default row "
-                                 "count; give --m-rows or --r")
-    if args.cell is _emd_cell and args.h is None \
-            and (args.size if rho0 is None else rho0.shape)[1] == 1:
-        raise ConfigurationError("a one-column grid has no default step "
-                                 "((N - 1)/4 is 0); give --h")
     taus = getattr(args, "taus", None) or args.tau_exp
     grid = [(g, t) for g in args.gamma for t in taus]
     if not grid:
         raise ConfigurationError("the gamma and tau lists give an empty grid")
-    if args.cell is _game_batch:
-        results = game_sweep_cells(args, grid)
-    else:
-        results = _run_cells(partial(args.cell, args),
-                             [(s, g, t) for s in range(args.seeds)
-                              for g, t in grid], args.workers)
-    return _finish_sweep(args, results, emit)
+    return _finish_sweep(args, sweep_cells(args, grid), emit)
 
 
 # -- counterexample ---------------------------------------------------------
@@ -550,7 +538,8 @@ def build_parser():
     g.add_argument("--gamma", type=parse_number_list, default="1.0,0.751")
     g.add_argument("--tau-exp", type=parse_log_range, default="-0.7:0.01:-0.3",
                    help="log10 range a:step:b for tau_tilde")
-    g.set_defaults(func=run_sweep, cell=_game_batch, tol=1e-5)
+    g.set_defaults(func=run_sweep, build=_game_cells, row_blocks=True,
+                   tol=1e-5)
 
     bk = sub.add_parser("birkhoff", help="doubly-stochastic projection sweep")
     _add_common(bk)
@@ -560,7 +549,8 @@ def build_parser():
                     help="comma list of values or 'tight' (= 0.751/(1+tau/2))")
     bk.add_argument("--tau-exp", type=parse_log_range, default="0.2:0.01:0.6")
     bk.add_argument("--theta", type=float, default=1e-4)
-    bk.set_defaults(func=run_sweep, cell=_birkhoff_cell, tol=1e-8)
+    bk.set_defaults(func=run_sweep, build=_birkhoff_cells,
+                    row_blocks=False, tol=1e-8)
 
     em = sub.add_parser("emd", help="minimal-flux transport sweep")
     _add_common(em)
@@ -576,7 +566,8 @@ def build_parser():
     em.add_argument("--tau-exp", type=parse_log_range, default="-2:0.25:-1")
     em.add_argument("--theta", type=float, default=1e-6)
     em.add_argument("--bcd-epochs", type=int, default=2)
-    em.set_defaults(func=run_sweep, cell=_emd_cell, tol=5e-5, max_iter=200000)
+    em.set_defaults(func=run_sweep, build=_emd_cells, row_blocks=False,
+                    tol=5e-5, max_iter=200000)
 
     tv = sub.add_parser("tvls", help="TV-regularized least squares sweep")
     _add_common(tv)
@@ -591,7 +582,8 @@ def build_parser():
     tv.add_argument("--tau-exp", type=parse_log_range, default="-2.5:0.25:-1.5")
     tv.add_argument("--theta", type=float, default=1e-3)
     tv.add_argument("--bcd-epochs", type=int, default=2)
-    tv.set_defaults(func=run_sweep, cell=_tvls_cell, tol=5e-6)
+    tv.set_defaults(func=run_sweep, build=_tvls_cells, row_blocks=False,
+                    tol=5e-6)
 
     ce = sub.add_parser("counterexample", help="2x2 tightness certificates")
     _add_common(ce, ("--out", "--max-iter"))

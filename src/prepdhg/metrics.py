@@ -35,7 +35,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .exceptions import ConfigurationError
+from .exceptions import ConfigurationError, require
 from .operators import LinearOperator, csr_matvec, spectral_norm_sq
 
 #: strictness margin subtracted from the 4/3 threshold; the boundary itself
@@ -190,10 +190,9 @@ class GramShiftMetric(Metric):
 
     def __init__(self, gamma: float, tau: float, op: LinearOperator,
                  theta: float, epochs: int = None):
-        if gamma < 0 or tau <= 0:
-            raise ConfigurationError("need gamma >= 0 and tau > 0")
-        if theta < 0:
-            raise ConfigurationError("theta must be nonnegative")
+        require("need gamma >= 0 and tau > 0", gamma=(gamma, gamma >= 0),
+                tau=(tau, tau > 0))
+        require("theta must be nonnegative", theta=(theta, theta >= 0))
         self.gamma, self.tau, self.op = float(gamma), float(tau), op
         self.theta = float(theta)
         self.dim = op.rows

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.optimize as sopt
 import scipy.sparse as sp
 
-from .exceptions import ConfigurationError
+from .exceptions import ConfigurationError, require
 from .metrics import (BlockDiagMetric, GramShiftMetric, ScalarMetric,
                       SGSMetric, gram_shift_matrix)
 from .operators import (BirkhoffConstraint, DenseOperator, GridDivergence,
@@ -74,10 +74,8 @@ def matrix_game(K, tau_tilde: float, gamma: float, tol: float = 1e-5,
     scalar-step method).
     """
     op = K if isinstance(K, LinearOperator) else DenseOperator(K)
-    if gamma <= GAMMA_MIN:
-        raise ConfigurationError("matrix game needs gamma > 3/4")
-    if tau_tilde <= 0:
-        raise ConfigurationError("tau_tilde must be positive")
+    require("matrix game needs gamma > 3/4", gamma=(gamma, gamma > GAMMA_MIN))
+    require("tau_tilde must be positive", tau_tilde=(tau_tilde, tau_tilde > 0))
     est = spectral_norm_sq(op)
     normK = float(np.sqrt(est.value)) if est.value > 0 else 0.0
     if normK == 0.0:
@@ -205,20 +203,20 @@ def birkhoff_projection(C, tau: float, gamma: float, theta: float = 1e-4,
     n = C.shape[0]
     if C.shape != (n, n):
         raise ConfigurationError("C must be square")
-    if tau <= 0 or theta <= 0:
-        raise ConfigurationError("tau and theta must be positive")
+    require("tau and theta must be positive", tau=(tau, tau > 0),
+            theta=(theta, theta > 0))
     bound = GAMMA_MIN / (1.0 + tau / 2.0)
     K = BirkhoffConstraint(n)
     f = QuadraticShiftNonneg(C.ravel())
     b = np.ones(2 * n)
     M1 = ScalarMetric(1.0 / tau, n * n)
     if method == "ebalm":
-        if gamma < bound - 1e-12 and not override:
+        if not (gamma >= bound - 1e-12 or override):  # NaN fails too
             raise ConfigurationError(
                 f"gamma = {gamma} below 0.75/(1 + tau/2) = {bound:.6f}")
         M2 = GramShiftMetric(gamma, tau, K, theta=gamma * tau * theta)
     elif method == "pdhg":
-        if gamma <= bound - 1e-15 and not override:
+        if not (gamma > bound - 1e-15 or override):
             raise ConfigurationError(
                 f"gamma = {gamma} must exceed 0.75/(1 + tau/2) = {bound:.6f}")
         sigma = 1.0 / (2.0 * n * gamma * tau)
@@ -310,13 +308,13 @@ def emd(rho0, rho1, h: float, tau: float, gamma: float, theta: float = 1e-6,
         raise ConfigurationError("grid must have at least two nodes")
     if abs(rho0.sum() - rho1.sum()) > 1e-12 * max(1.0, rho0.sum()):
         raise ConfigurationError("total masses must balance")
-    if tau <= 0 or theta < 0:
-        raise ConfigurationError("need tau > 0 and theta >= 0")
+    require("need tau > 0 and theta >= 0", tau=(tau, tau > 0),
+            theta=(theta, theta >= 0))
     K = GridDivergence(M, N, h)
     f = GroupL12(M, N)
     b = (rho0 - rho1).ravel()
     if method == "sgs":
-        if gamma < GAMMA_MIN - 1e-15 and not override:
+        if not (gamma >= GAMMA_MIN - 1e-15 or override):  # NaN fails too
             raise ConfigurationError(
                 f"gamma = {gamma} below the 3/4 bound for the sGS sweep")
         if theta == 0.0 and gamma <= GAMMA_MIN + 1e-12 and not override:
@@ -415,9 +413,9 @@ def tv_least_squares(R, b, lam: float, grid, tau: float, gamma: float,
     b = np.asarray(b, dtype=float).ravel()
     if b.size != Rop.rows:
         raise ConfigurationError("b length must equal R rows")
-    if not (lam > 0 and tau > 0 and theta > 0):  # NaN fails too
-        raise ConfigurationError("lam, tau, theta must be positive")
-    if gamma < GAMMA_MIN - 1e-15 and not override:
+    require("lam, tau, theta must be positive", lam=(lam, lam > 0),
+            tau=(tau, tau > 0), theta=(theta, theta > 0))
+    if not (gamma >= GAMMA_MIN - 1e-15 or override):  # NaN fails too
         raise ConfigurationError(f"gamma = {gamma} below the 3/4 bound")
     D = Transpose(GridDivergence(M, N, 1.0))
     K = VStack([Rop, D])

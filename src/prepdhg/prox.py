@@ -278,6 +278,8 @@ class IndicatorLinfBall(Proximable):
         if not radius > 0:
             raise ValueError("radius must be positive")
         self.radius = float(radius)
+        if not isinstance(epochs, (int, np.integer)) or epochs < 1:
+            raise ConfigurationError("epochs must be a positive integer")
         self.epochs = epochs  # of metric_step's clipped sweeps
 
     def __call__(self, x):

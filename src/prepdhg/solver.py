@@ -40,7 +40,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .exceptions import ConfigurationError
+from .exceptions import ConfigurationError, require
 from .metrics import (GramShiftMetric, Metric, ScalarMetric, SGSMetric,
                       check_condition, gram_shift_matrix)
 # solver uses no BoxQuadBCD itself; perfbench/trace.py finds it here to wrap
@@ -516,11 +516,10 @@ def configure_ebalm(f: Proximable, K: LinearOperator, b, tau: float,
     realizes  y+ = y + gamma^{-1} (tau K K^T + theta I)^{-1} (K(2x+ - x) - b).
     gamma = 1 recovers the balanced ALM; any gamma >= 3/4 is admissible.
     """
-    if gamma < GAMMA_MIN and not override:
+    if not (gamma >= GAMMA_MIN or override):  # NaN fails too
         raise ConfigurationError(
             f"gamma = {gamma} below the 3/4 bound; set override to force")
-    if theta <= 0:
-        raise ConfigurationError("theta must be positive")
+    require("theta must be positive", theta=(theta, theta > 0))
     b = np.asarray(b, dtype=float).ravel()
     problem = SaddleProblem(f=f, gstar=Linear(b), K=K)
     M1 = ScalarMetric(1.0 / tau, K.cols)
@@ -541,11 +540,10 @@ def configure_ebalm_sgs(f: Proximable, K: LinearOperator, b, tau: float,
     with that implied dual metric.  Requires a nonzero off-diagonal part; use
     ``configure_ebalm`` when the partition decouples.
     """
-    if gamma < GAMMA_MIN and not override:
+    if not (gamma >= GAMMA_MIN or override):  # NaN fails too
         raise ConfigurationError(
             f"gamma = {gamma} below the 3/4 bound; set override to force")
-    if theta < 0:
-        raise ConfigurationError("theta must be nonnegative")
+    require("theta must be nonnegative", theta=(theta, theta >= 0))
     b = np.asarray(b, dtype=float).ravel()
     M2 = SGSMetric(gram_shift_matrix(K, gamma * tau, theta), partition)
     if M2.U.nnz == 0 or abs(M2.U).max() == 0.0:

@@ -13,7 +13,7 @@ import pytest
 import scipy.linalg as sla
 
 import prepdhg as pd
-from prepdhg.cli import build_parser, game_sweep_cells, main
+from prepdhg.cli import build_parser, main, sweep_cells
 from prepdhg.counterexamples import ToyDynamics, classify, eig2, \
     rho2_boundary_scan
 from prepdhg.ipadmm import equivalence_harness
@@ -263,7 +263,7 @@ def _sweep_game(seeds, gammas, tau_exps, tol=1e-5):
          "--seeds", str(seeds), "--tol", repr(tol), "--max-iter", str(10 ** 6),
          "--record-every", str(10 ** 9), "--workers", str(WORKERS)])
     cells = [(g, float(10.0 ** e)) for g in gammas for e in tau_exps]
-    return game_sweep_cells(args, cells)
+    return sweep_cells(args, cells)
 
 
 def _best_tau_mean_iters(results, gamma):

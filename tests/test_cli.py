@@ -441,8 +441,7 @@ def test_builder_errors_surface_before_any_cell(tmp_path, capsys, monkeypatch,
     # a one-column emd grid without --h: its default step was 0, and its
     # cells ran to --max-iter
     cells = []
-    for name in ("_emd_cell", "_tvls_cell"):
-        monkeypatch.setattr(cli, name, lambda *a: cells.append(a))
+    monkeypatch.setattr(cli, "_solve_cells", lambda *a: cells.append(a))
     (tmp_path / "square.txt").write_text("1 2\n3 4\n")
     (tmp_path / "row.txt").write_text("1 2 3 4\n")
     (tmp_path / "one.txt").write_text("1\n")
@@ -454,6 +453,41 @@ def test_builder_errors_surface_before_any_cell(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert reason in err and "Traceback" not in err
     assert not cells and not out.exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["emd", "--theta", "nan", "--size", "4,4"], "theta = nan"),
+    (["emd", "--taus", "nan", "--size", "4,4"], "tau = nan"),
+    (["emd", "--gamma", "nan", "--size", "4,4"], "gamma = nan"),
+    (["emd", "--method", "iebalm", "--theta", "nan", "--size", "4,4"],
+     "theta = nan"),
+    (["emd", "--method", "iebalm", "--taus", "nan", "--size", "4,4"],
+     "tau = nan"),
+    (["emd", "--method", "iebalm", "--gamma", "nan", "--size", "4,4"],
+     "gamma = nan"),
+    (["game", "--test", "5"], "test id 5"),
+    (["tvls", "--theta", "nan"], "theta = nan"),
+    (["emd", "--theta", "-1"], "theta = -1"),
+    (["birkhoff", "--theta", "nan"], "theta = nan"),
+    (["tvls", "--bcd-epochs", "0"], "epochs"),
+    (["game", "--tol", "nan"], "tol"),
+    (["game", "--record-every", "0"], "record_every"),
+    (["game", "--gamma", "nan"], "gamma = nan"),
+    (["game", "--tau-exp=nan"], "tau_tilde = nan"),
+    (["tvls", "--gamma", "nan"], "gamma = nan"),
+])
+def test_builder_refusals_come_before_the_pool(tmp_path, capsys, monkeypatch,
+                                               argv, named):
+    # every cell is built before any solve: a refused value ends the sweep
+    # with one line that names it, before a worker pool exists
+    monkeypatch.setattr(cli, "ProcessPoolExecutor",
+                        lambda *a, **k: pytest.fail("a pool started"))
+    out = tmp_path / "o"
+    assert main(argv + ["--workers", "2", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith("configuration error: ") and named in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -553,16 +587,24 @@ class TestInputFiles:
 
 
 def _summary_at_workers(argv, out):
-    """summary.csv bytes of ``argv`` at one and at two workers; every cell
-    must have converged."""
+    """summary.csv and ratio.csv bytes of ``argv`` at one, two and three
+    workers; every cell must have converged."""
     sums = []
-    for w in ("1", "2"):
+    for w in ("1", "2", "3"):
         assert main(argv + ["--workers", w, "--out", str(out / w)]) == 0
-        sums.append(read(out / w / "summary.csv"))
-        rows = sums[-1].decode().splitlines()[1:]
+        sums.append((read(out / w / "summary.csv"),
+                     read(out / w / "ratio.csv")))
+        rows = sums[-1][0].decode().splitlines()[1:]
         assert rows and all(r.split(",")[4] == "converged" for r in rows)
-    assert sums[0] == sums[1]
+    assert sums[0] == sums[1] == sums[2]
     return out / "1"
+
+
+@pytest.mark.parametrize("method", ["ebalm", "pdhg"])
+def test_birkhoff_sweep_at_workers(tmp_path, method):
+    _summary_at_workers(["birkhoff", "--n", "5", "--method", method,
+                         "--tau-exp=0.2:0.1:0.4", "--max-iter", "20000",
+                         "--seeds", "2", "--record-every", "1000"], tmp_path)
 
 
 def test_emd_sweep_on_grid_files(tmp_path):
@@ -576,7 +618,7 @@ def test_emd_sweep_on_grid_files(tmp_path):
                          "--taus", "0.1,0.3", "--seeds", "2"], tmp_path)
 
 
-def test_tvls_sweep_on_a_matrix_market_system(tmp_path):
+def test_tvls_sweep_on_a_matrix_market_system(tmp_path, capsys):
     import scipy.sparse as sp
     from scipy.io import mmwrite
     R = sp.random(8, 16, density=0.3, format="csr",
@@ -585,8 +627,30 @@ def test_tvls_sweep_on_a_matrix_market_system(tmp_path):
     out = _summary_at_workers(["tvls", "--size", "4,4", "--r",
                                str(tmp_path / "R.mtx"), "--gamma", "1.0,0.75",
                                "--taus", "0.03", "--seeds", "2"], tmp_path)
+    # a system of other than one column per pixel is refused, not solved
+    assert main(["tvls", "--size", "3,3", "--r", str(tmp_path / "R.mtx"),
+                 "--taus", "0.03", "--out", str(tmp_path / "bad")]) == 1
+    assert capsys.readouterr().err == ("configuration error: --r has 16 "
+                                       "columns, but --size has 9 pixels\n")
+    assert not (tmp_path / "bad").exists()
     # a problem without a duality gap writes no gap column
     run = next(p for p in os.listdir(out) if p.endswith(".csv")
                and p.startswith("run_"))
     assert (out / run).read_text().splitlines()[0] == \
         "k,rhat_full,rhat_half,elapsed_s"
+
+
+def test_a_tvls_sweep_estimates_the_norm_of_r_once_per_seed(tmp_path,
+                                                            monkeypatch):
+    # a seed's cells share R and b, and every cell reads the estimate of
+    # ||R||^2 memoized on R
+    runs = []
+    power = operators._power_iteration
+    monkeypatch.setattr(operators, "_power_iteration",
+                        lambda *a: runs.append(a[0]) or power(*a))
+    assert main(["tvls", "--size", "4,4", "--gamma", "1.0,0.75",
+                 "--taus", "0.01,0.03", "--seeds", "2", "--workers", "1",
+                 "--max-iter", "50", "--emit", "csv",
+                 "--out", str(tmp_path / "o")]) == 0
+    assert len(runs) == 2 and runs[0] is not runs[1]
+    assert all((op.rows, op.cols) == (8, 16) for op in runs)

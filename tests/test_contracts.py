@@ -793,11 +793,11 @@ def test_zero_bcd_epochs_rejected():
     with pytest.raises(ConfigurationError, match="epoch"):
         BoxQuadBCD(np.eye(3), 1.0, epochs=0)
     R = random_sparse_system(8, 16, 0.2, 0)
-    # a run that never moves the box block would report max-iter
-    inst = tv_least_squares(R, R.apply(np.ones(16)), 1.0, (4, 4), 0.01, 0.75,
-                            max_iter=50, bcd_epochs=0)
+    # a run that never moves the box block would report max-iter; the box
+    # refuses the count when it is built, not when the solve starts
     with pytest.raises(ConfigurationError, match="epoch"):
-        inst.solve()
+        tv_least_squares(R, R.apply(np.ones(16)), 1.0, (4, 4), 0.01, 0.75,
+                         max_iter=50, bcd_epochs=0)
     rho0, rho1 = random_balanced_grids(4, 4, 0)
     with pytest.raises(ConfigurationError, match="epoch"):
         emd(rho0, rho1, 0.75, 0.05, 1.0, method="iebalm", bcd_epochs=0)

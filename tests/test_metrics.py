@@ -92,6 +92,14 @@ class TestGramShift:
         assert np.allclose(M.apply(M.solve(r)), r, atol=1e-10)
         assert np.allclose(M.solve(M.apply(r)), r, atol=1e-10)
 
+    @pytest.mark.parametrize("epochs", [None, 2])
+    @pytest.mark.parametrize("bad", ["gamma", "tau", "theta"])
+    def test_nan_parameters_refused(self, bad, epochs):
+        kw = dict(gamma=1.0, tau=1.0, theta=1e-4)
+        kw[bad] = np.nan
+        with pytest.raises(ConfigurationError, match=f"{bad} = nan"):
+            GramShiftMetric(op=BirkhoffConstraint(3), epochs=epochs, **kw)
+
     def test_apply_matches_dense_assembly(self):
         rng = np.random.default_rng(3)
         op = DenseOperator(rng.standard_normal((4, 6)))

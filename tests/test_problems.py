@@ -33,6 +33,13 @@ class TestMatrixGame:
             matrix_game(K, 1.0, 0.75)
         matrix_game(K, 1.0, 0.7501)
 
+    @pytest.mark.parametrize("bad", ["gamma", "tau_tilde"])
+    def test_nan_stepsizes_refused(self, bad):
+        kw = dict(gamma=1.0, tau_tilde=1.0)
+        kw[bad] = np.nan
+        with pytest.raises(ConfigurationError, match=f"{bad} = nan"):
+            matrix_game(np.eye(3), **kw)
+
     def test_recommended_config_passes_condition_grid(self):
         rng = np.random.default_rng(0)
         K = rng.standard_normal((6, 5))
@@ -141,6 +148,15 @@ class TestBirkhoff:
         with pytest.raises(ConfigurationError):
             birkhoff_projection(C, tau=tau, gamma=bound - 1e-3, method="pdhg")
 
+    @pytest.mark.parametrize("method", ["ebalm", "pdhg"])
+    @pytest.mark.parametrize("bad", ["tau", "theta", "gamma"])
+    def test_nan_parameters_refused(self, method, bad):
+        # pdhg reads no theta, and NaN passed the old "<= 0" bounds
+        kw = dict(tau=1.0, theta=1e-4, gamma=1.0)
+        kw[bad] = np.nan
+        with pytest.raises(ConfigurationError, match=f"{bad} = nan"):
+            birkhoff_projection(np.eye(3), method=method, **kw)
+
     def test_ebalm_beats_pdhg_iterations(self):
         rng = np.random.default_rng(5)
         n = 20
@@ -236,6 +252,16 @@ class TestEMD:
         with pytest.raises(ConfigurationError):
             emd(r0, r1, 1.0, 0.5, 0.75, theta=0.0)
 
+    @pytest.mark.parametrize("method", ["sgs", "iebalm"])
+    @pytest.mark.parametrize("bad", ["tau", "theta", "gamma"])
+    def test_nan_parameters_refused(self, method, bad):
+        # NaN passed the old bounds and ended in "BCD needs a finite matrix"
+        r0, r1 = random_balanced_grids(4, 4, 8)
+        kw = dict(tau=0.5, theta=1e-6, gamma=1.0)
+        kw[bad] = np.nan
+        with pytest.raises(ConfigurationError, match=f"{bad} = nan"):
+            emd(r0, r1, 1.0, method=method, **kw)
+
     def test_gamma_just_below_bound_flagged_by_checker(self):
         # the overridden 0.749 configuration fails the strict condition;
         # empirical divergence is scale-dependent, the flag is not
@@ -321,14 +347,14 @@ class TestTVLS:
         with pytest.raises(ConfigurationError):
             tv_least_squares(R, np.zeros(8), 1.0, (4, 4), tau=0.1, gamma=0.74)
 
-    @pytest.mark.parametrize("bad", ["lam", "tau", "theta"])
+    @pytest.mark.parametrize("bad", ["lam", "tau", "theta", "gamma"])
     def test_nan_weights_refused(self, bad):
         # NaN passed the old "<= 0" bounds; lam then failed in the box prox
         R = random_sparse_system(8, 16, 0.4, 14)
-        kw = dict(lam=1.0, tau=0.1, theta=1e-3)
+        kw = dict(lam=1.0, tau=0.1, theta=1e-3, gamma=1.0)
         kw[bad] = np.nan
-        with pytest.raises(ConfigurationError, match="must be positive"):
-            tv_least_squares(R, np.zeros(8), grid=(4, 4), gamma=1.0, **kw)
+        with pytest.raises(ConfigurationError, match=f"{bad} = nan"):
+            tv_least_squares(R, np.zeros(8), grid=(4, 4), **kw)
 
     def test_exact_residual_consistent_with_stop(self):
         rng = np.random.default_rng(15)

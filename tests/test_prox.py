@@ -17,6 +17,14 @@ def test_box_radius_must_be_positive(radius):
         IndicatorLinfBall(3, radius)
 
 
+@pytest.mark.parametrize("epochs", [0, -1, 1.5, None])
+def test_box_epochs_must_be_a_positive_integer(epochs):
+    # refused when the box is built, not when a solve first sweeps it
+    with pytest.raises(ConfigurationError, match="epochs"):
+        IndicatorLinfBall(3, 1.0, epochs)
+    IndicatorLinfBall(3, 1.0, np.int64(1))
+
+
 @pytest.mark.parametrize("weight", [np.nan, -1.0])
 def test_l1_weight_must_be_nonnegative(weight):
     with pytest.raises(ValueError, match="weight"):

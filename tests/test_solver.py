@@ -355,6 +355,14 @@ class TestConfigureEbalm:
         with pytest.raises(ConfigurationError):
             configure_ebalm(f, K, np.zeros(2), 1.0, 1e-3, 0.74)
 
+    @pytest.mark.parametrize("bad", ["theta", "gamma"])
+    def test_nan_parameters_refused(self, bad):
+        kw = dict(theta=1e-3, gamma=1.0)
+        kw[bad] = np.nan
+        with pytest.raises(ConfigurationError, match=f"{bad} = nan"):
+            configure_ebalm(Zero(2), DenseOperator(np.eye(2)), np.zeros(2),
+                            1.0, **kw)
+
     def test_birkhoff_roundtrip(self):
         K = BirkhoffConstraint(4)
         prob, cfg = configure_ebalm(QuadraticShiftNonneg(np.zeros(16)), K,
@@ -413,6 +421,16 @@ class TestConfigureEbalmSGS:
         with pytest.raises(ConfigurationError):
             configure_ebalm_sgs(Zero(6), K, np.zeros(4), 0.5, 1e-2, 0.749,
                                 blocks)
+
+    @pytest.mark.parametrize("bad", ["theta", "gamma"])
+    def test_nan_parameters_refused(self, bad):
+        K = DenseOperator(np.random.default_rng(14).standard_normal((4, 6)))
+        kw = dict(theta=1e-2, gamma=1.0)
+        kw[bad] = np.nan
+        with pytest.raises(ConfigurationError, match=f"{bad} = nan"):
+            configure_ebalm_sgs(Zero(6), K, np.zeros(4), 0.5,
+                                partition=[np.array([0, 1]),
+                                           np.array([2, 3])], **kw)
 
     def test_decoupled_partition_redirects_to_ebalm(self):
         K = DenseOperator(np.diag([1.0, 2.0, 3.0]))
