@@ -5,16 +5,14 @@ argparse parses every value and reads every input file once, before any
 work: a bad value or file exits 1 with one line naming it.  A sweep then
 builds every seed x gamma x tau cell before any solve and before a worker
 pool starts, so a value that a problem builder refuses exits 1 the same
-way.  A builder makes its seed's shared inputs once (the game's K,
-birkhoff's C, emd's grids, tvls's R and b).  Each seed deals its cells out,
-interleaved, into tasks: one per worker for the game, whose cells share K
-and one estimate of ||K||^2 (memoized on K by ``spectral_norm_sq``), one
-per cell otherwise.  A task is one row-block solve (``solver.solve_batch``),
-equal cell for cell to the serial solves.  A summary CSV (byte-stable
-across reruns of the same seeded config, and across worker counts),
-per-run residual CSVs, a saved-iteration ratio table against the gamma = 1
-baseline, and optional SVG convergence plots are written under the output
-directory.
+way.  A builder makes its seed's shared inputs once (the game's K and
+its memoized ||K||^2, birkhoff's C, emd's grids, tvls's R and b).  Each
+seed deals its cells out, interleaved, into min(workers, cells) tasks, and
+a task is one row-block solve (``solver.solve_batch``), equal cell for cell
+to the serial solves.  A summary CSV (byte-stable across reruns of the
+same seeded config, and across worker counts), per-run residual CSVs, a
+saved-iteration ratio table against the gamma = 1 baseline, and optional
+SVG convergence plots are written under the output directory.
 """
 
 import argparse
@@ -418,20 +416,19 @@ def sweep_cells(args, cells):
     makes a seed's shared inputs once and returns one ProblemInstance per
     cell.  Every seed's cells are built first, here, so a builder's refusal
     ends the sweep before any solve and before a pool starts.  Each seed
-    then deals its cells out in turn into tasks, so that every task holds a
-    like mix of the grid: ``min(args.workers, len(cells))`` tasks when the
-    cells share one row block (``args.row_blocks``, the game), else one per
-    cell.  With one worker the instances built here are solved; a pool's
-    workers rebuild their own tasks, since instances hold closures.
+    then deals its cells out in turn into ``min(args.workers, len(cells))``
+    tasks, so that every task holds a like mix of the grid.  With one worker
+    the instances built here are solved; a pool's workers rebuild their own
+    tasks, since instances hold closures.
     """
-    nb = min(args.workers, len(cells)) if args.row_blocks else len(cells)
+    nb = min(args.workers, len(cells))
     built = [args.build(args, seed, cells) for seed in range(args.seeds)]
     tasks = [(seed, cells[i::nb]) for seed in range(args.seeds)
              for i in range(nb)]
     workers = min(args.workers, len(tasks))
     if workers <= 1:
-        return [res for seed, insts in enumerate(built) for i in range(nb)
-                for res in _solve_cells(seed, cells[i::nb], insts[i::nb])]
+        return [res for seed, insts in enumerate(built)  # one task a seed
+                for res in _solve_cells(seed, cells, insts)]
     del built
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return [res for task in pool.map(partial(_build_and_solve, args),
@@ -538,8 +535,7 @@ def build_parser():
     g.add_argument("--gamma", type=parse_number_list, default="1.0,0.751")
     g.add_argument("--tau-exp", type=parse_log_range, default="-0.7:0.01:-0.3",
                    help="log10 range a:step:b for tau_tilde")
-    g.set_defaults(func=run_sweep, build=_game_cells, row_blocks=True,
-                   tol=1e-5)
+    g.set_defaults(func=run_sweep, build=_game_cells, tol=1e-5)
 
     bk = sub.add_parser("birkhoff", help="doubly-stochastic projection sweep")
     _add_common(bk)
@@ -549,8 +545,7 @@ def build_parser():
                     help="comma list of values or 'tight' (= 0.751/(1+tau/2))")
     bk.add_argument("--tau-exp", type=parse_log_range, default="0.2:0.01:0.6")
     bk.add_argument("--theta", type=float, default=1e-4)
-    bk.set_defaults(func=run_sweep, build=_birkhoff_cells,
-                    row_blocks=False, tol=1e-8)
+    bk.set_defaults(func=run_sweep, build=_birkhoff_cells, tol=1e-8)
 
     em = sub.add_parser("emd", help="minimal-flux transport sweep")
     _add_common(em)
@@ -566,8 +561,8 @@ def build_parser():
     em.add_argument("--tau-exp", type=parse_log_range, default="-2:0.25:-1")
     em.add_argument("--theta", type=float, default=1e-6)
     em.add_argument("--bcd-epochs", type=int, default=2)
-    em.set_defaults(func=run_sweep, build=_emd_cells, row_blocks=False,
-                    tol=5e-5, max_iter=200000)
+    em.set_defaults(func=run_sweep, build=_emd_cells, tol=5e-5,
+                    max_iter=200000)
 
     tv = sub.add_parser("tvls", help="TV-regularized least squares sweep")
     _add_common(tv)
@@ -582,8 +577,7 @@ def build_parser():
     tv.add_argument("--tau-exp", type=parse_log_range, default="-2.5:0.25:-1.5")
     tv.add_argument("--theta", type=float, default=1e-3)
     tv.add_argument("--bcd-epochs", type=int, default=2)
-    tv.set_defaults(func=run_sweep, build=_tvls_cells, row_blocks=False,
-                    tol=5e-6)
+    tv.set_defaults(func=run_sweep, build=_tvls_cells, tol=5e-6)
 
     ce = sub.add_parser("counterexample", help="2x2 tightness certificates")
     _add_common(ce, ("--out", "--max-iter"))

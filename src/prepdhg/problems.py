@@ -317,6 +317,8 @@ def emd(rho0, rho1, h: float, tau: float, gamma: float, theta: float = 1e-6,
         if not (gamma >= GAMMA_MIN - 1e-15 or override):  # NaN fails too
             raise ConfigurationError(
                 f"gamma = {gamma} below the 3/4 bound for the sGS sweep")
+        require("the sGS sweep needs a positive, finite gamma",  # override too
+                gamma=(gamma, 0 < gamma < math.inf))
         if theta == 0.0 and gamma <= GAMMA_MIN + 1e-12 and not override:
             raise ConfigurationError(
                 "theta = 0 at gamma = 3/4 sits on the condition boundary; "

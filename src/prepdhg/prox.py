@@ -253,9 +253,9 @@ class IndicatorSimplex(Proximable):
         d = _as_diag(d, self.dim)
         if np.all(d == d[..., :1]):
             return project_simplex
-        if d.ndim > 1:
-            raise ConfigurationError(
-                "simplex weights of a row block must be uniform in each row")
+        if d.ndim > 1:  # each row by the map its own weights pick
+            maps = [self.prox_at(row) for row in d]
+            return lambda v: np.stack([m(r) for m, r in zip(maps, v)])
         return lambda v: project_simplex_weighted(v, d)
 
 

@@ -22,11 +22,11 @@ reads any rule's terms in its fixed order: it stops reading at a term
 over tol in every row, since no such row can stop, and forms the whole
 residual only when a row may stop or leaves.
 
-One loop, over row blocks: ``solve_batch`` iterates a (B, n) block, one
-row per config of one problem, and ``solve`` is its one-row case.  Under
-diagonal metrics every part of a step, both bounds and both stopping tests
-act on each row on its own, by the arithmetic of that row alone, so a row
-of a block reproduces its serial solve bit for bit.
+One loop, over row blocks: ``solve_batch`` iterates a (B, n) block of any
+configs of one problem, one row each (a custom residual on all or none),
+and ``solve`` is its one-row case.  Every part of a step, both bounds and
+every stopping test act on each row on its own, by the arithmetic of that
+row alone, so a row of a block reproduces its serial solve bit for bit.
 Configuration helpers cover the balanced augmented-Lagrangian specializations
 (dual metric gamma*tau*K*K^T + theta*I, optionally realized through one
 symmetric Gauss-Seidel block sweep).
@@ -36,6 +36,7 @@ import math
 import time
 from collections import namedtuple
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -46,7 +47,7 @@ from .metrics import (GramShiftMetric, Metric, ScalarMetric, SGSMetric,
 # solver uses no BoxQuadBCD itself; perfbench/trace.py finds it here to wrap
 from .metrics import BoxQuadBCD  # noqa: F401
 from .operators import LinearOperator
-from .prox import Linear, Proximable, Step, project_simplex
+from .prox import Linear, Proximable, project_simplex
 
 GAMMA_MIN = 0.75
 
@@ -136,14 +137,12 @@ class _Engine:
 
     Iterates are row blocks, one row per live config: x of shape (B,
     K.cols) and y of shape (B, K.rows).  ``xpoint``/``xdiff`` and
-    ``ypoint``/``ydiff`` are the halves of the two ``Proximable.step``
-    updates on such blocks, ``b`` is the linear term of g* (None unless g*
-    is linear), ``rows`` maps each live row to its config, and ``tol``,
-    ``every``, ``last`` and ``rule`` are the live rows' tolerances, record
-    intervals, iteration budgets and stopping rule.  One config may take any
-    metric pair its entries have a step for; a block of several needs
-    diagonal metrics, under which each row is updated on its own, by the
-    arithmetic of the single-row step.
+    ``ypoint``/``ydiff`` are the halves of the two updates on such blocks
+    (``_side``) by each config's steps ``h.step(M)``, built once, here;
+    ``b`` is the linear term of g* (None unless g* is linear), ``rows`` maps
+    each live row to its config, and ``tol``, ``every``, ``last`` and
+    ``rule`` are the live rows' tolerances, record intervals, iteration
+    budgets and stopping rule.
     """
 
     def __init__(self, p: SaddleProblem, cfgs):
@@ -152,28 +151,24 @@ class _Engine:
             if cfg.M1.dim != p.K.cols or cfg.M2.dim != p.K.rows:
                 raise ConfigurationError("metric dimensions do not match K")
         self.cfgs, self.b = cfgs, p.gstar.linear_term()
+        self.steps = [(p.f.step(cfg.M1), p.gstar.step(cfg.M2))
+                      for cfg in cfgs]
         self.rows = np.arange(len(cfgs))
         self.keep(self.rows)
 
     def keep(self, stay):
-        """Narrow the live rows to those at positions ``stay`` and build the
+        """Narrow the live rows to those at positions ``stay`` and set up the
         updates, settings and stopping rule of what is left."""
         self.rows = self.rows[stay]
         cfgs = [self.cfgs[j] for j in self.rows]
-        f, gstar = self.p.f, self.p.gstar
-        if len(cfgs) == 1:  # the single-row step, which costs less
-            cfg = cfgs[0]
-            xs, ys = _one_row(f.step(cfg.M1)), _one_row(gstar.step(cfg.M2))
-        else:
-            xs = f.prox_step(_row_weights([cfg.M1 for cfg in cfgs]))
-            ys = gstar.prox_step(_row_weights([cfg.M2 for cfg in cfgs]))
-        self.xpoint, self.xdiff, self.ypoint, self.ydiff = \
-            xs.point, xs.diff, ys.point, ys.diff
+        xs, ys = zip(*(self.steps[j] for j in self.rows))
+        self.xpoint, self.xdiff = _side(self.p.f, [c.M1 for c in cfgs], xs)
+        self.ypoint, self.ydiff = _side(self.p.gstar, [c.M2 for c in cfgs], ys)
 
         self.tol, self.every, self.last, feas_scale = (
             np.array([getattr(cfg, a) for cfg in cfgs])
             for a in ("tol", "record_every", "max_iter", "feas_scale"))
-        self.rule = _rule(self.b, feas_scale, cfgs[0].custom_residual)
+        self.rule = _rule(self.b, feas_scale, [c.custom_residual for c in cfgs])
 
     def points(self, x, y, Kx, Kty):
         """``(x+, y+, K x+, q)``, where q = K x - 2 K x+ is the y-update's
@@ -228,21 +223,21 @@ class _Move:
         return _Move(self.eng, *(getattr(self, a)[keep] for a in _MOVE_ARRAYS))
 
 
-def _one_row(step):
-    """The vector ``step`` as a step of one-row blocks."""
-    point, diff = step.point, step.diff
-    return Step(step.name, lambda w, q: point(w[0], q[0])[None],
+def _side(h, metrics, steps):
+    """``(point, diff)`` of one side's update on the live rows, under their
+    metrics: the stacked ``prox_step`` over several rows' diagonals when
+    all are diagonal, else each row by its own step."""
+    if len(steps) == 1:
+        point, diff = steps[0].point, steps[0].diff
+        return (lambda w, q: point(w[0], q[0])[None],
                 lambda w, q, z: diff(w[0], q[0], z[0])[None])
-
-
-def _row_weights(metrics):
-    """The (B, dim) block of the metrics' diagonals."""
-    for M in metrics:
-        if M.diagonal() is None:
-            raise ConfigurationError(
-                f"a block of several configs needs diagonal metrics, "
-                f"not {type(M).__name__}")
-    return np.stack([M.diagonal() for M in metrics])
+    diags = [M.diagonal() for M in metrics]
+    if all(d is not None for d in diags):
+        stacked = h.prox_step(np.stack(diags))
+        return stacked.point, stacked.diff
+    return (lambda w, q: np.stack([s.point(*a) for s, *a in zip(steps, w, q)]),
+            lambda w, q, z: np.stack([s.diff(*a)
+                                      for s, *a in zip(steps, w, q, z)]))
 
 
 def prepdhg_step(p: SaddleProblem, cfg: SolverConfig, x, y):
@@ -268,7 +263,7 @@ def _larger(a, b):
 _Rule = namedtuple("_Rule", "terms size whole recorded")
 
 
-def _rule(b, feas_scale, custom):
+def _rule(b, feas_scale, customs):
     """The stopping rule of a block's live rows: ``terms(mv)`` gives the
     stopping residual's terms of a ``_Move``, one entry per row, in the
     order the stop test reads them, ``size`` terms (None: as many as the
@@ -279,10 +274,12 @@ def _rule(b, feas_scale, custom):
     first step, where that is None.  For linear g* = <b, .> the dual part of
     both is ``||K x+ - b|| / feas_scale`` and the rule stops on rhat_half,
     the compact bound, read feasibility first; otherwise on rhat_full, the
-    full bound, read x part first.  A one-row ``custom`` residual stops in
-    their place: its ``terms`` if it has them, else its value as one term.
+    full bound, read x part first.  ``customs``, the rows' custom residuals
+    (all None or none), stop in their place, each row on its own one's
+    ``terms`` if it has them, else on its value as one term: one row's
+    Python floats, or one array per term (-inf for a row out of terms).
     ``whole`` keeps each rule's NaN order: ``_larger(||m1dx||, feas)``,
-    ``_larger(part_x, part_y)`` and Python ``max`` of the custom terms.
+    ``_larger(part_x, part_y)`` and Python ``max`` of a row's custom terms.
     """
     if b is not None:
         def terms(mv):
@@ -310,15 +307,24 @@ def _rule(b, feas_scale, custom):
                 t = (mv.Kx - prev.Kx) + (mv.Kx - mv.Kx_new) - prev.m2dy
                 rhat_half = _larger(_nrm(t), _nrm(mv.m1dx))
             return rhat_full, rhat_half
-    if custom is None:
+    if customs[0] is None:
         return _Rule(terms, 2, whole, recorded)
-    custom_terms = getattr(custom, "terms", None)
+    row_terms = [getattr(c, "terms", None) or (lambda *at, c=c: (c(*at),))
+                 for c in customs]
+    size = None if any(hasattr(c, "terms") for c in customs) else 1
+
+    def row_max(*seen):
+        return np.array([max(r) for r in zip(*map(np.atleast_1d, seen))])
+    if len(customs) == 1:  # the one row's terms, as Python floats
+        [one] = row_terms
+        return _Rule(lambda mv: one(mv.x_new[0], mv.y_new[0], mv.Kx_new[0],
+                                    mv.Kty_new[0]), size, row_max, recorded)
 
     def at_terms(mv):
-        at = mv.x_new[0], mv.y_new[0], mv.Kx_new[0], mv.Kty_new[0]
-        return (custom(*at),) if custom_terms is None else custom_terms(*at)
-    return _Rule(at_terms, 1 if custom_terms is None else None,
-                 lambda *seen: np.array([float(max(seen))]), recorded)
+        rows = zip(row_terms, mv.x_new, mv.y_new, mv.Kx_new, mv.Kty_new)
+        return map(np.array, zip_longest(*(f(*at) for f, *at in rows),
+                                         fillvalue=-math.inf))
+    return _Rule(at_terms, size, row_max, recorded)
 
 
 def _stop_residual(rule, mv, tol=None):
@@ -326,8 +332,8 @@ def _stop_residual(rule, mv, tol=None):
     when no row stops: reading the terms in order ends at one over ``tol``
     (one per row) in every row, unless it is the last (``tol=None`` reads
     them all).  That is exact, since under ``whole`` a term over tol leaves
-    the residual over tol or NaN.  A custom rule's term is a Python float
-    of its one row and is compared with that row's tol as a float."""
+    the residual over tol or NaN.  A one-row custom rule's term is a
+    Python float and is compared with its row's tol as a float."""
     seen = []
     for t in rule.terms(mv):
         seen.append(t)
@@ -368,24 +374,22 @@ def solve(p: SaddleProblem, cfg: SolverConfig) -> SolveReport:
 
 
 def solve_batch(p: SaddleProblem, cfgs) -> list:
-    """Solve several configs of one problem as one row block.
+    """Solve any configs of one problem as one row block.
 
     Returns one ``SolveReport`` per config, in order, each equal bit for bit
     to ``solve(p, cfg)`` apart from the ``elapsed_s`` of its history (see
     ``HistoryRow``): the block runs every row's arithmetic on its own, with
     one matrix-vector product per row.  A row that stops (converged,
     diverged or at its own ``max_iter``) leaves the block with its status,
-    iteration count, history and final iterates.  A block of more than one
-    config is refused at set-up when a metric is not diagonal, when the
-    simplex weights of a row are not uniform, or when a config has a
-    ``custom_residual``.
+    iteration count, history and final iterates.  The one block refused at
+    set-up is one with a ``custom_residual`` on some configs but not all.
     """
     cfgs = list(cfgs)
     if not cfgs:
         return []
-    if len(cfgs) > 1 and any(c.custom_residual is not None for c in cfgs):
-        raise ConfigurationError(
-            "a block of several configs takes no custom_residual")
+    if len({c.custom_residual is None for c in cfgs}) > 1:
+        raise ConfigurationError("a block takes a custom_residual on every "
+                                 "config or on none")
     eng = _Engine(p, cfgs)
     K = p.K
     x = np.stack([_start(cfg.x0, K.cols, "x0") for cfg in cfgs])

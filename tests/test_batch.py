@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from prepdhg import prox
 from prepdhg.exceptions import ConfigurationError
-from prepdhg.metrics import (DenseMetric, DiagonalMetric, GramShiftMetric,
-                             ScalarMetric, SGSMetric, gram_shift_matrix)
+from prepdhg.metrics import (BoxQuadBCD, DenseMetric, DiagonalMetric,
+                             GramShiftMetric, ScalarMetric, SGSMetric,
+                             gram_shift_matrix)
 from prepdhg.operators import (BirkhoffConstraint, DenseOperator,
                                GridDivergence, SparseOperator)
-from prepdhg.problems import (birkhoff_projection, game_matrix, matrix_game,
-                              red_black_partition)
+from prepdhg.problems import (birkhoff_projection, emd, game_matrix,
+                              matrix_game, random_sparse_system,
+                              red_black_partition, tv_least_squares)
 from prepdhg.prox import (GroupL12, IndicatorSimplex, Linear, SeparableSum,
                           Zero)
 from prepdhg.solver import SaddleProblem, SolverConfig, solve, solve_batch
@@ -102,7 +105,7 @@ def test_one_config_is_solve():
     assert solve_batch(inst.saddle, []) == []
 
 
-# -- set-up refusals ----------------------------------------------------------
+# -- blocks of any metrics and stopping rules ---------------------------------
 
 def _lp_problem():
     K = GridDivergence(3, 3, 1.0)
@@ -110,20 +113,22 @@ def _lp_problem():
 
 
 @pytest.mark.parametrize("kind", ["sgs", "gram", "dense"])
-def test_block_refuses_a_non_diagonal_metric(kind):
+def test_non_diagonal_metric_rows_equal_their_serial_solves(kind):
     p, K = _lp_problem()
     Q = gram_shift_matrix(K, 0.5, 0.1)
     M2 = {"sgs": SGSMetric(Q, red_black_partition(3, 3)),
           "gram": GramShiftMetric(1.0, 0.5, K, theta=0.1),
           "dense": DenseMetric(Q.toarray())}[kind]
     cfgs = [SolverConfig(M1=ScalarMetric(s, K.cols), M2=M2, override=True,
-                         max_iter=5) for s in (2.0, 3.0)]
-    assert solve(p, cfgs[0]).iters == 5  # one config takes it
-    with pytest.raises(ConfigurationError, match=type(M2).__name__):
-        solve_batch(p, cfgs)
+                         max_iter=m) for s, m in ((2.0, 5), (3.0, 8))]
+    reps = solve_batch(p, cfgs)
+    assert [r.iters for r in reps] == [5, 8]
+    for rep, cfg in zip(reps, cfgs):
+        assert_same_report(rep, solve(p, cfg))
 
 
 def test_block_refuses_a_custom_residual():
+    # a custom residual on some rows but not all
     p, K = _lp_problem()
     cfgs = [SolverConfig(M1=ScalarMetric(2.0, K.cols),
                          M2=ScalarMetric(2.0, K.rows), override=True,
@@ -134,16 +139,82 @@ def test_block_refuses_a_custom_residual():
         solve_batch(p, cfgs)
 
 
-def test_block_refuses_non_uniform_simplex_weights():
+def test_non_uniform_simplex_weights_rows_equal_their_serial_solves():
     K = DenseOperator(np.random.default_rng(3).standard_normal((4, 5)))
     p = SaddleProblem(f=IndicatorSimplex(5), gstar=IndicatorSimplex(4), K=K)
     weights = np.array([1.0, 2.0, 1.0, 1.0, 1.0])
     cfgs = [SolverConfig(M1=DiagonalMetric(d), M2=ScalarMetric(3.0, 4),
-                         override=True, max_iter=3)
-            for d in (np.full(5, 2.0), weights)]
-    assert solve(p, cfgs[1]).iters == 3  # one config takes the weighted map
-    with pytest.raises(ConfigurationError, match="uniform"):
-        solve_batch(p, cfgs)
+                         override=True, max_iter=m)
+            for d, m in ((np.full(5, 2.0), 3), (weights, 3), (weights * 3, 6))]
+    reps = solve_batch(p, cfgs)
+    for rep, cfg in zip(reps, cfgs):
+        assert_same_report(rep, solve(p, cfg))
+
+
+def _grids(size, seed):
+    rng = np.random.default_rng(seed)
+    r0, r1 = rng.random((size, size)), rng.random((size, size))
+    return r0 / r0.sum(), r1 / r1.sum()
+
+
+def _tvls_cells(cells, size=6, **kw):
+    n = size * size
+    R = random_sparse_system(n // 2, n, 0.2, 3)
+    b = R.apply(np.random.default_rng(5).random(n))
+    return [tv_least_squares(R, b, 1.0, (size, size), tau, gamma, **kw)
+            for gamma, tau in cells]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: [emd(*_grids(6, 0), 5 / 4, tau, gamma, method="sgs",
+                 max_iter=4000, record_every=9)
+             for gamma, tau in ((1.0, 0.03), (0.8, 0.1), (1.0, 0.1))],
+    lambda: [emd(*_grids(6, 1), 5 / 4, tau, gamma, method="iebalm",
+                 max_iter=4000, record_every=9)
+             for gamma, tau in ((1.0, 0.03), (0.8, 0.1), (0.9, 0.1))],
+    lambda: [birkhoff_projection(
+        np.random.default_rng(4).random((6, 6)), tau, gamma, method="ebalm",
+        record_every=11) for gamma, tau in ((1.0, 0.5), (0.7, 1.0),
+                                            (0.75, 2.0))],
+    lambda: _tvls_cells(((1.0, 0.01), (0.75, 0.03), (0.75, 0.1)),
+                        record_every=7)],
+    ids=["emd-sgs", "emd-iebalm", "birkhoff-ebalm", "tvls"])
+def test_problem_rows_equal_their_serial_solves(make):
+    # non-diagonal dual metrics (sGS, Gram shift with epochs, closed-form
+    # Gram shift, blockwise with a box step) and tvls's custom terms
+    insts = make()
+    reps = solve_batch(insts[0].saddle, [inst.config for inst in insts])
+    assert all(r.status == "converged" for r in reps)
+    assert len({r.iters for r in reps}) == len(reps)  # leave at other steps
+    for rep, inst in zip(reps, insts):
+        assert_same_report(rep, inst.solve())
+
+
+def test_a_block_builds_each_configs_steps_once(monkeypatch):
+    # a tvls block whose rows leave at different steps: each config's x and
+    # y steps, and its coordinate-descent box kernel, are built once
+    built = []
+
+    class Counting(BoxQuadBCD):
+        def __init__(self, *a, **k):
+            built.append(1)
+            super().__init__(*a, **k)
+    monkeypatch.setattr(prox, "BoxQuadBCD", Counting)
+    insts = _tvls_cells(((1.0, 0.01), (0.75, 0.03), (0.75, 0.1), (1.0, 0.1)),
+                        record_every=7)
+    p, cfgs = insts[0].saddle, [inst.config for inst in insts]
+    calls = {"f": 0, "gstar": 0}
+    for side in calls:
+        h = getattr(p, side)
+
+        def counted(M, step=h.step, side=side):
+            calls[side] += 1
+            return step(M)
+        monkeypatch.setattr(h, "step", counted)
+    reps = solve_batch(p, cfgs)
+    assert len({r.iters for r in reps}) == len(cfgs)
+    assert calls == {"f": len(cfgs), "gstar": len(cfgs)}
+    assert len(built) == len(cfgs)
 
 
 # -- the per-row arithmetic ---------------------------------------------------

@@ -459,6 +459,8 @@ def test_builder_errors_surface_before_any_cell(tmp_path, capsys, monkeypatch,
     (["emd", "--theta", "nan", "--size", "4,4"], "theta = nan"),
     (["emd", "--taus", "nan", "--size", "4,4"], "tau = nan"),
     (["emd", "--gamma", "nan", "--size", "4,4"], "gamma = nan"),
+    (["emd", "--gamma", "nan", "--size", "4,4", "--allow-diverge"],
+     "gamma = nan"),
     (["emd", "--method", "iebalm", "--theta", "nan", "--size", "4,4"],
      "theta = nan"),
     (["emd", "--method", "iebalm", "--taus", "nan", "--size", "4,4"],
@@ -588,14 +590,20 @@ class TestInputFiles:
 
 def _summary_at_workers(argv, out):
     """summary.csv and ratio.csv bytes of ``argv`` at one, two and three
-    workers; every cell must have converged."""
+    workers, and every run_*.csv but its elapsed_s column; every cell must
+    have converged."""
     sums = []
     for w in ("1", "2", "3"):
         assert main(argv + ["--workers", w, "--out", str(out / w)]) == 0
+        runs = sorted(p for p in os.listdir(out / w) if p.startswith("run_"))
         sums.append((read(out / w / "summary.csv"),
-                     read(out / w / "ratio.csv")))
+                     read(out / w / "ratio.csv"),
+                     {run: [r.rsplit(",", 1)[0] for r in
+                            (out / w / run).read_text().splitlines()]
+                      for run in runs}))
         rows = sums[-1][0].decode().splitlines()[1:]
         assert rows and all(r.split(",")[4] == "converged" for r in rows)
+        assert len(runs) == len(rows)
     assert sums[0] == sums[1] == sums[2]
     return out / "1"
 

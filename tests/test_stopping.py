@@ -268,7 +268,8 @@ def _move(m1dx, m2dy, Kx_new, Kty_new=None, Kx=None):
 def _rule(b, feas_scale, custom=None):
     """``(stop, recorded)`` of the rule the loop would pick, with ``stop(mv,
     tol)`` the stop routine under that rule."""
-    rule = solver._rule(b, np.asarray(feas_scale, dtype=float), custom)
+    feas_scale = np.asarray(feas_scale, dtype=float)
+    rule = solver._rule(b, feas_scale, [custom] * feas_scale.size)
     return (lambda mv, tol: solver._stop_residual(rule, mv, tol),
             rule.recorded)
 
@@ -353,3 +354,38 @@ def test_four_argument_custom_residual_is_its_own_value(value):
     stop, _ = _rule(None, np.ones(1), lambda x, y, Kx, Kty: value)
     mv = _move(m1dx=[0.0], m2dy=[0.0], Kx_new=[0.0])
     assert _same(stop(mv, None), [value])
+
+
+def test_rows_read_their_own_custom_terms_in_step():
+    # each row is Python max of its own terms in order, as a one-row rule
+    # gives it; a row out of terms reads -inf, which no max keeps
+    rows = [(nan, 1.0), (1.0, nan), (inf, nan), (0.5,), (1e-9, 2e-9, 3e-9)]
+    customs = []
+    for terms in rows:
+        def custom_terms(x, y, Kx, Kty, terms=terms):
+            yield from terms
+        customs.append(lambda *a, t=custom_terms: max(t(*a)))
+        customs[-1].terms = custom_terms
+    rule = solver._rule(np.zeros(1), np.ones(5), customs)
+    mv = _move(m1dx=[0.0] * 5, m2dy=[0.0] * 5, Kx_new=[0.0] * 5)
+    want = [nan, 1.0, inf, 0.5, 3e-9]
+    assert _same(solver._stop_residual(rule, mv), want)
+    assert _same(solver._stop_residual(rule, mv, np.full(5, 1e-6)), want)
+    for custom, w in zip(customs, want):
+        one = solver._rule(np.zeros(1), np.ones(1), [custom])
+        assert _same(solver._stop_residual(one, _move([0.0], [0.0], [0.0])),
+                     [w])
+    # the first term over tol in every row: no row stops
+    over = solver._rule(np.zeros(1), np.ones(2), customs[1:3])
+    assert solver._stop_residual(over, mv.rows([1, 2]),
+                                 np.full(2, 0.5)) is None
+
+
+def test_tvls_block_is_the_eager_block(eager):
+    # several rows' custom terms, read in step, and the blockwise box steps
+    insts = [_tvls(tau, record_every=7) for tau in (0.01, 0.03, 0.1)]
+    p, cfgs = insts[0].saddle, [inst.config for inst in insts]
+    got = solve_batch(p, cfgs)
+    assert len({r.iters for r in got}) == 3
+    for g, w in zip(got, eager(lambda: solve_batch(p, cfgs))):
+        assert_same_report(g, w)
