@@ -11,7 +11,9 @@ assembled by ``gram_shift_matrix``.  ``BoxQuadBCD`` is the one block
 Gauss-Seidel kernel: its colored sweep clipped to a box is the coordinate
 descent of the box update, unclipped the inexact Gram-shift solve, and one
 backward and one forward pass over a given partition the symmetric
-Gauss-Seidel metric's solve.
+Gauss-Seidel metric's solve.  It lays its blocks end to end and folds
+each diagonal block's inverse into that block's off-block rows, so that a
+block's update is one call of scipy's CSR kernel and a clip.
 
 ``check_condition`` estimates the squared norm that governs convergence of
 the preconditioned primal-dual iteration,
@@ -36,7 +38,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .exceptions import ConfigurationError, require
-from .operators import LinearOperator, csr_matvec, spectral_norm_sq
+from .operators import (LinearOperator, _csr_matvec_kernel, csr_matvec,
+                        spectral_norm_sq)
 
 #: strictness margin subtracted from the 4/3 threshold; the boundary itself
 #: is exactly where non-convergent instances exist, and the estimate is only
@@ -94,6 +97,18 @@ def spd_solver(A, name: str = "matrix"):
     if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(pivots > floor)):
         raise ConfigurationError(f"{name} not positive definite")
     return lu.solve
+
+
+def _symmetric(A) -> bool:
+    """Whether np.allclose(A, A^T) holds at atol = 1e-12 * (1 + max |A|),
+    for a dense or a sparse A: every |A - A^T| entry is at most atol plus
+    1e-5 times the |A^T| entry."""
+    if not sp.issparse(A):
+        return np.allclose(A, A.T, atol=1e-12 * (1 + np.abs(A).max()))
+    T = A.T.tocsr()
+    gap = A - T  # stores no zero, so nothing when A is exactly symmetric
+    return not gap.nnz or (abs(gap) - 1e-5 * abs(T)).max() \
+        <= 1e-12 * (1 + abs(A).max())
 
 
 class Metric:
@@ -160,7 +175,7 @@ class DenseMetric(Metric):
         A = np.atleast_2d(np.asarray(A, dtype=float))
         if A.shape[0] != A.shape[1]:
             raise ConfigurationError("dense metric must be square")
-        if not np.allclose(A, A.T, atol=1e-12 * (1 + np.abs(A).max())):
+        if not _symmetric(A):
             raise ConfigurationError("dense metric must be symmetric")
         self.A = 0.5 * (A + A.T)
         self.dim = A.shape[0]
@@ -236,13 +251,17 @@ class SGSMetric(Metric):
     without a box) on Q y = r from y = 0: one backward pass, which leaves w
     with (D + U) w = r, so r - U w = D w, then one forward pass, which
     solves (D + U^T) y = D w.  ``apply`` runs two block products around the
-    kernel's block solves.
+    kernel's block solves.  A Q that is not symmetric, by the dense
+    metric's rule (``_symmetric``), is refused: its sweep would not be this
+    metric.
     """
 
     def __init__(self, Q, blocks):
         Q = sp.csr_matrix(Q)
         if Q.shape[0] != Q.shape[1]:
             raise ConfigurationError("Q must be square")
+        if not _symmetric(Q):
+            raise ConfigurationError("Q must be symmetric")
         self.dim = Q.shape[0]
         self.kernel = BoxQuadBCD(Q, np.inf, 1, blocks)
         self.D, self.U = self.kernel.D, self.kernel.upper()
@@ -285,14 +304,27 @@ class BoxQuadBCD:
     diagonal in M.  A clipped update is exact coordinate descent only on
     diagonal blocks, so a box takes the coloring.
 
-    A diagonal block D_b of M (every color of the coloring) is solved
-    entrywise by ``r / diag[b]``; any other is factorized once by
-    ``spd_solver``.  The CSR row slice of the off-block part M - D of each
-    block is built once at construction, as float64, and a pass multiplies
-    it by ``csr_matvec``, so a pass does no sparse indexing and no scipy
-    operator dispatch; the slices cost one more copy of the off-block
-    nonzeros.  M must be finite: a product of its finite entries with y = 0
-    is exactly +0.0, which ``symmetric_sweep`` relies on.
+    The kernel works in the blocks' order, perm = concatenate(blocks), so
+    that every block is a contiguous slice y[lo:hi].  At construction it
+    stores the off-block part M - D once as float64 CSR, rows permuted and
+    column indices relabeled, each row's nonzeros in M's stored order.  The
+    rows of a diagonal block D_b (every color of the coloring) are scaled
+    by -D_b^{-1}; any other block's rows are negated, and the block is
+    factorized once by ``spd_solver``.  A block's update sets y_b to
+    D_b^{-1} c_b (to c_b when factorized), then makes one call of scipy's
+    CSR kernel, which adds the block's rows times y onto y_b in stored
+    order:
+
+        y_b <- clip(c_b / d_b + sum_j (-M_bj / d_b) y_j)
+
+    on a diagonal block, y_b <- D_b^{-1} (c_b + sum_j (-M_bj) y_j) on a
+    factorized one.  The kernel's output y_b is a slice of the y it reads,
+    which is safe because a block's off-block rows never read the block.
+    Each call gathers its vectors into the blocks' order once and scatters
+    its result once; no call writes its inputs, except that ``sweep``
+    updates y as documented.  M must be finite: a product of its finite
+    entries with y = 0 is a signed zero, which ``symmetric_sweep`` relies
+    on.  ``epochs`` must be a positive integer.
     """
 
     def __init__(self, M, radius: float, epochs: int = 2, blocks=None):
@@ -306,9 +338,9 @@ class BoxQuadBCD:
         self.radius = float(radius)
         if not self.radius > 0:
             raise ConfigurationError("BCD needs a positive radius")
+        if not isinstance(epochs, (int, np.integer)) or epochs < 1:
+            raise ConfigurationError("epochs must be a positive integer")
         self.epochs = int(epochs)
-        if self.epochs < 1:
-            raise ConfigurationError("BCD needs at least one epoch")
         n = M.shape[0]
         if blocks is None:
             block_of = np.array(_greedy_coloring(M), dtype=int)
@@ -327,60 +359,97 @@ class BoxQuadBCD:
         inb = block_of[Mc.row] == block_of[Mc.col]
         self.D = sp.csr_matrix((Mc.data[inb], (Mc.row[inb], Mc.col[inb])),
                                shape=M.shape)
-        off = M - self.D
         # a block without a nonzero off-diagonal entry of its own is diagonal
         coupled = np.bincount(
             block_of[Mc.row[inb & (Mc.row != Mc.col) & (Mc.data != 0)]],
-            minlength=len(blocks))
+            minlength=len(blocks)) > 0
+        perm = self._perm = np.concatenate(blocks)
+        ends = np.cumsum([0] + [b.size for b in blocks])
+        at_block = block_of[perm]  # the block of each position
+        # the scale of each position's row: d_i in a diagonal block, else 1
+        self._dp = np.where(coupled[at_block], 1.0, self.diag[perm])
+        P = self._rows = M[perm]  # rows in the blocks' order, as stored
+        pos = np.empty(n, dtype=P.indices.dtype)
+        pos[perm] = np.arange(n)
+        P.indices = pos[P.indices]
+        row = np.repeat(np.arange(n), np.diff(P.indptr))
+        P.data = -P.data / self._dp[row]
+        P.data[at_block[row] == at_block[P.indices]] = 0.0
+        P.eliminate_zeros()  # keeps each row's order
+        # the box's bounds as arrays: a ufunc takes them faster than floats
+        low, high = np.full(n, -self.radius), np.full(n, self.radius)
         steps = self._steps = [
-            (b, spd_solver(self.D[b][:, b], f"diagonal block {c}")
-             if coupled[c] else (lambda r, d=self.diag[b]: r / d), off[b, :])
-            for c, b in enumerate(blocks)]
-        # the symmetric sweep's blocks, backward then forward (see there)
-        last, *rest = steps[::-1]
-        self._symmetric = [(last[0], last[1], None)] + rest + steps[1:]
+            (lo, hi, P.indptr[lo:hi + 1],
+             spd_solver(self.D[b][:, b], f"diagonal block {c}")
+             if coupled[c] else None,
+             (low[lo:hi], high[lo:hi]) if self.radius < np.inf else None)
+            for c, (b, lo, hi) in enumerate(zip(blocks, ends, ends[1:]))]
+        # the symmetric sweep's blocks, backward then forward (see there);
+        # its first block adds the sum of its off-block terms on y = 0, each
+        # a signed zero, accumulated from -0.0 as the kernel would from c_b
+        (lo, hi, rows, *rule), *rest = steps[::-1]
+        self._zero = np.full(hi - lo, -0.0)
+        _csr_matvec_kernel(hi - lo, n, rows, P.indices, P.data, np.zeros(n),
+                           self._zero)
+        self._symmetric = [(lo, hi, None, *rule)] + rest + steps[1:]
 
-    def _pass(self, c, y, steps):
-        """One pass of y_b <- clip(D_b^{-1} (c - (M - D) y)_b) over ``steps``,
-        a sequence of the blocks' (indices, D_b solve, off-block rows); a
-        block given None for its rows takes c_b alone."""
-        lo, hi = -self.radius, self.radius
-        box = hi < np.inf
-        for grp, dsolve, rows in steps:
-            v = dsolve(c[grp] if rows is None
-                       else c[grp] - csr_matvec(rows, y))
-            if box:  # np.clip(v, lo, hi) bit for bit, NaN and signed zeros too
-                np.minimum(np.maximum(v, lo, out=v), hi, out=v)
-            y[grp] = v
-        return y
+    def _run(self, c, y, steps, times, out):
+        """``times`` passes of y_b <- clip(D_b^{-1} (c - (M - D) y)_b) over
+        ``steps``, the blocks' (start, end, CSR row pointers, factorized
+        solve or None, box bounds or None), on c in the original order and
+        y in the blocks' order, which they update in place; then y in the
+        original order, written to ``out`` and returned.  A block given
+        None for its rows is the symmetric sweep's first, on y = 0."""
+        cd = c[self._perm]
+        cd /= self._dp
+        n, cols, vals = y.size, self._rows.indices, self._rows.data
+        for _ in range(times):
+            for lo, hi, rows, lu, box in steps:
+                yb = y[lo:hi]
+                if rows is None:
+                    np.add(cd[lo:hi], self._zero, out=yb)
+                else:
+                    yb[:] = cd[lo:hi]
+                    _csr_matvec_kernel(hi - lo, n, rows, cols, vals, y, yb)
+                if lu is not None:
+                    yb[:] = lu(yb)
+                if box is not None:  # np.clip bit for bit, NaN, -0.0 too
+                    np.minimum(np.maximum(yb, box[0], out=yb), box[1], out=yb)
+        out[self._perm] = y
+        return out
 
     def sweep(self, c: np.ndarray, y: np.ndarray) -> np.ndarray:
         """``epochs`` passes over the blocks in order.
 
         Updates y in place and returns it; with radius = inf there is no clip.
         """
-        for _ in range(self.epochs):
-            self._pass(c, y, self._steps)
-        return y
+        return self._run(c, y[self._perm], self._steps, self.epochs, y)
 
     def symmetric_sweep(self, c: np.ndarray) -> np.ndarray:
         """One backward pass over the blocks from y = 0, then one forward
         pass; ``epochs`` plays no part.  Bitwise that of both full passes:
-        the first block skips its off-block product, which from y = 0 is
-        exactly +0.0 (M is finite), and c_b - 0.0 is c_b; the forward pass
-        skips the first block, whose update would repeat the backward
+        the first block takes no off-block product, whose terms on y = 0
+        are signed zeros, and adds to D_b^{-1} c_b their sum found at
+        construction, which can change only the sign of a zero; the forward
+        pass skips the first block, whose update would repeat the backward
         pass's last one.
         """
-        return self._pass(c, np.zeros(c.shape), self._symmetric)
+        return self._run(c, np.zeros(c.shape), self._symmetric, 1,
+                         np.empty(c.shape))
 
     def solve(self, y0: np.ndarray, r: np.ndarray) -> np.ndarray:
-        return self.sweep(r + csr_matvec(self.M, y0), y0.copy())
+        return self._run(r + csr_matvec(self.M, y0), y0[self._perm],
+                         self._steps, self.epochs, np.empty(y0.shape))
 
     def solve_blocks(self, t: np.ndarray) -> np.ndarray:
         """D^{-1} t, block by block, by the passes' block solves; updates t
         in place and returns it."""
-        for grp, dsolve, _ in self._steps:
-            t[grp] = dsolve(t[grp])
+        tp = t[self._perm]
+        tp /= self._dp
+        for lo, hi, _, lu, _ in self._steps:
+            if lu is not None:
+                tp[lo:hi] = lu(tp[lo:hi])
+        t[self._perm] = tp
         return t
 
     def upper(self) -> sp.csr_matrix:
@@ -553,13 +622,13 @@ def _generalized_lanczos(K, M2, a_apply, a_solve, tol, max_iter, seed):
     a_norm = math.sqrt(v.dot(w))
     v /= a_norm
     w /= a_norm
-    w_prev = np.zeros(n)
+    w_prev, term = np.zeros(n), np.empty(n)  # term: the updates' products
     b, b_prev, s = 1.0, 1.0, None  # w = b u_k, w_prev = b_prev u_{k-1}
     for k in range(1, size + 1):
         cv = K.apply_adjoint(M2.solve(K.apply(v)))
         a = float(v.dot(cv))
-        cv -= (a / b) * w
-        cv -= (b / b_prev) * w_prev
+        cv -= np.multiply(a / b, w, out=term)
+        cv -= np.multiply(b / b_prev, w_prev, out=term)
         p = a_solve(cv)
         bb = float(p.dot(cv))
         if not math.isfinite(a + bb):

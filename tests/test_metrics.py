@@ -295,6 +295,28 @@ class TestSGS:
         with pytest.raises(ConfigurationError, match="diagonal block 0"):
             SGSMetric(Q, [np.array([0, 1]), np.array([2])])
 
+    def test_rejects_a_non_symmetric_q(self):
+        # its sweep would not be the stated metric Q + U D^{-1} U^T; the rule
+        # is the dense metric's: np.allclose(Q, Q^T) at atol 1e-12 (1 + max|Q|)
+        Q = np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 0.5], [0.0, 0.0, 2.0]])
+        blocks = [np.array([0]), np.array([1]), np.array([2])]
+        for q in (Q, sp.csr_matrix(Q)):
+            with pytest.raises(ConfigurationError, match="Q must be symmetric"):
+                SGSMetric(q, blocks)
+        S = Q + Q.T
+        for eps, taken in ((1e-12, True), (1e-4, False)):
+            T = S.copy()
+            T[0, 1] += eps
+            for make in (SGSMetric, lambda A, _: DenseMetric(A)):
+                if taken:
+                    make(T, blocks)
+                else:
+                    with pytest.raises(ConfigurationError, match="symmetric"):
+                        make(T, blocks)
+        # the sweeps' Gram shifts are exactly symmetric
+        G = gram_shift_matrix(GridDivergence(8, 8, 1.75), 0.75 * 0.03, 1e-6)
+        assert abs(G - G.T).max() == 0
+
     @pytest.mark.parametrize("blocks", [[], [[0, 1], [1, 2]], [[0, 1]],
                                         [[0, 3], [1, 2]], [[-1, 0], [1]]])
     def test_rejects_a_non_partition(self, blocks):

@@ -1,18 +1,23 @@
 """The Gauss-Seidel kernel, pinned bit for bit and against the math.
 
-``BoxQuadBCD`` builds, once at construction, each block's solve of its
-diagonal block D_b and its CSR row slice of the off-block part M - D.
-``sgs_solve_reference`` and ``bcd_solve_reference`` slice the sparse matrix
-for every block on every call; a slice sums the same nonzeros in the same
-order, so the results must be identical, not merely close.
+``BoxQuadBCD`` lays its blocks end to end and builds, once at construction,
+the off-block part M - D in that order, each diagonal block's rows scaled
+by -D_b^{-1} and each factorized block's negated, beside the factorized
+blocks' solves.  A block's update starts from D_b^{-1} c_b and adds the
+scaled rows times y in stored order.  ``sgs_solve_reference`` and
+``bcd_solve_reference`` run the same arithmetic in the original order,
+slicing and scaling each block's rows on every call (``block_update``), so
+the results must be identical, not merely close.
 
 ``BoxQuadBCD`` is the one kernel of three solves: the box update's
 coordinate descent, the inexact Gram-shift solve of ``emd(method="iebalm")``
 and, as its ``symmetric_sweep`` (one backward and one forward pass over its
 partition), the solve of ``SGSMetric``.  The earlier kernels of these,
+``sgs_division_reference`` and ``bcd_division_reference`` (which solved
+D_b y_b = c_b - (M - D)_b y, dividing after the product),
 ``bcd_incremental_reference``, ``two_epoch_solve_reference`` and
-``sgs_triangular_reference``, do the same updates in another arithmetic and
-are checked to 1e-12.  The last tests
+``sgs_triangular_reference``, do the same updates in another arithmetic
+and are checked to 1e-12.  The last tests
 check the sweep against what it computes: the fixed point of the
 box-constrained quadratic, and M y = r without a box.
 """
@@ -24,15 +29,55 @@ import scipy.sparse as sp
 from prepdhg.exceptions import ConfigurationError
 from prepdhg.metrics import (BoxQuadBCD, GramShiftMetric, SGSMetric,
                              gram_shift_matrix, spd_solver)
-from prepdhg.operators import GridDivergence, Transpose
+from prepdhg.operators import GridDivergence, Transpose, _csr_matvec_kernel
 from prepdhg.problems import emd, red_black_partition
 
 from helpers import random_partition
 
 
+def block_solver(D, grp):
+    """The factorized solve of the diagonal block D[grp][:, grp], or None
+    when it has no nonzero off-diagonal entry."""
+    block = sp.csr_matrix(D)[grp][:, grp]
+    coupled = (block - sp.diags(block.diagonal())).count_nonzero()
+    return spd_solver(block) if coupled else None
+
+
+def block_update(A, grp, dsolve, c, y):
+    """One unclipped block update in the kernel's arithmetic, from A sliced
+    on this call: c_b / d_b (c_b when ``dsolve`` factorizes the block), plus
+    the block's off-block entries, scaled by -1 / d_i (by -1), those not
+    zero, times y, added in A's stored order by the CSR kernel, which
+    accumulates onto its output; then ``dsolve``."""
+    A = sp.csr_matrix(A)
+    rows, k = A[grp], len(grp)
+    d = np.ones(k) if dsolve else A.diagonal()[grp]
+    row = np.repeat(np.arange(k), np.diff(rows.indptr))
+    scaled = -rows.data / d[row]
+    keep = ~np.isin(rows.indices, grp) & (scaled != 0)
+    indptr = np.zeros(k + 1, dtype=rows.indices.dtype)
+    indptr[1:] = np.cumsum(np.bincount(row[keep], minlength=k))
+    acc = c[grp] / d
+    _csr_matvec_kernel(k, A.shape[1], indptr, rows.indices[keep],
+                       scaled[keep], y, acc)
+    return acc if dsolve is None else dsolve(acc)
+
+
 def sgs_solve_reference(Q, M, blocks, r):
     """``SGSMetric.solve`` from y = 0: a backward pass over the blocks, then
-    a forward pass that skips the first, each block solved against Q - D."""
+    a forward pass that skips the first, each block by ``block_update``
+    with the factorizations of M.D, every off-block product taken."""
+    solvers = [block_solver(M.D, b) for b in blocks]
+    y = np.zeros_like(r)
+    for order in (range(len(blocks))[::-1], range(1, len(blocks))):
+        for i in order:
+            y[blocks[i]] = block_update(Q, blocks[i], solvers[i], r, y)
+    return y
+
+
+def sgs_division_reference(Q, M, blocks, r):
+    """The earlier sGS sweep: each block solved against Q - D, as
+    D_b y_b = r_b - (Q - D)_b y with the product from zero."""
     off = sp.csr_matrix(Q) - M.D
     y = np.zeros_like(r)
     for order in (blocks[::-1], blocks[1:]):
@@ -68,6 +113,25 @@ def sgs_triangular_reference(Q, blocks, r):
 
 
 def bcd_solve_reference(bcd, y0, r):
+    """``BoxQuadBCD.solve``: ``bcd_sweep_reference`` on r + M y0 from y0."""
+    return bcd_sweep_reference(bcd, r + bcd.M @ y0, y0)
+
+
+def bcd_sweep_reference(bcd, c, y0):
+    """``BoxQuadBCD.sweep`` from y0, into a new vector: ``epochs`` passes of
+    ``block_update`` over the blocks in order, each clipped to the box."""
+    solvers = [block_solver(bcd.D, g) for g in bcd.groups]
+    y = y0.copy()
+    for _ in range(bcd.epochs):
+        for grp, dsolve in zip(bcd.groups, solvers):
+            y[grp] = np.clip(block_update(bcd.M, grp, dsolve, c, y),
+                             -bcd.radius, bcd.radius)
+    return y
+
+
+def bcd_division_reference(bcd, y0, r):
+    """The earlier box kernel on diagonal blocks: the off-block product from
+    zero, subtracted from c_b, then divided by d_b."""
     off = (bcd.M - sp.diags(bcd.diag)).tocsr()
     c = r + bcd.M @ y0
     y = y0.copy()
@@ -129,6 +193,7 @@ def test_sgs_solve_matches_per_call_slicing(nblocks):
             r = rng.standard_normal(n)
             got = M.solve(r)
             assert np.array_equal(got, sgs_solve_reference(Q, M, blocks, r))
+            assert rel_err(got, sgs_division_reference(Q, M, blocks, r)) <= 1e-12
             assert rel_err(got, sgs_triangular_reference(Q, blocks, r)) <= 1e-12
 
 
@@ -146,6 +211,7 @@ def test_sgs_solve_matches_on_red_black_grid():
             r = rng.standard_normal(M.dim)
             got = M.solve(r)
             assert np.array_equal(got, sgs_solve_reference(Q, M, blocks, r))
+            assert rel_err(got, sgs_division_reference(Q, M, blocks, r)) <= 1e-12
             assert rel_err(got, sgs_triangular_reference(Q, blocks, r)) <= 1e-12
         # a diagonal block is inverted entrywise, the arithmetic of the box
         # update's colored blocks
@@ -162,6 +228,7 @@ def test_sgs_single_block_is_the_diagonal_solve():
     got = M.solve(r)
     assert np.array_equal(got, spd_solver(Q)(r))
     assert np.array_equal(got, sgs_solve_reference(Q, M, blocks, r))
+    assert np.array_equal(got, sgs_division_reference(Q, M, blocks, r))
     assert rel_err(got, sgs_triangular_reference(Q, blocks, r)) <= 1e-12
 
 
@@ -179,9 +246,21 @@ def test_sgs_solve_runs_passes_not_the_box_solve(monkeypatch):
 
 
 def test_symmetric_sweep_skips_only_a_product_with_zeros():
-    # the first block of the backward pass takes c_b for c_b - (M - D) 0;
-    # with finite off-block entries, negative ones too, that product is +0.0
-    # and c_b - 0.0 is c_b bit for bit, -0.0 included
+    # the first block of the backward pass takes no off-block product: on
+    # y = 0 each of its terms is a signed zero (M is finite), so the sum
+    # from D_b^{-1} c_b differs from D_b^{-1} c_b at most in the sign of a
+    # zero, and the kernel adds the zero that decides it, found once at
+    # construction; -0.0 in c and negative entries make both signs occur
+    # from r = -0 over Q = [[2, -1], [-1, 2]]: y_1 = -0 + (1/2)(+0) = +0, so
+    # y_0 = -0 + (1/2) y_1 = +0 and then y_1 = +0; a skip that took y_1 =
+    # -0 from c_1 / d_1 alone would end at (-0, -0)
+    Q = np.array([[2.0, -1.0], [-1.0, 2.0]])
+    M = SGSMetric(Q, [[0], [1]])
+    r = np.array([-0.0, -0.0])
+    got = M.solve(r)
+    assert got.tobytes() == sgs_solve_reference(Q, M, M.kernel.groups,
+                                                r).tobytes()
+    assert got.tobytes() == np.zeros(2).tobytes()
     rng = np.random.default_rng(14)
     for nblocks in (1, 2, 3, 5):
         n = 15
@@ -206,6 +285,72 @@ def test_bcd_refuses_a_non_finite_matrix(entry, bad):
     A[entry] = bad
     with pytest.raises(ConfigurationError, match="finite"):
         BoxQuadBCD(sp.csr_matrix(A), np.inf, blocks=[[0], [1]])
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.0, np.nan, np.inf, 0, -1, "2", None])
+def test_bcd_refuses_an_epoch_count_that_is_not_a_positive_integer(bad):
+    # int(epochs) ran 2 epochs for 2.5 and raised a bare ValueError for NaN
+    with pytest.raises(ConfigurationError,
+                       match="epochs must be a positive integer"):
+        BoxQuadBCD(np.eye(3), 1.0, epochs=bad)
+
+
+def test_inexact_gram_shift_refuses_a_fractional_epoch_count_at_set_up():
+    with pytest.raises(ConfigurationError, match="epochs"):
+        GramShiftMetric(1.0, 0.1, GridDivergence(4, 4, 1.0), theta=0.0,
+                        epochs=2.5)
+    rng = np.random.default_rng(1)
+    r0, r1 = rng.random((4, 4)), rng.random((4, 4))
+    with pytest.raises(ConfigurationError, match="epochs"):
+        emd(r0 / r0.sum(), r1 / r1.sum(), 1.0, 0.1, 1.0, method="iebalm",
+            bcd_epochs=2.5)
+
+
+@pytest.mark.parametrize("radius", [np.inf, 0.5])
+@pytest.mark.parametrize("nblocks", [1, 2, 5])
+def test_kernel_never_writes_its_inputs(nblocks, radius):
+    # the kernel works on its own copies in the blocks' order: building it
+    # leaves M as it was, solve and symmetric_sweep leave their inputs, and
+    # sweep writes only y, in place, as documented; random partitions give
+    # factorized blocks
+    rng = np.random.default_rng(700 + nblocks)
+    n = 15
+    Q = random_sparse_spd(rng, n)
+    Q_in = [a.copy() for a in (Q.indptr, Q.indices, Q.data)]
+    blocks = random_partition(rng, n, nblocks)
+    bcd = BoxQuadBCD(Q, radius, 2, blocks)
+    assert all(np.array_equal(a, b)
+               for a, b in zip((Q.indptr, Q.indices, Q.data), Q_in))
+    assert any(block_solver(bcd.D, b) is not None for b in blocks)
+    y0 = rng.uniform(-0.5, 0.5, n)
+    r = rng.standard_normal(n)
+    y0_in, r_in = y0.copy(), r.copy()
+    got = bcd.solve(y0, r)
+    assert got is not y0
+    assert y0.tobytes() == y0_in.tobytes() and r.tobytes() == r_in.tobytes()
+    assert np.array_equal(got, bcd_solve_reference(bcd, y0, r))
+    y = y0.copy()
+    assert bcd.sweep(r, y) is y
+    assert r.tobytes() == r_in.tobytes()
+    assert np.array_equal(y, bcd_sweep_reference(bcd, r, y0))
+    got = bcd.symmetric_sweep(r)
+    assert got is not r and r.tobytes() == r_in.tobytes()
+    if radius == np.inf:
+        assert np.array_equal(got, sgs_solve_reference(Q, bcd, blocks, r))
+
+
+def test_emd_solves_keep_their_iteration_counts():
+    # the kernel's arithmetic moved at rounding level when its rows were
+    # scaled by D_b^{-1}; these 8x8 solves kept their iteration counts
+    rng = np.random.default_rng(0)
+    r0, r1 = rng.random((8, 8)), rng.random((8, 8))
+    r0, r1 = r0 / r0.sum(), r1 / r1.sum()
+    sgs = emd(r0, r1, 7 / 4, 10 ** -1.5, 0.75, method="sgs", max_iter=3000,
+              record_every=7).solve()
+    iebalm = emd(r0, r1, 7 / 4, 10 ** -1.5, 1.0, method="iebalm",
+                 max_iter=3000, record_every=7).solve()
+    assert (sgs.status, sgs.iters) == ("converged", 493)
+    assert (iebalm.status, iebalm.iters) == ("converged", 435)
 
 
 def test_emd_sgs_solve_is_the_reference_sweep_bit_for_bit(monkeypatch):
@@ -256,6 +401,7 @@ def test_bcd_solve_matches_per_call_slicing(seed):
         r = 3.0 * rng.standard_normal(n)
         got = bcd.solve(y0, r)
         assert np.array_equal(got, bcd_solve_reference(bcd, y0, r))
+        assert rel_err(got, bcd_division_reference(bcd, y0, r)) <= 1e-12
         assert rel_err(got, bcd_incremental_reference(bcd, y0, r)) <= 1e-12
         on_bound = np.abs(got) == radius
         assert on_bound.any() and not on_bound.all()
@@ -325,6 +471,8 @@ def test_swept_gram_shift_matches_the_two_epoch_solve(seed):
         # without a box the sweep is the same arithmetic as the box kernel's
         bcd = BoxQuadBCD(M.to_sparse(), np.inf, epochs)
         assert np.array_equal(got, bcd_solve_reference(bcd, np.zeros_like(r), r))
+        assert rel_err(got, bcd_division_reference(
+            bcd, np.zeros_like(r), r)) <= 1e-12
 
 
 @pytest.mark.parametrize("grid", [(1, 2), (1, 9), (2, 1), (6, 1), (2, 2),
