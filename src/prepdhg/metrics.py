@@ -100,15 +100,9 @@ def spd_solver(A, name: str = "matrix"):
 
 
 def _symmetric(A) -> bool:
-    """Whether np.allclose(A, A^T) holds at atol = 1e-12 * (1 + max |A|),
-    for a dense or a sparse A: every |A - A^T| entry is at most atol plus
-    1e-5 times the |A^T| entry."""
-    if not sp.issparse(A):
-        return np.allclose(A, A.T, atol=1e-12 * (1 + np.abs(A).max()))
-    T = A.T.tocsr()
-    gap = A - T  # stores no zero, so nothing when A is exactly symmetric
-    return not gap.nnz or (abs(gap) - 1e-5 * abs(T)).max() \
-        <= 1e-12 * (1 + abs(A).max())
+    """Whether every |A - A^T| entry is at most 1e-12 * (1 + max |A|), for a
+    dense or a sparse A; a NaN entry fails."""
+    return abs(A - A.T).max() <= 1e-12 * (1 + abs(A).max())
 
 
 class Metric:
@@ -205,9 +199,10 @@ class GramShiftMetric(Metric):
 
     def __init__(self, gamma: float, tau: float, op: LinearOperator,
                  theta: float, epochs: int = None):
-        require("need gamma >= 0 and tau > 0", gamma=(gamma, gamma >= 0),
-                tau=(tau, tau > 0))
-        require("theta must be nonnegative", theta=(theta, theta >= 0))
+        require("need finite gamma >= 0, tau > 0 and theta >= 0",
+                gamma=(gamma, 0 <= gamma < math.inf),
+                tau=(tau, 0 < tau < math.inf),
+                theta=(theta, 0 <= theta < math.inf))
         self.gamma, self.tau, self.op = float(gamma), float(tau), op
         self.theta = float(theta)
         self.dim = op.rows

@@ -255,8 +255,8 @@ class BirkhoffConstraint(LinearOperator):
     """Row-sum and column-sum operator for n-by-n matrices, matrix-free.
 
     Acting on the row-major flattening of X, returns the 2n-vector of row
-    sums followed by column sums.  Never materialized: it is rank-deficient
-    and only apply/adjoint are needed.
+    sums followed by column sums.  Its products never materialize it; its
+    sparse form holds the row-sum rows over the column-sum rows.
     """
 
     def __init__(self, n: int):
@@ -275,6 +275,14 @@ class BirkhoffConstraint(LinearOperator):
         y = self._check_in(y, self.rows, "apply_adjoint")
         y1, y2 = y[..., : self.n], y[..., self.n :]
         return (y1[..., :, None] + y2[..., None, :]).reshape(*y.shape[:-1], -1)
+
+    def to_sparse(self):
+        """K in CSR form: row i sums X[i, :], row n + j sums X[:, j]."""
+        n = self.n
+        idx = np.arange(n * n).reshape(n, n)
+        return sp.csr_matrix((np.ones(2 * n * n),
+                              np.concatenate([idx.ravel(), idx.T.ravel()]),
+                              np.arange(0, 2 * n * n + 1, n)), shape=self.shape)
 
     def gram_shift_solver(self, shift):
         """Closed-form inverse of K K^T + shift*I; K K^T has the null vector

@@ -8,7 +8,7 @@ polyhedral LP relaxation for the flux/transport problem.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 from typing import Callable, Optional
 
@@ -17,15 +17,14 @@ import scipy.optimize as sopt
 import scipy.sparse as sp
 
 from .exceptions import ConfigurationError, require
-from .metrics import (BlockDiagMetric, GramShiftMetric, ScalarMetric,
-                      SGSMetric, gram_shift_matrix)
+from .metrics import BlockDiagMetric, GramShiftMetric, ScalarMetric
 from .operators import (BirkhoffConstraint, DenseOperator, GridDivergence,
                         LinearOperator, SparseOperator, Transpose, VStack,
                         spectral_norm_sq)
 from .prox import (GroupL12, IndicatorLinfBall, IndicatorSimplex, Linear,
                    QuadraticShift, QuadraticShiftNonneg, SeparableSum, Zero)
 from .solver import (GAMMA_MIN, SaddleProblem, SolverConfig,
-                     duality_gap_matrix_game, solve)
+                     configure_ebalm_sgs, duality_gap_matrix_game, solve)
 
 LP_DIRECTIONS = 2000  # polygon directions per flux norm in emd_lp_objective
 
@@ -74,7 +73,8 @@ def matrix_game(K, tau_tilde: float, gamma: float, tol: float = 1e-5,
     scalar-step method).
     """
     op = K if isinstance(K, LinearOperator) else DenseOperator(K)
-    require("matrix game needs gamma > 3/4", gamma=(gamma, gamma > GAMMA_MIN))
+    require("matrix game needs a finite gamma > 3/4",
+            gamma=(gamma, GAMMA_MIN < gamma < math.inf))
     require("tau_tilde must be positive", tau_tilde=(tau_tilde, tau_tilde > 0))
     est = spectral_norm_sq(op)
     normK = float(np.sqrt(est.value)) if est.value > 0 else 0.0
@@ -219,6 +219,8 @@ def birkhoff_projection(C, tau: float, gamma: float, theta: float = 1e-4,
         if not (gamma > bound - 1e-15 or override):
             raise ConfigurationError(
                 f"gamma = {gamma} must exceed 0.75/(1 + tau/2) = {bound:.6f}")
+        require("the scalar dual step needs a positive, finite gamma",
+                gamma=(gamma, 0 < gamma < math.inf))  # override too
         sigma = 1.0 / (2.0 * n * gamma * tau)
         M2 = ScalarMetric(1.0 / sigma, 2 * n)
     else:
@@ -291,13 +293,13 @@ def emd(rho0, rho1, h: float, tau: float, gamma: float, theta: float = 1e-6,
 
     The flux magnitude sum ||m||_{1,2} is minimized subject to
     div(m) = rho0 - rho1.  ``method`` picks the dual metric: "sgs" runs the
-    convergent symmetric Gauss-Seidel sweep over the red-black node coloring
-    (gamma >= 3/4, and theta > 0 at the boundary: with theta = 0 the sweep
-    metric puts the condition value exactly at 1/gamma); "iebalm" solves
-    with the Gram shift gamma*(tau*K K^T + theta*I) inexactly, by
-    ``bcd_epochs`` plain Gauss-Seidel sweeps from zero over the same
-    coloring (``GramShiftMetric`` with ``epochs``).  That variant has no
-    convergence guarantee, so its condition check is overridden.
+    convergent symmetric Gauss-Seidel sweep over the red-black node coloring,
+    built by ``configure_ebalm_sgs``, which states the method's rule on tau,
+    theta and gamma; "iebalm" solves with the Gram shift
+    gamma*(tau*K K^T + theta*I) inexactly, by ``bcd_epochs`` plain
+    Gauss-Seidel sweeps from zero over the same coloring
+    (``GramShiftMetric`` with ``epochs``).  That variant has no convergence
+    guarantee, so its condition check is overridden.
     """
     rho0 = np.atleast_2d(np.asarray(rho0, dtype=float))
     rho1 = np.atleast_2d(np.asarray(rho1, dtype=float))
@@ -313,29 +315,22 @@ def emd(rho0, rho1, h: float, tau: float, gamma: float, theta: float = 1e-6,
     K = GridDivergence(M, N, h)
     f = GroupL12(M, N)
     b = (rho0 - rho1).ravel()
+    nb = float(np.linalg.norm(b))
+    loop = dict(feas_scale=nb if nb > 0 else 1.0, record_every=record_every)
     if method == "sgs":
-        if not (gamma >= GAMMA_MIN - 1e-15 or override):  # NaN fails too
-            raise ConfigurationError(
-                f"gamma = {gamma} below the 3/4 bound for the sGS sweep")
-        require("the sGS sweep needs a positive, finite gamma",  # override too
-                gamma=(gamma, 0 < gamma < math.inf))
-        if theta == 0.0 and gamma <= GAMMA_MIN + 1e-12 and not override:
-            raise ConfigurationError(
-                "theta = 0 at gamma = 3/4 sits on the condition boundary; "
-                "use theta > 0")
-        M2 = SGSMetric(gram_shift_matrix(K, gamma * tau, theta),
-                       red_black_partition(M, N))
+        saddle, cfg = configure_ebalm_sgs(f, K, b, tau, theta, gamma,
+                                          red_black_partition(M, N), tol,
+                                          max_iter, override)
+        cfg = replace(cfg, **loop)
     elif method == "iebalm":
         M2 = GramShiftMetric(gamma, tau, K, theta=gamma * theta,
                              epochs=bcd_epochs)
-        override = True  # convergence unknown; condition check not meaningful
+        saddle = SaddleProblem(f=f, gstar=Linear(b), K=K)
+        # convergence unknown, so the condition check is not meaningful
+        cfg = SolverConfig(M1=ScalarMetric(1.0 / tau, K.cols), M2=M2, tol=tol,
+                           max_iter=max_iter, override=True, **loop)
     else:
         raise ConfigurationError(f"unknown method {method!r}")
-    nb = float(np.linalg.norm(b))
-    saddle = SaddleProblem(f=f, gstar=Linear(b), K=K)
-    cfg = SolverConfig(M1=ScalarMetric(1.0 / tau, K.cols), M2=M2, tol=tol,
-                       max_iter=max_iter, feas_scale=nb if nb > 0 else 1.0,
-                       record_every=record_every, override=override)
     oracle = None
     if M <= 4 and N <= 4:
         def oracle():

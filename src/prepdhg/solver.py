@@ -523,7 +523,8 @@ def configure_ebalm(f: Proximable, K: LinearOperator, b, tau: float,
     if not (gamma >= GAMMA_MIN or override):  # NaN fails too
         raise ConfigurationError(
             f"gamma = {gamma} below the 3/4 bound; set override to force")
-    require("theta must be positive", theta=(theta, theta > 0))
+    require("need finite tau > 0 and theta > 0",
+            tau=(tau, 0 < tau < math.inf), theta=(theta, theta > 0))
     b = np.asarray(b, dtype=float).ravel()
     problem = SaddleProblem(f=f, gstar=Linear(b), K=K)
     M1 = ScalarMetric(1.0 / tau, K.cols)
@@ -540,17 +541,34 @@ def configure_ebalm_sgs(f: Proximable, K: LinearOperator, b, tau: float,
     """Balanced ALM with one symmetric Gauss-Seidel block sweep per dual step.
 
     The sweep over the block partition of Q = gamma*tau*K*K^T + theta*I is an
-    exact solve with Q + U D^{-1} U^T, so the method is the same iteration
-    with that implied dual metric.  Requires a nonzero off-diagonal part; use
-    ``configure_ebalm`` when the partition decouples.
+    exact solve with M = Q + U D^{-1} U^T, so the method is the same
+    iteration with that implied dual metric.  This helper owns the method's
+    rule, and ``problems.emd`` builds through it:
+
+    - 0 < tau < inf, 0 <= theta < inf and 0 < gamma < inf, even under
+      ``override``;
+    - gamma >= 3/4 (less 1e-15) unless ``override``;
+    - theta > 0 when gamma <= 3/4 + 1e-12, unless ``override``;
+    - the partition couples (U has an entry); use ``configure_ebalm`` when
+      it does not.
+
+    M >= Q caps the condition value s at 1/gamma, and theta = 0 reaches the
+    cap: a y supported on the last block has U^T y = 0, so M y = Q y, and
+    u = K^T y gives tau u^T K^T M^{-1} K u / ||u||^2 = 1/gamma.  So theta = 0
+    at gamma = 3/4 puts s exactly on the 4/3 boundary, where an estimate
+    that stops short of s can still read a strict pass.
     """
-    if not (gamma >= GAMMA_MIN or override):  # NaN fails too
-        raise ConfigurationError(
-            f"gamma = {gamma} below the 3/4 bound; set override to force")
-    require("theta must be nonnegative", theta=(theta, theta >= 0))
+    require("the sGS sweep needs finite tau > 0, theta >= 0 and gamma > 0",
+            tau=(tau, 0 < tau < math.inf), theta=(theta, 0 <= theta < math.inf),
+            gamma=(gamma, 0 < gamma < math.inf))  # override too
+    require("gamma below the sGS sweep's 3/4 bound; set override to force",
+            gamma=(gamma, gamma >= GAMMA_MIN - 1e-15 or override))
+    require(f"theta = 0 at gamma = {gamma} puts the sGS condition value on "
+            "the 4/3 boundary; use theta > 0 or set override",
+            theta=(theta, theta > 0 or gamma > GAMMA_MIN + 1e-12 or override))
     b = np.asarray(b, dtype=float).ravel()
     M2 = SGSMetric(gram_shift_matrix(K, gamma * tau, theta), partition)
-    if M2.U.nnz == 0 or abs(M2.U).max() == 0.0:
+    if not M2.U.nnz:  # the kernel's upper() stores no zero
         raise ConfigurationError(
             "partition has no off-diagonal coupling; use configure_ebalm")
     problem = SaddleProblem(f=f, gstar=Linear(b), K=K)

@@ -477,6 +477,11 @@ def test_builder_errors_surface_before_any_cell(tmp_path, capsys, monkeypatch,
     (["game", "--gamma", "nan"], "gamma = nan"),
     (["game", "--tau-exp=nan"], "tau_tilde = nan"),
     (["tvls", "--gamma", "nan"], "gamma = nan"),
+    # an infinite gamma reached a division by zero
+    (["game", "--m", "4", "--n", "4", "--gamma", "inf", "--tau-exp=-0.5"],
+     "gamma = inf"),
+    (["birkhoff", "--method", "pdhg", "--gamma", "inf"], "gamma = inf"),
+    (["birkhoff", "--gamma", "inf"], "gamma = inf"),
 ])
 def test_builder_refusals_come_before_the_pool(tmp_path, capsys, monkeypatch,
                                                argv, named):

@@ -297,7 +297,8 @@ class TestSGS:
 
     def test_rejects_a_non_symmetric_q(self):
         # its sweep would not be the stated metric Q + U D^{-1} U^T; the rule
-        # is the dense metric's: np.allclose(Q, Q^T) at atol 1e-12 (1 + max|Q|)
+        # is the dense metric's: max |Q - Q^T| <= 1e-12 (1 + max|Q|), with no
+        # relative slack (np.allclose's rtol = 1e-5 took a 5e-6 gap)
         Q = np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 0.5], [0.0, 0.0, 2.0]])
         blocks = [np.array([0]), np.array([1]), np.array([2])]
         for q in (Q, sp.csr_matrix(Q)):
@@ -313,6 +314,13 @@ class TestSGS:
                 else:
                     with pytest.raises(ConfigurationError, match="symmetric"):
                         make(T, blocks)
+        Q = np.array([[4.0, 1.0, 0.0], [1.0, 4.0, 0.5], [0.0, 0.5, 4.0]])
+        Q[0, 1] += 5e-6
+        for q in (Q, sp.csr_matrix(Q)):
+            with pytest.raises(ConfigurationError, match="Q must be symmetric"):
+                SGSMetric(q, blocks)
+        with pytest.raises(ConfigurationError, match="must be symmetric"):
+            DenseMetric(Q)
         # the sweeps' Gram shifts are exactly symmetric
         G = gram_shift_matrix(GridDivergence(8, 8, 1.75), 0.75 * 0.03, 1e-6)
         assert abs(G - G.T).max() == 0

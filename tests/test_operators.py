@@ -260,6 +260,23 @@ def test_to_sparse_matches_dense():
         assert np.array_equal(S.toarray(), op.to_dense())
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 7])
+def test_birkhoff_sparse_form_is_the_probed_csr(n):
+    K = BirkhoffConstraint(n)
+    S, want = K.to_sparse(), sp.csr_matrix(K.to_dense())
+    for name in ("indptr", "indices", "data"):
+        got, ref = getattr(S, name), getattr(want, name)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+
+def test_birkhoff_diagonal_preconditioner_past_the_probe_cap():
+    # the probe refuses past 2^22 entries (n = 150: 300 x 22,500); the sparse
+    # form sums each row's and column's n ones
+    M1, M2 = build_diag_preconditioner(BirkhoffConstraint(150), 1, 0, 1, 1)
+    assert np.array_equal(M1.diagonal(), np.full(150 * 150, 2.0))
+    assert np.array_equal(M2.diagonal(), np.full(300, 150.0))
+
+
 def test_loaders_roundtrip(tmp_path):
     rng = np.random.default_rng(5)
     A = rng.standard_normal((3, 4))

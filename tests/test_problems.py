@@ -1,15 +1,19 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from prepdhg.exceptions import ConfigurationError
 from prepdhg.metrics import check_condition
-from prepdhg.operators import BirkhoffConstraint
+from prepdhg.operators import BirkhoffConstraint, GridDivergence
 from prepdhg.problems import (OracleSolution, birkhoff_projection, emd,
                               emd_lp_objective, game_matrix, load_grid,
                               matrix_game, matrix_game_equilibrium,
                               oracle_solve, project_birkhoff_dykstra,
                               random_balanced_grids, random_sparse_system,
                               red_black_partition, tv_least_squares)
+from prepdhg.prox import Zero
+from prepdhg.solver import configure_ebalm, configure_ebalm_sgs
 
 
 class TestMatrixGame:
@@ -418,6 +422,59 @@ class TestTVLS:
         assert rep.condition.passed
         assert rep.status == "max-iter" and rep.iters == 3
         assert np.all(np.isfinite(rep.x_final))
+
+
+_R0, _R1 = random_balanced_grids(4, 4, 8)
+_R = random_sparse_system(8, 16, 0.3, 0)
+_K = GridDivergence(4, 4, 1.0)
+_BUILDERS = {
+    # name: (builder, the valid value of each numeric parameter, override?)
+    "game": (lambda **kw: matrix_game(np.eye(3), **kw),
+             dict(tau_tilde=1.0, gamma=1.0), False),
+    "birkhoff-ebalm": (lambda **kw: birkhoff_projection(
+        np.eye(3), method="ebalm", **kw),
+        dict(tau=1.0, theta=1e-4, gamma=1.0), True),
+    "birkhoff-pdhg": (lambda **kw: birkhoff_projection(
+        np.eye(3), method="pdhg", **kw),
+        dict(tau=1.0, theta=1e-4, gamma=1.0), True),
+    "emd-sgs": (lambda **kw: emd(_R0, _R1, method="sgs", **kw),
+                dict(h=1.0, tau=0.5, theta=1e-6, gamma=1.0), True),
+    "emd-iebalm": (lambda **kw: emd(_R0, _R1, method="iebalm", **kw),
+                   dict(h=1.0, tau=0.5, theta=1e-6, gamma=1.0), True),
+    "tvls": (lambda **kw: tv_least_squares(_R, np.ones(8), grid=(4, 4), **kw),
+             dict(lam=1.0, tau=0.01, theta=1e-3, gamma=0.75), True),
+    "ebalm": (lambda **kw: configure_ebalm(
+        Zero(_K.cols), _K, np.zeros(16), **kw),
+        dict(tau=0.5, theta=1e-3, gamma=1.0), True),
+    "ebalm-sgs": (lambda **kw: configure_ebalm_sgs(
+        Zero(_K.cols), _K, np.zeros(16), partition=red_black_partition(4, 4),
+        **kw),
+        dict(tau=0.5, theta=1e-3, gamma=1.0), True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BUILDERS))
+def test_a_bad_number_builds_or_is_a_configuration_error(name):
+    # exceptions.py's promise: a builder refuses each bad value at set-up by
+    # ConfigurationError (infinite gamma or a zero tau reached a division)
+    build, valid, has_override = _BUILDERS[name]
+    build(**valid)  # the valid values build, so a refusal is the bad value's
+    others = []
+    for param in valid:
+        for bad in (0.0, -1.0, np.nan, np.inf, -np.inf):
+            for override in (False, True) if has_override else (False,):
+                kw = dict(valid, **{param: bad})
+                if has_override:
+                    kw["override"] = override
+                try:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        build(**kw)
+                except ConfigurationError:
+                    pass
+                except Exception as e:  # noqa: BLE001, the promise's breach
+                    others.append(f"{param}={bad} override={override}: {e!r}")
+    assert not others
 
 
 def test_load_grid_roundtrip(tmp_path):

@@ -15,7 +15,8 @@ from prepdhg.solver import (BLOWUP, HistoryRow, SaddleProblem, SolverConfig,
                             _Engine, configure_ebalm, configure_ebalm_sgs,
                             duality_gap_matrix_game, prepdhg_step, solve,
                             sublinear_diagnostic)
-from prepdhg.problems import game_matrix, matrix_game
+from prepdhg.problems import (emd, game_matrix, matrix_game,
+                              random_balanced_grids, red_black_partition)
 from test_batch import assert_same_report
 
 
@@ -431,6 +432,61 @@ class TestConfigureEbalmSGS:
             configure_ebalm_sgs(Zero(6), K, np.zeros(4), 0.5,
                                 partition=[np.array([0, 1]),
                                            np.array([2, 3])], **kw)
+
+    @staticmethod
+    def _grid(n):
+        """An n x n emd grid's divergence (h = (n - 1)/4), its masses'
+        difference and its red-black coloring, at tau = 10^-1.5."""
+        r0, r1 = random_balanced_grids(n, n, 0)
+        return (GroupL12(n, n), GridDivergence(n, n, (n - 1) / 4),
+                (r0 - r1).ravel(), 10 ** -1.5, red_black_partition(n, n))
+
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_theta_zero_at_three_quarters_is_refused(self, n):
+        # theta = 0 puts the condition value at exactly 1/gamma = 4/3; at 64^2
+        # the check read s_hat = 4/3 - 6.9e-9 unconverged and passed it
+        f, K, b, tau, blocks = self._grid(n)
+        with pytest.raises(ConfigurationError, match=r"4/3 boundary.*theta = 0"):
+            configure_ebalm_sgs(f, K, b, tau, 0.0, 0.75, blocks)
+        _, cfg = configure_ebalm_sgs(f, K, b, tau, 0.0, 0.75, blocks,
+                                     override=True)
+        assert cfg.override
+        configure_ebalm_sgs(f, K, b, tau, 0.0, 0.8, blocks)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0])
+    def test_gamma_not_positive_and_finite_is_refused_under_override(self, bad):
+        f, K, b, tau, blocks = self._grid(8)
+        with pytest.raises(ConfigurationError, match=f"gamma = {bad}"):
+            configure_ebalm_sgs(f, K, b, tau, 1e-6, bad, blocks,
+                                override=True)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("override", [False, True])
+    def test_tau_not_positive_and_finite_is_refused(self, bad, override):
+        # 0 read "no off-diagonal coupling", -1 "BCD needs positive diagonal
+        # entries" and the rest "Q must be symmetric"
+        f, K, b, _, blocks = self._grid(8)
+        with pytest.raises(ConfigurationError, match=f"tau = {bad}"):
+            configure_ebalm_sgs(f, K, b, bad, 1e-6, 1.0, blocks,
+                                override=override)
+
+    def test_emd_builds_through_the_helper(self):
+        r0, r1 = random_balanced_grids(8, 8, 0)
+        inst = emd(r0, r1, 7 / 4, 10 ** -1.5, 0.75, theta=1e-6, tol=3e-5,
+                   max_iter=777, record_every=7)
+        f, K, b, tau, blocks = self._grid(8)
+        _, cfg = configure_ebalm_sgs(f, K, b, tau, 1e-6, 0.75, blocks,
+                                     tol=3e-5, max_iter=777)
+        got, want = inst.config, cfg
+        for name in ("indptr", "indices", "data"):
+            assert getattr(got.M2.kernel.M, name).tobytes() == \
+                getattr(want.M2.kernel.M, name).tobytes()
+        assert all(np.array_equal(g, w) for g, w in
+                   zip(got.M2.kernel.groups, want.M2.kernel.groups, strict=True))
+        assert got.M1.diagonal().tobytes() == want.M1.diagonal().tobytes()
+        assert (got.tol, got.max_iter, got.override) == (3e-5, 777, False)
+        assert (want.feas_scale, want.record_every) == (1.0, 1)
+        assert got.feas_scale == np.linalg.norm(b) and got.record_every == 7
 
     def test_decoupled_partition_redirects_to_ebalm(self):
         K = DenseOperator(np.diag([1.0, 2.0, 3.0]))
