@@ -493,6 +493,7 @@ def run_check(args):
     report = check_condition(_metric(args.m1, K.cols), args.sigma_f,
                              _metric(args.m2, K.rows), K)
     print(f"s_hat = {report.s_hat:.12g}")
+    print(f"s_bar = {report.s_bar:.12g}")
     print(f"threshold = {report.threshold:.12g}")
     print(f"margin = {report.margin:.12g}")
     print(f"verdict = {report.verdict}")

@@ -26,7 +26,11 @@ inner product, and compares it against the 4/3 threshold below which the
 iteration provably converges.  For a scalar pair
 (M1 + Sigma_f/2 = a I, M2 = b I) the eigenproblem collapses to
 s = ||K||^2 / (a b), which it reads off the operator's memoized
-``spectral_norm_sq``.
+``spectral_norm_sq``.  Where a metric bounds ||M2^{-1/2} K||^2 in closed
+form (``Metric.norm_bound``, for a Gram shift over an operator with a
+``gram_bound`` and the sGS metric of one), the check also reports a
+certified upper bound s_bar, and with s_bar below the threshold it reads
+the estimate once.
 """
 
 import math
@@ -50,6 +54,10 @@ CONDITION_THRESHOLD = 4.0 / 3.0
 
 #: steps between two readings of the condition check's Lanczos estimate
 RITZ_EVERY = 25
+
+#: relative pad on the certified bound s_bar, for the rounding of its
+#: closed form: a few dozen operations, each within eps/2 relative
+BOUND_PAD = 64 * 2.0 ** -52  # 64 eps
 
 _FACTOR_CAP = 4096
 SQRT_CAP = 64  # largest metric dimension ``dense_sqrt`` takes a root of
@@ -99,6 +107,29 @@ def spd_solver(A, name: str = "matrix"):
     return lu.solve
 
 
+def _gram_shift_bound(K, op, scale, shift):
+    """An upper bound on ||(scale op op^T + shift I)^{-1/2} K||^2 from op's
+    ``gram_bound`` when K is op, or an operator of op's class with the same
+    sparse form; else None.  The value is the largest of lambda / (scale
+    lambda + shift) over the eigenvalues lambda of K K^T, which grows with
+    lambda, so at an upper bound on lambda_max it bounds the value."""
+    lam = op.gram_bound()
+    if lam is None or not (K is op or _same_matrix(K, op)):
+        return None
+    return lam / (scale * lam + shift) if lam > 0 else 0.0
+
+
+def _same_matrix(K, op) -> bool:
+    """Whether K is of op's class and stores op's CSR arrays, entry for
+    entry: so each cell of a sweep, built over an operator of its own,
+    keeps its certificate in a block solved over the first cell's K."""
+    if type(K) is not type(op) or K.shape != op.shape:
+        return False
+    A, B = K.to_sparse(), op.to_sparse()
+    return all(np.array_equal(getattr(A, a), getattr(B, a))
+               for a in ("indptr", "indices", "data"))
+
+
 def _symmetric(A) -> bool:
     """Whether every |A - A^T| entry is at most 1e-12 * (1 + max |A|), for a
     dense or a sparse A; a NaN entry fails."""
@@ -118,6 +149,11 @@ class Metric:
 
     def diagonal(self):
         """The diagonal of M when M is diagonal, else None."""
+        return None
+
+    def norm_bound(self, K):
+        """An upper bound on ||M^{-1/2} K||^2 in closed form, for the K the
+        metric was built over (``_same_matrix``), else None."""
         return None
 
     def to_dense(self) -> np.ndarray:
@@ -194,7 +230,9 @@ class GramShiftMetric(Metric):
     nothing.  Given ``epochs``, the solve is instead that many Gauss-Seidel
     sweeps from zero (``BoxQuadBCD.sweep`` without a box): an inexact solve
     that factorizes nothing, so it also builds where K K^T is singular and
-    theta = 0.
+    theta = 0.  Without ``epochs``, ``norm_bound(op)`` is the closed form
+    of ``_gram_shift_bound`` when op has a ``gram_bound``; with them there
+    is none, since the solve is not M^{-1}.
     """
 
     def __init__(self, gamma: float, tau: float, op: LinearOperator,
@@ -207,6 +245,7 @@ class GramShiftMetric(Metric):
         self.theta = float(theta)
         self.dim = op.rows
         gt = self._gt = self.gamma * self.tau
+        self.epochs = epochs
         if epochs is not None:
             gs = BoxQuadBCD(self.to_sparse(), np.inf, epochs)
             self._solve = lambda r: gs.sweep(r, np.zeros_like(r))
@@ -226,6 +265,11 @@ class GramShiftMetric(Metric):
 
     def solve(self, r):
         return self._solve(as_vector(r, self.dim))
+
+    def norm_bound(self, K):
+        if self.epochs is not None:
+            return None
+        return _gram_shift_bound(K, self.op, self._gt, self.theta)
 
     def to_sparse(self) -> sp.csr_matrix:
         """M in CSR form, by ``gram_shift_matrix``."""
@@ -249,7 +293,13 @@ class SGSMetric(Metric):
     kernel's block solves.  A Q that is not symmetric, by the dense
     metric's rule (``_symmetric``), is refused: its sweep would not be this
     metric.
+
+    Built by ``gram_shift`` over Q = scale K K^T + shift I, it records
+    (K, scale, shift), and ``norm_bound(K)`` is Q's: M >= Q gives
+    ||M^{-1/2} K||^2 <= ||Q^{-1/2} K||^2.
     """
+
+    _gram = None  # (K, scale, shift) of a Q built by ``gram_shift``
 
     def __init__(self, Q, blocks):
         Q = sp.csr_matrix(Q)
@@ -260,6 +310,17 @@ class SGSMetric(Metric):
         self.dim = Q.shape[0]
         self.kernel = BoxQuadBCD(Q, np.inf, 1, blocks)
         self.D, self.U = self.kernel.D, self.kernel.upper()
+
+    @classmethod
+    def gram_shift(cls, K: LinearOperator, scale: float, shift: float,
+                   blocks):
+        """The metric over Q = ``gram_shift_matrix(K, scale, shift)``."""
+        metric = cls(gram_shift_matrix(K, scale, shift), blocks)
+        metric._gram = (K, scale, shift)
+        return metric
+
+    def norm_bound(self, K):
+        return None if self._gram is None else _gram_shift_bound(K, *self._gram)
 
     def apply(self, z):
         z = as_vector(z, self.dim)
@@ -483,13 +544,16 @@ class ConditionReport:
     s_hat: float
     threshold: float
     margin: float
-    verdict: str  # "pass-strict" | "pass-unit" | "fail"
+    #: "pass-strict" | "pass-unit" | "inconclusive" | "fail"
+    verdict: str
     converged: bool
     iterations: int
+    #: the certified upper bound on s, +inf when there is none
+    s_bar: float = math.inf
 
     @property
     def passed(self) -> bool:
-        return self.verdict != "fail"
+        return self.verdict in ("pass-strict", "pass-unit")
 
     @property
     def unit(self) -> bool:
@@ -538,16 +602,38 @@ def check_condition(M1: Metric, sigma_f, M2: Metric, K: LinearOperator,
     s is the largest eigenvalue of A^{-1} K^T M2^{-1} K with A = M1 +
     diag(sigma_f)/2, estimated by Lanczos in the A inner product
     (``_generalized_lanczos``), which avoids any matrix square root.  The
-    estimate is a Ritz value, so in exact arithmetic it lies below s and
-    above the power iteration's Rayleigh quotient after as many products.
-    ``converged`` means it stalled or the Krylov space ran out; it is not
-    certified.  It assumes a symmetric M2 solve: the Gauss-Seidel solve of
-    a ``GramShiftMetric`` built with ``epochs`` is not symmetric, and a
-    check of it says little (emd's iebalm overrides its check).  The
-    verdict is "fail" when the estimate reaches 4/3 (minus a small slack),
-    "pass-unit" when it is below 1 (the regime with per-iterate rate
-    guarantees), and "pass-strict" in between.  Mismatched dimensions
-    raise ConfigurationError.
+    estimate is a Ritz value, so in exact arithmetic it lies below s, grows
+    from one reading to the next, and lies above the power iteration's
+    Rayleigh quotient after as many products.  ``converged`` means it
+    stalled or the Krylov space ran out; it is not certified.  It assumes
+    a symmetric M2 solve: the Gauss-Seidel solve of a ``GramShiftMetric``
+    built with ``epochs`` is not symmetric, and a check of it says little
+    (emd's iebalm overrides its check).  Mismatched dimensions raise
+    ConfigurationError.
+
+    The certified bound ``s_bar``: when A is diagonal and M2 knows an upper
+    bound on ||M2^{-1/2} K||^2 in closed form (``Metric.norm_bound``: a
+    Gram shift gamma*tau*K K^T + theta*I over an operator with a
+    ``gram_bound``, or the sGS metric of one), s <= that bound / min(diag
+    A), and ``s_bar`` is this quotient times 1 + ``BOUND_PAD``; otherwise
+    it is +inf.  It certifies s of the metrics as stated, in exact
+    arithmetic: A's stored diagonal, M2 built from K's stored entries and
+    the stored gamma, tau and theta.  The pad (64 eps relative) covers the
+    rounding of the closed form, a few dozen floating-point operations;
+    the rounding of the products the iteration runs, and of the entries of
+    an assembled Q that a sGS metric sweeps, is not covered.
+
+    The verdict is "fail" when the estimate reaches 4/3 (minus the slack
+    ``CHECKER_SLACK``; a NaN estimate fails), "inconclusive" when it lies
+    below that but neither converged nor is certified there (s_bar below
+    4/3 - slack), else "pass-unit" when it is below 1 - slack (the regime
+    with per-iterate rate guarantees) and "pass-strict" in between.  Only
+    the two passes count as ``passed``.  With s_bar below 4/3 - slack,
+    Lanczos stops at its first reading (``RITZ_EVERY`` products) when that
+    reading settles the unit question: it reads at least 1 - slack, which
+    later readings only raise, or s_bar is below 1 - slack.  The verdict
+    is then the one the full run would give, and ``converged`` is False;
+    otherwise the estimate runs on as without a certificate.
 
     A scalar pair, whose diagonals A = a I and M2 = b I are constant and
     nonempty, takes no iteration of its own: s is
@@ -569,26 +655,35 @@ def check_condition(M1: Metric, sigma_f, M2: Metric, K: LinearOperator,
     dA = M1.diagonal()  # A's diagonal, when A is diagonal
     if dA is not None and sigma is not None:
         dA = dA + 0.5 * sigma
+    bound = M2.norm_bound(K) if dA is not None and dA.size else None
+    s_bar = math.inf if bound is None else \
+        float(bound / dA.min()) * (1 + BOUND_PAD)
+    strict, unit = CONDITION_THRESHOLD - CHECKER_SLACK, 1.0 - CHECKER_SLACK
     ab = _scalar_pair(dA, M2)
     if ab is not None:
         est = spectral_norm_sq(K, tol=tol)
         s, converged, it = est.value / ab, est.converged, est.iterations
     else:
+        settled = (lambda s: s >= unit or s_bar < unit) \
+            if s_bar < strict else None
         a_apply, a_solve = _shifted_solver(M1, sigma)
         s, converged, it = _generalized_lanczos(K, M2, a_apply, a_solve, tol,
-                                                max_iter, seed)
-    if not s < CONDITION_THRESHOLD - CHECKER_SLACK:  # a NaN estimate fails
+                                                max_iter, seed, settled)
+    if not s < strict:  # a NaN estimate fails
         verdict = "fail"
-    elif s < 1.0 - CHECKER_SLACK:
+    elif not (converged or s_bar < strict):
+        verdict = "inconclusive"
+    elif s < unit:
         verdict = "pass-unit"
     else:
         verdict = "pass-strict"
     return ConditionReport(s_hat=s, threshold=CONDITION_THRESHOLD,
                            margin=CONDITION_THRESHOLD - s, verdict=verdict,
-                           converged=converged, iterations=it)
+                           converged=converged, iterations=it, s_bar=s_bar)
 
 
-def _generalized_lanczos(K, M2, a_apply, a_solve, tol, max_iter, seed):
+def _generalized_lanczos(K, M2, a_apply, a_solve, tol, max_iter, seed,
+                         settled=None):
     """(s, converged, iterations) of Lanczos on A^{-1} C, C = K^T M2^{-1} K.
 
     A three-term recurrence in the A inner product from the seeded start
@@ -606,8 +701,9 @@ def _generalized_lanczos(K, M2, a_apply, a_solve, tol, max_iter, seed):
     plateau passes less often), at breakdown (beta_k = 0), at k = dim and
     at ``max_iter``.  It is
     converged when two readings differ by at most ``tol`` relative, or
-    when the Krylov space runs out.  ``iterations`` counts the products
-    with C; a non-finite coefficient returns NaN, unconverged.
+    when the Krylov space runs out.  Given ``settled``, a first reading
+    for which it holds ends the run, unconverged.  ``iterations`` counts
+    the products with C; a non-finite coefficient returns NaN, unconverged.
     """
     n = K.cols
     size = min(max_iter, max(n, 1))  # k = dim ends it; an empty K takes one
@@ -635,6 +731,8 @@ def _generalized_lanczos(K, M2, a_apply, a_solve, tol, max_iter, seed):
             if exhausted or (s is not None and abs(s_new - s)
                              <= tol * max(abs(s_new), 1e-300)):
                 return s_new, True, k
+            if s is None and settled is not None and settled(s_new):
+                return s_new, False, k
             s = s_new
         b_prev, b = b, math.sqrt(bb)
         beta[k - 1] = b

@@ -16,6 +16,8 @@ closed form (``gram_shift_solver``), so that no Gram shift over them is
 factorized: the row/column-sum operator by two rank-one corrections, the
 grid divergence by the 2D discrete cosine transform that diagonalizes its
 Gram matrix, and the transpose of either through its child's solve.
+The same three know an upper bound on lambda_max(K K^T) in closed form
+(``gram_bound``), which certifies the condition value of a Gram shift.
 """
 
 import math
@@ -78,6 +80,10 @@ class LinearOperator:
         ``BirkhoffConstraint``, whose K K^T is always singular, raises
         ``ConfigurationError`` for shift <= 0 instead.
         """
+        return None
+
+    def gram_bound(self):
+        """An upper bound on lambda_max(K K^T) in closed form, or None."""
         return None
 
 
@@ -240,6 +246,13 @@ class GridDivergence(SparseOperator):
             return (CM.T @ Y @ CN).ravel()
         return solve
 
+    def gram_bound(self):
+        """h^2 (lambda_M,max + lambda_N,max), lambda_n,max = 4 sin^2(pi (n-1)
+        / 2n), the top eigenvalue of K K^T itself, in O(1)."""
+        top = (4.0 * math.sin(math.pi * (n - 1) / (2 * n)) ** 2
+               for n in (self.M, self.N))
+        return self.h * self.h * sum(top)
+
 
 def _dct(n):
     """The orthonormal DCT-II matrix of order n, C[k, j] = c_k cos(pi k
@@ -303,6 +316,11 @@ class BirkhoffConstraint(LinearOperator):
             return out
         return solve
 
+    def gram_bound(self):
+        """2n: K K^T = [[n I, E], [E, n I]] with E the all-ones matrix has
+        the top eigenvector (e; e)."""
+        return 2.0 * self.n
+
 
 class VStack(SparseOperator):
     """Vertical stack [K1; K2; ...] of the children's sparse forms."""
@@ -341,6 +359,10 @@ class Transpose(SparseOperator):
             out /= shift
             return out
         return solve
+
+    def gram_bound(self):
+        """K's: A A^T = K^T K and K K^T share their nonzero eigenvalues."""
+        return self.op.gram_bound()
 
 
 class SpectralEstimate(NamedTuple):

@@ -75,7 +75,8 @@ def matrix_game(K, tau_tilde: float, gamma: float, tol: float = 1e-5,
     op = K if isinstance(K, LinearOperator) else DenseOperator(K)
     require("matrix game needs a finite gamma > 3/4",
             gamma=(gamma, GAMMA_MIN < gamma < math.inf))
-    require("tau_tilde must be positive", tau_tilde=(tau_tilde, tau_tilde > 0))
+    require("tau_tilde must be positive and finite",
+            tau_tilde=(tau_tilde, 0 < tau_tilde < math.inf))
     est = spectral_norm_sq(op)
     normK = float(np.sqrt(est.value)) if est.value > 0 else 0.0
     if normK == 0.0:
@@ -203,8 +204,8 @@ def birkhoff_projection(C, tau: float, gamma: float, theta: float = 1e-4,
     n = C.shape[0]
     if C.shape != (n, n):
         raise ConfigurationError("C must be square")
-    require("tau and theta must be positive", tau=(tau, tau > 0),
-            theta=(theta, theta > 0))
+    require("need finite tau > 0 and theta > 0",
+            tau=(tau, 0 < tau < math.inf), theta=(theta, theta > 0))
     bound = GAMMA_MIN / (1.0 + tau / 2.0)
     K = BirkhoffConstraint(n)
     f = QuadraticShiftNonneg(C.ravel())
@@ -214,17 +215,19 @@ def birkhoff_projection(C, tau: float, gamma: float, theta: float = 1e-4,
         if not (gamma >= bound - 1e-12 or override):  # NaN fails too
             raise ConfigurationError(
                 f"gamma = {gamma} below 0.75/(1 + tau/2) = {bound:.6f}")
-        M2 = GramShiftMetric(gamma, tau, K, theta=gamma * tau * theta)
     elif method == "pdhg":
         if not (gamma > bound - 1e-15 or override):
             raise ConfigurationError(
                 f"gamma = {gamma} must exceed 0.75/(1 + tau/2) = {bound:.6f}")
-        require("the scalar dual step needs a positive, finite gamma",
-                gamma=(gamma, 0 < gamma < math.inf))  # override too
-        sigma = 1.0 / (2.0 * n * gamma * tau)
-        M2 = ScalarMetric(1.0 / sigma, 2 * n)
     else:
         raise ConfigurationError(f"unknown method {method!r}")
+    require("the dual step needs a positive, finite gamma",
+            gamma=(gamma, 0 < gamma < math.inf))  # override too
+    if method == "ebalm":
+        M2 = GramShiftMetric(gamma, tau, K, theta=gamma * tau * theta)
+    else:
+        sigma = 1.0 / (2.0 * n * gamma * tau)
+        M2 = ScalarMetric(1.0 / sigma, 2 * n)
     saddle = SaddleProblem(f=f, gstar=Linear(b), K=K)
     cfg = SolverConfig(M1=M1, M2=M2, tol=tol, max_iter=max_iter,
                        override=override, x0=np.full(n * n, 1.0 / n),
@@ -310,8 +313,8 @@ def emd(rho0, rho1, h: float, tau: float, gamma: float, theta: float = 1e-6,
         raise ConfigurationError("grid must have at least two nodes")
     if abs(rho0.sum() - rho1.sum()) > 1e-12 * max(1.0, rho0.sum()):
         raise ConfigurationError("total masses must balance")
-    require("need tau > 0 and theta >= 0", tau=(tau, tau > 0),
-            theta=(theta, theta >= 0))
+    require("need finite tau > 0 and theta >= 0",
+            tau=(tau, 0 < tau < math.inf), theta=(theta, 0 <= theta < math.inf))
     K = GridDivergence(M, N, h)
     f = GroupL12(M, N)
     b = (rho0 - rho1).ravel()
@@ -323,6 +326,8 @@ def emd(rho0, rho1, h: float, tau: float, gamma: float, theta: float = 1e-6,
                                           max_iter, override)
         cfg = replace(cfg, **loop)
     elif method == "iebalm":
+        require("the inexact Gram-shift solve needs a positive, finite gamma",
+                gamma=(gamma, 0 < gamma < math.inf))
         M2 = GramShiftMetric(gamma, tau, K, theta=gamma * theta,
                              epochs=bcd_epochs)
         saddle = SaddleProblem(f=f, gstar=Linear(b), K=K)
@@ -410,10 +415,13 @@ def tv_least_squares(R, b, lam: float, grid, tau: float, gamma: float,
     b = np.asarray(b, dtype=float).ravel()
     if b.size != Rop.rows:
         raise ConfigurationError("b length must equal R rows")
-    require("lam, tau, theta must be positive", lam=(lam, lam > 0),
-            tau=(tau, tau > 0), theta=(theta, theta > 0))
+    require("need lam > 0, finite tau > 0 and theta > 0",
+            lam=(lam, lam > 0), tau=(tau, 0 < tau < math.inf),
+            theta=(theta, theta > 0))
     if not (gamma >= GAMMA_MIN - 1e-15 or override):  # NaN fails too
         raise ConfigurationError(f"gamma = {gamma} below the 3/4 bound")
+    require("the primal metric needs a positive, finite gamma",
+            gamma=(gamma, 0 < gamma < math.inf))  # override too
     D = Transpose(GridDivergence(M, N, 1.0))
     K = VStack([Rop, D])
     normR_sq = spectral_norm_sq(Rop).value

@@ -43,7 +43,7 @@ import numpy as np
 
 from .exceptions import ConfigurationError, require
 from .metrics import (GramShiftMetric, Metric, ScalarMetric, SGSMetric,
-                      check_condition, gram_shift_matrix)
+                      check_condition)
 # solver uses no BoxQuadBCD itself; perfbench/trace.py finds it here to wrap
 from .metrics import BoxQuadBCD  # noqa: F401
 from .operators import LinearOperator
@@ -346,6 +346,11 @@ def _stop_residual(rule, mv, tol=None):
 def _checked_condition(p: SaddleProblem, cfg: SolverConfig):
     report = check_condition(cfg.M1, p.f.sigma, cfg.M2, p.K,
                              tol=CHECK_TOL, max_iter=CHECK_MAX_ITER)
+    if report.verdict == "inconclusive":
+        raise ConfigurationError(
+            f"condition check inconclusive: s_hat = {report.s_hat:.6f} did "
+            f"not converge in {report.iterations} products and no bound "
+            f"certifies it below 4/3; set override to run anyway")
     if not report.passed:
         raise ConfigurationError(
             f"metric pair fails the convergence condition "
@@ -523,8 +528,9 @@ def configure_ebalm(f: Proximable, K: LinearOperator, b, tau: float,
     if not (gamma >= GAMMA_MIN or override):  # NaN fails too
         raise ConfigurationError(
             f"gamma = {gamma} below the 3/4 bound; set override to force")
-    require("need finite tau > 0 and theta > 0",
-            tau=(tau, 0 < tau < math.inf), theta=(theta, theta > 0))
+    require("need finite tau > 0, theta > 0 and gamma > 0",
+            tau=(tau, 0 < tau < math.inf), theta=(theta, theta > 0),
+            gamma=(gamma, 0 < gamma < math.inf))  # override too
     b = np.asarray(b, dtype=float).ravel()
     problem = SaddleProblem(f=f, gstar=Linear(b), K=K)
     M1 = ScalarMetric(1.0 / tau, K.cols)
@@ -556,7 +562,10 @@ def configure_ebalm_sgs(f: Proximable, K: LinearOperator, b, tau: float,
     cap: a y supported on the last block has U^T y = 0, so M y = Q y, and
     u = K^T y gives tau u^T K^T M^{-1} K u / ||u||^2 = 1/gamma.  So theta = 0
     at gamma = 3/4 puts s exactly on the 4/3 boundary, where an estimate
-    that stops short of s can still read a strict pass.
+    that stops short of s can still read a strict pass.  The metric is
+    built by ``SGSMetric.gram_shift``, so the condition check bounds s by
+    Q's closed form s_Q = tau lambda / (gamma tau lambda + theta), lambda
+    the operator's ``gram_bound``, when K has one.
     """
     require("the sGS sweep needs finite tau > 0, theta >= 0 and gamma > 0",
             tau=(tau, 0 < tau < math.inf), theta=(theta, 0 <= theta < math.inf),
@@ -567,7 +576,7 @@ def configure_ebalm_sgs(f: Proximable, K: LinearOperator, b, tau: float,
             "the 4/3 boundary; use theta > 0 or set override",
             theta=(theta, theta > 0 or gamma > GAMMA_MIN + 1e-12 or override))
     b = np.asarray(b, dtype=float).ravel()
-    M2 = SGSMetric(gram_shift_matrix(K, gamma * tau, theta), partition)
+    M2 = SGSMetric.gram_shift(K, gamma * tau, theta, partition)
     if not M2.U.nnz:  # the kernel's upper() stores no zero
         raise ConfigurationError(
             "partition has no off-diagonal coupling; use configure_ebalm")

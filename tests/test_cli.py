@@ -274,6 +274,19 @@ class TestCheckCommand:
         assert "s_hat = 0.25" in text
         assert "verdict = pass-unit" in text
 
+    def test_reports_an_inconclusive_estimate(self, tmp_path, capsys):
+        # singular values 1e-6 apart: the memoized power estimate stops at
+        # its cap unconverged, and a scalar pair has no certificate
+        np.savetxt(tmp_path / "m.txt", np.ones(1))
+        np.savetxt(tmp_path / "K.txt", np.diag([1.0, 1.0 - 1e-6]))
+        code = main(["check", "--m1", str(tmp_path / "m.txt"),
+                     "--m2", str(tmp_path / "m.txt"),
+                     "--k", str(tmp_path / "K.txt")])
+        assert code == 0
+        text = capsys.readouterr().out
+        assert "s_bar = inf\n" in text and "verdict = inconclusive\n" in text
+        assert "converged = False\n" in text
+
     def test_matrix_market_operator(self, tmp_path, capsys):
         import scipy.sparse as sp
         from scipy.io import mmwrite

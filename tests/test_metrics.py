@@ -5,7 +5,8 @@ import scipy.sparse as sp
 
 from prepdhg import metrics
 from prepdhg.exceptions import ConfigurationError
-from prepdhg.metrics import (BlockDiagMetric, DenseMetric, DiagonalMetric,
+from prepdhg.metrics import (CHECKER_SLACK, CONDITION_THRESHOLD, RITZ_EVERY,
+                             BlockDiagMetric, DenseMetric, DiagonalMetric,
                              GramShiftMetric, ScalarMetric, SGSMetric,
                              _shifted_solver, _sigma,
                              build_diag_preconditioner, check_condition,
@@ -14,8 +15,13 @@ from prepdhg.operators import (BirkhoffConstraint, DenseOperator, GridDivergence
                                SparseOperator, Transpose, VStack,
                                spectral_norm_sq)
 from prepdhg.problems import (birkhoff_projection, emd, random_balanced_grids,
-                              random_sparse_system, tv_least_squares)
-from prepdhg.solver import CHECK_MAX_ITER, CHECK_TOL
+                              random_sparse_system, red_black_partition,
+                              tv_least_squares)
+from prepdhg.prox import Linear, Zero
+from prepdhg import solver
+from prepdhg.solver import (CHECK_MAX_ITER, CHECK_TOL, SaddleProblem,
+                            SolverConfig, configure_ebalm, configure_ebalm_sgs,
+                            solve)
 
 from helpers import (CountingOperator, FactorizedGramShift, generalized_power,
                      random_partition, sgs_dense_oracle)
@@ -422,10 +428,11 @@ class TestLanczosCheck:
     @staticmethod
     def both(M1, sigma, M2, K, tol=CHECK_TOL, max_iter=CHECK_MAX_ITER):
         """The check's report and the retired power iteration's estimate at
-        the same seed and budget."""
+        the same seed and budget: the products the check spent."""
         rep = check_condition(M1, sigma, M2, K, tol=tol, max_iter=max_iter)
         a_apply, a_solve = _shifted_solver(M1, _sigma(M1, sigma))
-        power = generalized_power(K, M2, a_apply, a_solve, tol, max_iter, 0)
+        power = generalized_power(K, M2, a_apply, a_solve, tol,
+                                  rep.iterations, 0)
         return rep, power[0]
 
     @staticmethod
@@ -567,6 +574,202 @@ class TestScalarPairCheck:
         rep = check_condition(ScalarMetric(1.0, 2), None, ScalarMetric(1.0, 2),
                               K, tol=1e-15, max_iter=5)
         assert not rep.converged and rep.iterations == 2000
+        assert rep.verdict == "inconclusive" and not rep.passed
+
+
+_STRICT = CONDITION_THRESHOLD - CHECKER_SLACK
+
+
+def _dense_s(M, K, a):
+    """||M^{-1/2} K||^2 / a for a dense SPD M, by its Cholesky factor."""
+    X = sla.solve_triangular(np.linalg.cholesky(M), K, lower=True)
+    return np.linalg.norm(X, 2) ** 2 / a
+
+
+def _emd_sgs(n, **kw):
+    """The n x n emd sGS instance at h = (n - 1)/4, tau = 10^-1.5."""
+    r0, r1 = random_balanced_grids(n, n, 0)
+    kw = dict(dict(gamma=0.75, theta=1e-6), **kw)
+    return emd(r0, r1, (n - 1) / 4.0, 10 ** -1.5, method="sgs", **kw)
+
+
+def _check(inst, max_iter=CHECK_MAX_ITER):
+    return check_condition(inst.config.M1, inst.saddle.f.sigma,
+                           inst.config.M2, inst.saddle.K, tol=CHECK_TOL,
+                           max_iter=max_iter)
+
+
+class TestCertificate:
+    """s_bar, the certified upper bound on s of a Gram shift over an
+    operator with a closed-form lambda_max(K K^T), and of its sGS metric."""
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_sgs_bound_against_the_dense_metric(self, n):
+        inst = _emd_sgs(n)
+        K = inst.saddle.K
+        Kd, tau = K.to_dense(), inst.meta["tau"]
+        Q = 0.75 * tau * Kd @ Kd.T + 1e-6 * np.eye(K.rows)
+        M = sgs_dense_oracle(Q, red_black_partition(n, n))
+        lam = np.linalg.eigvalsh(Kd @ Kd.T)
+        s_q = np.max(tau * lam / (0.75 * tau * lam + 1e-6))
+        rep = _check(inst)
+        assert _dense_s(M, Kd, 1.0 / tau) <= rep.s_bar
+        assert rep.s_bar == pytest.approx(s_q, rel=1e-12, abs=0)
+        assert rep.s_hat <= rep.s_bar
+
+    def test_gram_shift_bound_against_the_dense_metric(self):
+        tau, gamma = 0.6, 0.75 / (1 + 0.6 / 2)
+        inst = birkhoff_projection(np.random.default_rng(2).random((4, 4)),
+                                   tau, gamma)
+        Kd = inst.saddle.K.to_dense()
+        M2 = gamma * tau * (Kd @ Kd.T + 1e-4 * np.eye(8))
+        a = 1.0 / tau + 0.5  # M1 + Sigma_f/2, unit strong convexity
+        lam = np.linalg.eigvalsh(Kd @ Kd.T)
+        s_q = np.max(lam / (gamma * tau * (lam + 1e-4))) / a
+        rep = _check(inst)
+        assert _dense_s(M2, Kd, a) <= rep.s_bar
+        assert rep.s_bar == pytest.approx(s_q, rel=1e-12, abs=0)
+        # the estimate converges to s = s_Q itself, up to its own rounding
+        assert rep.converged and rep.verdict == "pass-strict"
+        assert rep.s_hat == pytest.approx(rep.s_bar, rel=1e-10, abs=0)
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_emd_sgs_passes_certified_at_the_first_reading(self, n):
+        rep = _emd_sgs(n, max_iter=1).solve()
+        c = rep.condition
+        assert (c.verdict, c.iterations, c.converged) == ("pass-strict",
+                                                          RITZ_EVERY, False)
+        assert c.s_hat <= c.s_bar < _STRICT
+
+    @pytest.mark.parametrize("n, s_q", [(16, 1.3333328288), (32, 1.3333332161),
+                                        (64, 1.3333333050),
+                                        (128, 1.3333333264)])
+    def test_the_closed_form_of_the_sgs_bound(self, n, s_q):
+        # the s_Q column of the measured table in the roadmap
+        assert _check(_emd_sgs(n), max_iter=1).s_bar == pytest.approx(
+            s_q, rel=0, abs=1e-10)
+
+    def test_no_certificate_for_iebalm(self):
+        r0, r1 = random_balanced_grids(8, 8, 0)
+        inst = emd(r0, r1, 7 / 4, 10 ** -1.5, 1.0, method="iebalm")
+        assert _check(inst).s_bar == np.inf
+
+    @pytest.mark.parametrize("sgs", [False, True], ids=["gram", "sgs"])
+    def test_no_certificate_over_a_sparse_operator(self, sgs):
+        grid = GridDivergence(8, 8, 7 / 4)
+        K = SparseOperator(grid.to_sparse())
+        rule = configure_ebalm_sgs if sgs else configure_ebalm
+        blocks = (red_black_partition(8, 8),) if sgs else ()
+        p, cfg = rule(Zero(K.cols), K, np.zeros(K.rows), 0.1, 1e-3, 0.75,
+                      *blocks)
+        rep = check_condition(cfg.M1, None, cfg.M2, K)
+        assert rep.s_bar == np.inf and rep.iterations > RITZ_EVERY
+        # nor for the grid operator over another K's metric
+        assert cfg.M2.norm_bound(grid) is None
+
+    def test_theta_zero_at_three_quarters_is_not_certified(self):
+        # s_bar is 1/gamma = 4/3 itself, which the slack keeps out
+        inst = _emd_sgs(8, theta=0.0, override=True)
+        rep = _check(inst)
+        assert rep.s_bar == pytest.approx(4.0 / 3.0, rel=1e-13)
+        assert not rep.s_bar < _STRICT and rep.iterations > RITZ_EVERY
+
+    def test_cells_over_equal_operators_keep_their_certificate(self):
+        # each emd cell builds its own divergence; a block over the first
+        # cell's K checks the other cells' metrics with the same bound
+        a, b = _emd_sgs(8), _emd_sgs(8, gamma=0.8)
+        assert a.saddle.K is not b.saddle.K
+        ka, kb = a.saddle.K, b.saddle.K
+        assert b.config.M2.norm_bound(ka) == b.config.M2.norm_bound(kb)
+
+    def test_a_unit_certificate_stops_at_the_first_reading(self):
+        # gamma = 1.5 caps s at 2/3, so a first reading below 1 settles it
+        rep = _check(_emd_sgs(16, gamma=1.5))
+        assert (rep.verdict, rep.iterations) == ("pass-unit", RITZ_EVERY)
+        assert rep.s_hat <= rep.s_bar < 1 - CHECKER_SLACK
+
+
+def _benchmark_configs(seed):
+    """The emd-sgs instance and the three tvls-bcd instances the benchmark
+    solves at ``seed``, each stopped after one iteration."""
+    shift = float(np.random.default_rng(seed).uniform(-0.5, 0.5)) * 0.02
+    rng = np.random.default_rng(0)
+    r0, r1 = rng.random((16, 16)), rng.random((16, 16))
+    sgs = emd(r0 / r0.sum(), r1 / r1.sum(), 15 / 4, 10 ** (-1.5 + shift),
+              0.75, theta=1e-6, method="sgs", tol=5e-5, max_iter=1,
+              record_every=100)
+    rng = np.random.default_rng(0)
+    R = sp.random(128, 256, density=0.05, random_state=rng,
+                  data_rvs=rng.random, format="csr")
+    b = R @ np.random.default_rng(7919).random(256)
+    return sgs, [tv_least_squares(R, b, 1.0, (16, 16), 10 ** (e + shift),
+                                  0.75, theta=1e-3, tol=5e-6, max_iter=1,
+                                  record_every=100)
+                 for e in (-2.25, -2.0, -1.75)]
+
+
+def test_the_benchmark_checks_take_pinned_products():
+    # a deterministic guard on set-up cost: the condition checks of the
+    # benchmark's solves at seed 11 take these many products
+    sgs, tvls = _benchmark_configs(11)
+    c = sgs.solve().condition
+    assert (c.verdict, c.iterations, c.s_bar < _STRICT) == (
+        "pass-strict", RITZ_EVERY, True)
+    for inst in tvls:
+        c = inst.solve().condition
+        assert (c.verdict, c.iterations, c.s_bar) == ("pass-strict", 50,
+                                                      np.inf)
+
+
+def test_the_sgs_rule_builds_the_parents_q():
+    # configure_ebalm_sgs builds its metric through SGSMetric.gram_shift,
+    # over the same Q and blocks as SGSMetric(gram_shift_matrix(...))
+    inst = _emd_sgs(8)
+    K, tau, M2 = inst.saddle.K, inst.meta["tau"], inst.config.M2
+    want = SGSMetric(gram_shift_matrix(K, 0.75 * tau, 1e-6),
+                     red_black_partition(8, 8))
+    for attr in ("indptr", "indices", "data"):
+        assert getattr(M2.kernel.M, attr).tobytes() == \
+            getattr(want.kernel.M, attr).tobytes()
+    assert len(M2.kernel.groups) == len(want.kernel.groups)
+    assert all(np.array_equal(g, h) for g, h in zip(M2.kernel.groups,
+                                                    want.kernel.groups))
+    assert want.norm_bound(K) is None and M2.norm_bound(K) is not None
+
+
+class TestInconclusive:
+    """An estimate that neither converged nor is certified below 4/3."""
+
+    @staticmethod
+    def pencil():
+        rng = np.random.default_rng(21)
+        n, m = 20, 30
+        K = rng.standard_normal((m, n))
+        B1, B2 = rng.standard_normal((n, n)), rng.standard_normal((m, m))
+        P1, P2 = B1 @ B1.T + n * np.eye(n), B2 @ B2.T + m * np.eye(m)
+        s = sla.eigh(K.T @ np.linalg.solve(P2, K), P1, eigvals_only=True)[-1]
+        return DenseMetric(P1), DenseMetric(P2 * (s / 0.9)), DenseOperator(K)
+
+    def test_a_generic_pencil_at_a_small_budget(self):
+        M1, M2, K = self.pencil()
+        rep = check_condition(M1, None, M2, K, max_iter=5)
+        assert (rep.verdict, rep.converged, rep.iterations) == (
+            "inconclusive", False, 5)
+        assert rep.s_hat < 0.9 and rep.s_bar == np.inf and not rep.passed
+        assert check_condition(M1, None, M2, K).verdict == "pass-unit"
+
+    def test_solve_refuses_it_unless_overridden(self, monkeypatch):
+        M1, M2, K = self.pencil()
+        p = SaddleProblem(Zero(K.cols), Linear(np.ones(K.rows)), K)
+        cfg = SolverConfig(M1=M1, M2=M2, max_iter=3)
+        monkeypatch.setattr(solver, "CHECK_MAX_ITER", 5)
+        with pytest.raises(ConfigurationError,
+                           match=r"inconclusive: s_hat = 0\.\d+ .* 5 products"
+                                 r".*set override"):
+            solve(p, cfg)
+        cfg.override = True
+        rep = solve(p, cfg)
+        assert rep.iters == 3 and rep.condition is None
 
 
 class TestDiagPreconditioner:

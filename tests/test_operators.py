@@ -490,3 +490,22 @@ def test_solves_are_bitwise_those_of_the_operator_product(monkeypatch):
         assert got.iters == want.iters
         assert_same_bytes(got.x_final, want.x_final)
         assert_same_bytes(got.y_final, want.y_final)
+
+
+@pytest.mark.parametrize("K", [
+    GridDivergence(1, 5, 0.5), GridDivergence(4, 1), GridDivergence(3, 7, 1.3),
+    GridDivergence(8, 8, 7 / 4), BirkhoffConstraint(1), BirkhoffConstraint(4),
+    Transpose(GridDivergence(5, 3, 0.7)), Transpose(BirkhoffConstraint(3))],
+    ids=lambda K: type(K).__name__ + str(K.shape))
+def test_gram_bound_is_the_top_eigenvalue(K, monkeypatch):
+    Kd = K.to_dense()
+    top = np.linalg.eigvalsh(Kd @ Kd.T)[-1]
+    monkeypatch.setattr(operators, "_dct", None)  # a closed form, in O(1)
+    assert K.gram_bound() == pytest.approx(top, rel=1e-13, abs=1e-13)
+
+
+@pytest.mark.parametrize("K", [
+    DenseOperator(np.eye(3)), SparseOperator(GridDivergence(3, 3).to_sparse()),
+    VStack([GridDivergence(2, 3)])], ids=lambda K: type(K).__name__)
+def test_no_gram_bound_without_a_closed_form(K):
+    assert K.gram_bound() is None

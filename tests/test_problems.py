@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -456,10 +457,13 @@ _BUILDERS = {
 @pytest.mark.parametrize("name", sorted(_BUILDERS))
 def test_a_bad_number_builds_or_is_a_configuration_error(name):
     # exceptions.py's promise: a builder refuses each bad value at set-up by
-    # ConfigurationError (infinite gamma or a zero tau reached a division)
+    # ConfigurationError (infinite gamma or a zero tau reached a division),
+    # and the refusal names the parameter: an infinite tau or tau_tilde, or
+    # a zero or NaN gamma under override, read a metric's or the kernel's
+    # general message
     build, valid, has_override = _BUILDERS[name]
     build(**valid)  # the valid values build, so a refusal is the bad value's
-    others = []
+    others, unnamed = [], []
     for param in valid:
         for bad in (0.0, -1.0, np.nan, np.inf, -np.inf):
             for override in (False, True) if has_override else (False,):
@@ -470,11 +474,14 @@ def test_a_bad_number_builds_or_is_a_configuration_error(name):
                     with warnings.catch_warnings():
                         warnings.simplefilter("error")
                         build(**kw)
-                except ConfigurationError:
-                    pass
+                except ConfigurationError as e:
+                    if not re.search(rf"\b{param}\b", str(e)):
+                        unnamed.append(f"{param}={bad} override={override}: "
+                                       f"{e}")
                 except Exception as e:  # noqa: BLE001, the promise's breach
                     others.append(f"{param}={bad} override={override}: {e!r}")
     assert not others
+    assert not unnamed
 
 
 def test_load_grid_roundtrip(tmp_path):
