@@ -46,12 +46,10 @@ class AdmmDriver:
         # u-update through the Moreau route: the dual update started from
         # y = 0 with q = -v gives y = prox_{g*}^{M2}(M2^{-1} v) and M2 y, so
         # that u = v - M2 y and y = M2^{-1}(v - u), the transform value
-        # (the engine's updates act on one-row blocks)
-        eng, w, q = self.eng, np.zeros((1, v.size)), -v[None]
+        eng, w, q = self.eng, np.zeros(v.size), -v
         y = eng.ypoint(w, q)
-        u_new = v - eng.ydiff(w, q, y)[0]
-        y = y[0]
-        x_new = eng.xpoint(st.x[None], K.apply_adjoint(y)[None])[0]
+        u_new = v - eng.ydiff(w, q, y)
+        x_new = eng.xpoint(st.x, K.apply_adjoint(y))
         lam_new = st.lam + self.Sinv @ (K.apply(x_new) - u_new)
         return AdmmState(u=u_new, x=x_new, lam=lam_new)
 
@@ -100,7 +98,7 @@ def equivalence_harness(p: SaddleProblem, M1: Metric, M2: Metric,
     x, y = pairs[0]
     max_dev = 0.0
     for k in range(1, len(pairs)):
-        x, y = (a[0] for a in admm.eng.step(x[None], y[None]))
+        x, y = admm.eng.step(x, y)
         xa, ya = pairs[k]
         dev = max(np.max(np.abs(x - xa)), np.max(np.abs(y - ya)))
         max_dev = max(max_dev, float(dev))

@@ -31,6 +31,7 @@ calling it returns ``(z, M (z - w))``.  Four entries implement
 the function has a quadratic part).
 """
 
+import math
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -52,7 +53,8 @@ def _as_diag(d, dim):
     return d
 
 
-_SIMPLEX_KS = {}
+_SIMPLEX_KS = {}  # n -> 1..n, the ranks of the sorted rule
+_SIMPLEX_ROWS = {}  # B -> 0..B-1, the rows of a block
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
@@ -60,7 +62,11 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     vector or of each row of a (B, n) block.
 
     The active set of the sorted thresholding rule is a prefix, so its size
-    is the count of indices with k*u_k > cumsum(u)_k - 1.
+    is the count of indices with k*u_k > cumsum(u)_k - 1.  No index passes
+    when a finite u_1 is so large that u_1 - 1 rounds to u_1; such a row is
+    projected as v - u_1, whose projection is the same and whose u_1 - 1 is
+    -1.  The arithmetic of every other row, a NaN or inf one too, is the
+    rule's own.
     """
     if not (type(v) is np.ndarray and v.ndim in (1, 2)
             and v.dtype == np.float64):
@@ -71,21 +77,42 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     ks = _SIMPLEX_KS.get(n)
     if ks is None:
         ks = _SIMPLEX_KS.setdefault(n, np.arange(1.0, n + 1.0))
-    u = np.sort(v, axis=-1)[..., ::-1]
-    css = np.cumsum(u, axis=-1)
-    active = u * ks > css - 1.0
+    # np.sort and np.cumsum, without their Python wrappers
+    u = v.copy()
+    u.sort(axis=-1)
+    u = u[..., ::-1]
+    css1 = np.add.accumulate(u, axis=-1)  # cumsum(u) - 1, in place
+    css1 -= 1.0
+    active = u * ks > css1
     if v.ndim == 1:
         size = np.count_nonzero(active)
-        theta = (css[size - 1] - 1.0) / size
+        if not size and u[0] < math.inf:
+            return project_simplex(v - u[0])
+        theta = css1[size - 1] / size
     else:
-        size = active.sum(axis=1)
-        theta = (css[np.arange(v.shape[0]), size - 1] - 1.0) / size
-        theta = theta[:, None]
-    return np.maximum(v - theta, 0.0)
+        size = np.add.reduce(active, axis=1)
+        if np.count_nonzero(size) < size.size:
+            lost = (size == 0) & (u[:, 0] < math.inf)
+            if lost.any():  # the other rows shift by 0
+                return project_simplex(
+                    v - np.where(lost, u[:, 0], 0.0)[:, None])
+        rows = _SIMPLEX_ROWS.get(size.size)
+        if rows is None:
+            rows = _SIMPLEX_ROWS.setdefault(size.size, np.arange(size.size))
+        theta = (css1[rows, size - 1] / size)[:, None]
+    z = v - theta
+    np.maximum(z, 0.0, out=z)
+    return z
 
 
 def project_simplex_weighted(v: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """argmin 1/2||z - v||_D^2 over the simplex, exact breakpoint search."""
+    """argmin 1/2||z - v||_D^2 over the simplex, exact breakpoint search.
+
+    Some z_i > 0 needs lam < d_i v_i, so for a finite v a lam at or above
+    every breakpoint means the 1 of the search was lost to rounding against
+    huge entries.  Such a v is projected as v - top/d, top the largest
+    breakpoint, whose projection is the same and whose lam is lower by top.
+    """
     v = np.asarray(v, dtype=float).ravel()
     d = _as_diag(d, v.size)
     # z_i = max(0, v_i - lam/d_i); find lam with sum(z) = 1
@@ -98,6 +125,8 @@ def project_simplex_weighted(v: np.ndarray, d: np.ndarray) -> np.ndarray:
     # the first k with bps[k+1] < cand[k] <= bps[k], else the last
     ok = (np.append(bps[1:], -np.inf) < cand) & (cand <= bps + 1e-15)
     lam = cand[ok.argmax() if ok.any() else -1]
+    if lam >= bps[0] and bps[0] < math.inf:
+        return project_simplex_weighted(v - bps[0] / d, d)
     return np.maximum(v - lam / d, 0.0)
 
 

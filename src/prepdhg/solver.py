@@ -27,6 +27,11 @@ configs of one problem, one row each (a custom residual on all or none),
 and ``solve`` is its one-row case.  Every part of a step, both bounds and
 every stopping test act on each row on its own, by the arithmetic of that
 row alone, so a row of a block reproduces its serial solve bit for bit.
+A block of one live row, ``solve``'s from its first step and any other's
+once the rest have left, carries its iterates as vectors: its steps call
+the row's own ``Step`` halves and the operator's vector products, and its
+stop test reads scalars.  Only the record and leave path, which runs every
+``record_every`` steps and when a row leaves, views them as one row.
 Configuration helpers cover the balanced augmented-Lagrangian specializations
 (dual metric gamma*tau*K*K^T + theta*I, optionally realized through one
 symmetric Gauss-Seidel block sweep).
@@ -136,13 +141,14 @@ class _Engine:
     one problem.
 
     Iterates are row blocks, one row per live config: x of shape (B,
-    K.cols) and y of shape (B, K.rows).  ``xpoint``/``xdiff`` and
-    ``ypoint``/``ydiff`` are the halves of the two updates on such blocks
-    (``_side``) by each config's steps ``h.step(M)``, built once, here;
-    ``b`` is the linear term of g* (None unless g* is linear), ``rows`` maps
-    each live row to its config, and ``tol``, ``every``, ``last`` and
-    ``rule`` are the live rows' tolerances, record intervals, iteration
-    budgets and stopping rule.
+    K.cols) and y of shape (B, K.rows), and the vectors x and y when one
+    row is live.  ``xpoint``/``xdiff`` and ``ypoint``/``ydiff`` are the
+    halves of the two updates on such blocks (``_side``) by each config's
+    steps ``h.step(M)``, built once, here; ``b`` is the linear term of g*
+    (None unless g* is linear), ``rows`` maps each live row to its config,
+    and ``tol``, ``every``, ``last`` and ``rule`` are the live rows'
+    tolerances, record intervals, iteration budgets and stopping rule, the
+    first three one array entry per row, or scalars for one live row.
     """
 
     def __init__(self, p: SaddleProblem, cfgs):
@@ -165,9 +171,11 @@ class _Engine:
         self.xpoint, self.xdiff = _side(self.p.f, [c.M1 for c in cfgs], xs)
         self.ypoint, self.ydiff = _side(self.p.gstar, [c.M2 for c in cfgs], ys)
 
-        self.tol, self.every, self.last, feas_scale = (
-            np.array([getattr(cfg, a) for cfg in cfgs])
-            for a in ("tol", "record_every", "max_iter", "feas_scale"))
+        settings = (np.array([getattr(cfg, a) for cfg in cfgs])
+                    for a in ("tol", "record_every", "max_iter", "feas_scale"))
+        if len(cfgs) == 1:  # one row steps on vectors, under scalars
+            settings = (a.item() for a in settings)
+        self.tol, self.every, self.last, feas_scale = settings
         self.rule = _rule(self.b, feas_scale, [c.custom_residual for c in cfgs])
 
     def points(self, x, y, Kx, Kty):
@@ -217,9 +225,12 @@ class _Move:
         return self._m2dy
 
     def rows(self, keep):
-        """The move of the rows at positions ``keep``.  Its differences are
-        formed anew by the engine narrowed to those rows: each row's
-        arithmetic is its own, so they are bitwise the rows' differences."""
+        """The move of the rows at positions ``keep``, as vectors when it is
+        one row.  Its differences are formed anew by the engine narrowed to
+        those rows: each row's arithmetic is its own, so they are bitwise
+        the rows' differences."""
+        if len(keep) == 1:
+            keep = keep[0]
         return _Move(self.eng, *(getattr(self, a)[keep] for a in _MOVE_ARRAYS))
 
 
@@ -228,9 +239,7 @@ def _side(h, metrics, steps):
     metrics: the stacked ``prox_step`` over several rows' diagonals when
     all are diagonal, else each row by its own step."""
     if len(steps) == 1:
-        point, diff = steps[0].point, steps[0].diff
-        return (lambda w, q: point(w[0], q[0])[None],
-                lambda w, q, z: diff(w[0], q[0], z[0])[None])
+        return steps[0].point, steps[0].diff
     diags = [M.diagonal() for M in metrics]
     if all(d is not None for d in diags):
         stacked = h.prox_step(np.stack(diags))
@@ -244,8 +253,7 @@ def prepdhg_step(p: SaddleProblem, cfg: SolverConfig, x, y):
     """One iteration of the preconditioned primal-dual update."""
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
-    x_new, y_new = _Engine(p, [cfg]).step(x[None], y[None])
-    return x_new[0], y_new[0]
+    return _Engine(p, [cfg]).step(x, y)
 
 
 def _nrm(v):
@@ -317,8 +325,8 @@ def _rule(b, feas_scale, customs):
         return np.array([max(r) for r in zip(*map(np.atleast_1d, seen))])
     if len(customs) == 1:  # the one row's terms, as Python floats
         [one] = row_terms
-        return _Rule(lambda mv: one(mv.x_new[0], mv.y_new[0], mv.Kx_new[0],
-                                    mv.Kty_new[0]), size, row_max, recorded)
+        return _Rule(lambda mv: one(mv.x_new, mv.y_new, mv.Kx_new, mv.Kty_new),
+                     size, row_max, recorded)
 
     def at_terms(mv):
         rows = zip(row_terms, mv.x_new, mv.y_new, mv.Kx_new, mv.Kty_new)
@@ -332,13 +340,13 @@ def _stop_residual(rule, mv, tol=None):
     when no row stops: reading the terms in order ends at one over ``tol``
     (one per row) in every row, unless it is the last (``tol=None`` reads
     them all).  That is exact, since under ``whole`` a term over tol leaves
-    the residual over tol or NaN.  A one-row custom rule's term is a
-    Python float and is compared with its row's tol as a float."""
+    the residual over tol or NaN.  A one-row block's tol is a scalar, and
+    its terms are compared with it as scalars."""
     seen = []
     for t in rule.terms(mv):
         seen.append(t)
         if tol is not None and len(seen) != rule.size and (
-                t > tol[0] if type(t) is float else all(t > tol)):
+                all(t > tol) if type(tol) is np.ndarray else t > tol):
             return None
     return rule.whole(*seen)
 
@@ -399,6 +407,8 @@ def solve_batch(p: SaddleProblem, cfgs) -> list:
     K = p.K
     x = np.stack([_start(cfg.x0, K.cols, "x0") for cfg in cfgs])
     y = np.stack([_start(cfg.y0, K.rows, "y0") for cfg in cfgs])
+    if len(cfgs) == 1:  # a one-row block steps on vectors
+        x, y = x[0], y[0]
     conditions = [None if cfg.override else _checked_condition(p, cfg)
                   for cfg in cfgs]
     Kx = K.apply(x)
@@ -436,23 +446,25 @@ def solve_batch(p: SaddleProblem, cfgs) -> list:
         done = None if stop_res is None else stop_res <= tol
         if rec or not calm or (done is not None and done.any()):
             rows, every = eng.rows, eng.every
-            if done is None:
-                done = np.zeros(rows.size, dtype=bool)
-            blown = ~(np.maximum(np.abs(x_new).max(axis=1),
-                                 np.abs(y_new).max(axis=1)) <= BLOWUP)
+            X, Y = np.atleast_2d(x_new, y_new)  # a one-row block's vectors
+            done = (np.zeros(rows.size, dtype=bool) if done is None
+                    else np.atleast_1d(done))
+            blown = ~(np.maximum(np.abs(X).max(axis=1),
+                                 np.abs(Y).max(axis=1)) <= BLOWUP)
             leave = done | blown | (k == eng.last)
             show = leave | (k % every == 0) if rec else leave
             with np.errstate(over=None if calm else "ignore"):
                 if stop_res is None and leave.any():  # the exact residual
                     stop_res = _stop_residual(eng.rule, mv)
                 if show.any():
-                    rhat_full, rhat_half = eng.rule.recorded(mv, prev)
+                    rhat_full, rhat_half = map(np.atleast_1d,
+                                               eng.rule.recorded(mv, prev))
             now = time.perf_counter()
             charged[rows] += (now - t_last) / rows.size
             t_last = now
             for i in np.flatnonzero(show):
                 j = rows[i]
-                gap = (gap_fns[j](x_new[i], y_new[i])
+                gap = (gap_fns[j](X[i], Y[i])
                        if gap_fns[j] is not None else np.nan)
                 histories[j].append(HistoryRow(
                     k, float(rhat_full[i]), float(rhat_half[i]), gap,
@@ -463,8 +475,8 @@ def solve_batch(p: SaddleProblem, cfgs) -> list:
                           "diverged" if blown[i] else "max-iter")
                 reports[j] = SolveReport(
                     status=status, iters=k, history=histories[j],
-                    x_final=x_new[i].copy(), y_final=y_new[i].copy(),
-                    stop_residual=float(stop_res[i]),
+                    x_final=X[i].copy(), y_final=Y[i].copy(),
+                    stop_residual=float(np.atleast_1d(stop_res)[i]),
                     condition=conditions[j])
             if leave.any():
                 next_rec = None

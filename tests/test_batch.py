@@ -217,6 +217,56 @@ def test_a_block_builds_each_configs_steps_once(monkeypatch):
     assert len(built) == len(cfgs)
 
 
+# -- a block narrowed to one row ----------------------------------------------
+
+def _narrowing_block(monkeypatch, p, cfgs):
+    """``solve_batch(p, cfgs)``, with the last row, once alone, stepping on
+    vectors: the loop's trailing K x products are all on vectors, one per
+    step the last row runs after the others have left."""
+    ndims, apply = [], p.K.apply
+
+    def recorded(x):
+        ndims.append(x.ndim)
+        return apply(x)
+    with monkeypatch.context() as m:
+        m.setattr(p.K, "apply", recorded)
+        reps = solve_batch(p, cfgs)
+    last, before = sorted(r.iters for r in reps)[:-3:-1]
+    assert last > before
+    assert ndims[-(last - before) - 1:] == [2] + [1] * (last - before)
+    return reps
+
+
+@pytest.mark.parametrize("make", [
+    lambda: [emd(*_grids(8, 0), 7 / 4, 10.0 ** e, 0.75, method="sgs",
+                 max_iter=3000, record_every=7) for e in (-1.75, -1.5, -1.25)],
+    lambda: _tvls_cells(((0.75, 0.01), (0.75, 0.03), (0.75, 0.1)),
+                        record_every=7)],
+    ids=["emd-sgs-8x8", "tvls"])
+def test_the_last_row_on_vectors_equals_its_serial_solve(monkeypatch, make):
+    insts = make()
+    p, cfgs = insts[0].saddle, [inst.config for inst in insts]
+    reps = _narrowing_block(monkeypatch, p, cfgs)
+    assert len({r.iters for r in reps}) == 3  # rows leave at other steps
+    for rep, inst in zip(reps, insts):
+        assert rep.status == "converged"
+        assert_same_report(rep, inst.solve())
+
+
+def test_a_game_block_narrowed_past_a_diverged_and_a_capped_row(monkeypatch):
+    K = game_matrix(1, 0, 30, 30, centered=True)
+    insts = [matrix_game(K, tau, 1.0, tol=1e-4, record_every=5)
+             for tau in (0.2, 0.3, 0.5, 0.7)]
+    p, cfgs = insts[0].saddle, [inst.config for inst in insts]
+    cfgs[0].x0, cfgs[0].override = np.full(30, np.nan), True
+    cfgs[2].max_iter = 40
+    reps = _narrowing_block(monkeypatch, p, cfgs)
+    assert [r.status for r in reps] == ["diverged", "converged", "max-iter",
+                                        "converged"]
+    for rep, cfg in zip(reps, cfgs):
+        assert_same_report(rep, solve(p, cfg))
+
+
 # -- the per-row arithmetic ---------------------------------------------------
 
 @pytest.mark.parametrize("shape", [(100, 100), (12, 12), (500, 100), (7, 13)])

@@ -634,12 +634,12 @@ def test_steps_are_named_by_their_case():
 
 def _engine_step(p, cfg, x, y):
     """``(x+, y+, K x+, M1 (x+ - x), M2 (y+ - y))`` of one engine step of
-    the one-row block of vectors x and y."""
-    eng, K, x, y = _Engine(p, [cfg]), p.K, x[None], y[None]
+    the one-row block, which steps on the vectors x and y."""
+    eng, K = _Engine(p, [cfg]), p.K
     Kty = K.apply_adjoint(y)
     x_new, y_new, Kx_new, q = eng.points(x, y, K.apply(x), Kty)
-    return [a[0] for a in (x_new, y_new, Kx_new, eng.xdiff(x, Kty, x_new),
-                           eng.ydiff(y, q, y_new))]
+    return [x_new, y_new, Kx_new, eng.xdiff(x, Kty, x_new),
+            eng.ydiff(y, q, y_new)]
 
 
 @pytest.mark.parametrize("dense", [False, True])

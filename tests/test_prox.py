@@ -1,9 +1,13 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prepdhg.exceptions import ConfigurationError
+from prepdhg.problems import game_matrix, matrix_game
 from prepdhg.prox import (GroupL12, IndicatorLinfBall, IndicatorNonneg,
                           IndicatorSimplex, IndicatorSingleton, L1Norm,
                           Linear, QuadraticShift, QuadraticShiftNonneg,
@@ -83,6 +87,82 @@ class TestProjectSimplex:
             z = project_simplex(rng.standard_normal(30) * 5)
             assert abs(z.sum() - 1.0) <= 1e-14 * 30
             assert np.all(z >= 0)
+
+
+def project_simplex_reference(v):
+    """The sort-based rule through numpy's wrappers, as it had been written:
+    ``project_simplex`` must give its bits wherever it finds an index."""
+    n = v.shape[-1]
+    ks = np.arange(1.0, n + 1.0)
+    u = np.sort(v, axis=-1)[..., ::-1]
+    css = np.cumsum(u, axis=-1)
+    active = u * ks > css - 1.0
+    if v.ndim == 1:
+        size = np.count_nonzero(active)
+        theta = (css[size - 1] - 1.0) / size
+    else:
+        size = active.sum(axis=1)
+        theta = (css[np.arange(v.shape[0]), size - 1] - 1.0) / size
+        theta = theta[:, None]
+    return np.maximum(v - theta, 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.integers(0, 19), n=st.integers(1, 119),
+       scale=st.sampled_from([1e-3, 1.0, 1e3, 1e9]),
+       seed=st.integers(0, 2**32 - 1))
+def test_simplex_matches_the_wrapped_formula_bit_for_bit(rows, n, scale, seed):
+    # rows = 0 draws a vector, else a (rows, n) block
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((rows, n) if rows else n) * scale
+    if n > 2:  # ties and exact zeros
+        v[..., :2] = v[..., 2:3]
+        v[..., -1] = 0.0
+    assert project_simplex(v).tobytes() == project_simplex_reference(v).tobytes()
+
+
+@pytest.mark.parametrize("big", [1e17, 2.0 ** 54, 1e300])
+def test_simplex_projections_keep_huge_entries_on_the_simplex(big):
+    # u_1 - 1 rounds to u_1, so the sorted rule finds no index and the
+    # breakpoint search loses its 1; both project after a shift instead
+    v = np.array([big, 0.0, 0.0, 0.0])
+    block = np.array([v, [0.1, 0.7, 0.3, -0.2], [-big, big, big / 2, 1.0]])
+    d = np.array([1.0, 2.0, 1.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        outs = [project_simplex(v), *project_simplex(block),
+                project_simplex_weighted(v, d),
+                project_simplex_weighted(block[2], d)]
+    for z in outs:
+        assert np.all(z >= 0.0) and abs(z.sum() - 1.0) <= 1e-15
+    assert np.array_equal(outs[0], [1.0, 0.0, 0.0, 0.0])
+    assert np.array_equal(outs[4], [1.0, 0.0, 0.0, 0.0])
+    # the block's other rows are those rows' own projections
+    assert np.array_equal(outs[2], project_simplex(block[1]))
+    assert np.array_equal(outs[3], [0.0, 1.0, 0.0, 0.0])
+
+
+def test_simplex_projections_keep_nan_rows_nan():
+    v = np.array([np.nan, 0.0, 1.0])
+    d = np.array([1.0, 2.0, 1.0])
+    assert np.isnan(project_simplex(v)).all()
+    assert np.isnan(project_simplex_weighted(v, d)).all()
+    got = project_simplex(np.array([v, [0.2, 0.3, 0.5]]))
+    assert np.isnan(got[0]).all()
+    assert np.array_equal(got[1], project_simplex(np.array([0.2, 0.3, 0.5])))
+
+
+def test_game_from_a_huge_start_converges():
+    # the first x-step projects the start; before the shift it left the
+    # simplex there and the solve reported diverged at iteration 1
+    K = game_matrix(1, 0, 5, 4, centered=True)
+    inst = matrix_game(K, 0.3, 1.0)
+    plain = inst.solve()
+    inst.config.x0 = np.array([1e17, 0.0, 0.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge = inst.solve()
+    assert plain.status == huge.status == "converged"
 
 
 def project_simplex_weighted_reference(v, d):
